@@ -1544,6 +1544,22 @@ def _host_info() -> dict:
     }
 
 
+def run_speedup(runs: dict, headline: str) -> float | None:
+    """The ``after`` run's *headline* over the ``baseline`` run's, or None
+    unless both runs exist and measured identical ``workload`` blocks.
+
+    Other labels (a quick-mode ``ci`` pass, say) never enter the ratio, so
+    the order in which runs are written cannot change it.
+    """
+    after, baseline = runs.get("after"), runs.get("baseline")
+    if not after or not baseline or after.get("workload") != baseline.get("workload"):
+        return None
+    new, base = after.get(headline), baseline.get(headline)
+    if not new or not base:
+        return None
+    return round(new / base, 2)
+
+
 def write_document(out_dir: Path, name: str, label: str, result: dict,
                    baseline_dir: Path | None) -> Path:
     path = out_dir / f"BENCH_{name}.json"
@@ -1566,12 +1582,9 @@ def write_document(out_dir: Path, name: str, label: str, result: dict,
             baseline = json.loads(baseline_path.read_text())
             document["runs"].update(baseline.get("runs", {}))
     document["runs"][label] = result
-    headline = HEADLINE[name]
-    if "baseline" in document["runs"] and label != "baseline":
-        base = document["runs"]["baseline"].get(headline)
-        new = result.get(headline)
-        if base and new:
-            document["speedup"] = round(new / base, 2)
+    speedup = run_speedup(document["runs"], HEADLINE[name])
+    if speedup is not None:
+        document["speedup"] = speedup
     path.write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
     return path
 

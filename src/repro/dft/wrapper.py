@@ -227,8 +227,8 @@ class TestWrapper(Channel):
         self.response_bits_produced += count * self.response_bits_per_pattern()
         # Fold a deterministic token per pattern into the signature so that
         # repeated runs produce identical, checkable signatures.
-        for index in range(count):
-            self.misr.compact(self.external_patterns_applied - count + index + 1)
+        applied = self.external_patterns_applied
+        self.misr.compact_sequence(range(applied - count + 1, applied + 1))
 
     def apply_bist_patterns(self, count: int) -> None:
         """Account *count* patterns generated by the core-internal LFSR."""
@@ -241,9 +241,8 @@ class TestWrapper(Channel):
         self.patterns_applied += count
         self.bist_patterns_applied += count
         self.response_bits_produced += count * self.response_bits_per_pattern()
-        self.misr.compact_sequence(
-            self.bist_patterns_applied - count + index + 1 for index in range(count)
-        )
+        applied = self.bist_patterns_applied
+        self.misr.compact_sequence(range(applied - count + 1, applied + 1))
 
     @property
     def signature(self) -> int:

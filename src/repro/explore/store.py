@@ -119,7 +119,11 @@ def _column_array(column: str, values: Sequence[object]) -> np.ndarray:
             return values
         return np.asarray([str(value) for value in values], dtype=np.str_)
     if kind in _KIND_DTYPES:
-        return np.asarray(values, dtype=_KIND_DTYPES[kind])
+        try:
+            return np.asarray(values, dtype=_KIND_DTYPES[kind])
+        except (TypeError, ValueError, OverflowError) as error:
+            raise StoreError(f"column {column!r} holds a value its {kind} "
+                             f"dtype cannot represent: {error}") from error
     array = np.asarray(values)
     if array.dtype == object:
         raise StoreError(
@@ -702,14 +706,13 @@ def encode_shard_block(document: Mapping[str, object]) -> bytes:
             raise StoreError(
                 f"shard block row is missing column {error.args[0]!r}")
         array = _column_array(str(column), values)
-        if array.dtype.kind == "U" and array.tolist() != values:
-            # Fixed-width numpy unicode drops trailing NULs on read-back;
-            # refuse the lossy encode rather than corrupt silently.  (The
-            # read-back comparison is vectorized; a Python-level scan of
-            # every string would dominate bulk encodes.)
+        # The decoded document must serialize to the same JSON: refuse a
+        # lossy encode (numpy unicode drops trailing NULs; typed columns
+        # coerce 1.5 -> 1, True -> 1, 1 -> 1.0) rather than corrupt silently.
+        if json.dumps(array.tolist()) != json.dumps(values):
             raise StoreError(
-                f"column {column!r} holds NUL-terminated strings, which a "
-                f"shard block cannot store losslessly")
+                f"column {column!r} holds values its {array.dtype} dtype cannot "
+                f"store losslessly (NUL-terminated strings, or another kind)")
         arrays.append(array)
     header_bytes = json.dumps(header, sort_keys=False,
                               separators=(",", ":")).encode("utf-8")

@@ -10,11 +10,21 @@ channels that do not implement it.
 from __future__ import annotations
 
 import inspect
-from typing import List
+from typing import List, Tuple
 
 
 class Interface:
     """Base class for all channel interfaces."""
+
+    #: :meth:`required_methods`, computed once per class (ports bind often).
+    _required: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._required = tuple(sorted(
+            name for name, _ in inspect.getmembers(cls, predicate=callable)
+            if not name.startswith("_") and not hasattr(Interface, name)
+        ))
 
     @classmethod
     def required_methods(cls) -> List[str]:
@@ -24,18 +34,11 @@ class Interface:
         ones inherited from :class:`Interface` itself) is considered part of
         the contract.
         """
-        methods = []
-        for name, member in inspect.getmembers(cls, predicate=callable):
-            if name.startswith("_"):
-                continue
-            if hasattr(Interface, name):
-                continue
-            methods.append(name)
-        return sorted(methods)
+        return list(cls._required)
 
     @classmethod
     def is_implemented_by(cls, obj) -> bool:
         """Return ``True`` if *obj* provides every method of the interface."""
         if isinstance(obj, cls):
             return True
-        return all(callable(getattr(obj, name, None)) for name in cls.required_methods())
+        return all(callable(getattr(obj, name, None)) for name in cls._required)

@@ -10,7 +10,7 @@ purely descriptive configurations for cores whose netlist is not modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from repro.rtl.netlist import Netlist
 
@@ -24,12 +24,12 @@ class ScanCell:
     position: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanChain:
     """An ordered list of scan cells sharing one scan-in/scan-out pair."""
 
     index: int
-    cells: List[ScanCell] = field(default_factory=list)
+    cells: Tuple[ScanCell, ...]
 
     @property
     def length(self) -> int:
@@ -39,27 +39,32 @@ class ScanChain:
         return iter(self.cells)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanConfiguration:
-    """The scan structure of a core as seen by the test infrastructure."""
+    """The scan structure of a core as seen by the test infrastructure: the
+    length of every chain, plus ordered cells (:attr:`chains`) only for the
+    netlist-backed configurations :func:`insert_scan` builds.  Those pass
+    only *chains*; their lengths are derived from the cells."""
 
     core_name: str
-    chains: List[ScanChain] = field(default_factory=list)
+    chain_lengths: Tuple[int, ...] = ()
+    chains: Tuple[ScanChain, ...] = ()
+    total_cells: int = field(init=False)
+    #: Longest chain; the number of shift cycles per scan load/unload.
+    max_chain_length: int = field(init=False)
+
+    def __post_init__(self):
+        if self.chains:
+            lengths = tuple(chain.length for chain in self.chains)
+        else:
+            lengths = tuple(self.chain_lengths)
+        object.__setattr__(self, "chain_lengths", lengths)
+        object.__setattr__(self, "total_cells", sum(lengths))
+        object.__setattr__(self, "max_chain_length", max(lengths, default=0))
 
     @property
     def chain_count(self) -> int:
-        return len(self.chains)
-
-    @property
-    def total_cells(self) -> int:
-        return sum(chain.length for chain in self.chains)
-
-    @property
-    def max_chain_length(self) -> int:
-        """Longest chain; the number of shift cycles per scan load/unload."""
-        if not self.chains:
-            return 0
-        return max(chain.length for chain in self.chains)
+        return len(self.chain_lengths)
 
     def shift_cycles_per_pattern(self) -> int:
         """Shift cycles needed to load one pattern (and unload the previous
@@ -90,20 +95,9 @@ class ScanConfiguration:
             raise ValueError("chain_count must be positive")
         if total_cells < chain_count:
             raise ValueError("need at least one cell per chain")
-        chains = []
-        base = total_cells // chain_count
-        remainder = total_cells % chain_count
-        cell_index = 0
-        for index in range(chain_count):
-            length = base + (1 if index < remainder else 0)
-            cells = [
-                ScanCell(name=f"{core_name}_sff_{cell_index + position}",
-                         chain_index=index, position=position)
-                for position in range(length)
-            ]
-            cell_index += length
-            chains.append(ScanChain(index=index, cells=cells))
-        return cls(core_name=core_name, chains=chains)
+        base, remainder = divmod(total_cells, chain_count)
+        lengths = (base + 1,) * remainder + (base,) * (chain_count - remainder)
+        return cls(core_name=core_name, chain_lengths=lengths)
 
 
 def insert_scan(netlist: Netlist, chain_count: int,
@@ -119,10 +113,11 @@ def insert_scan(netlist: Netlist, chain_count: int,
             f"cannot build {chain_count} chains from "
             f"{len(flip_flop_names)} flip-flops"
         )
-    chains = [ScanChain(index=i) for i in range(chain_count)]
-    for index, name in enumerate(flip_flop_names):
-        chain = chains[index % chain_count]
-        chain.cells.append(
-            ScanCell(name=name, chain_index=chain.index, position=len(chain.cells))
-        )
+    chains = tuple(
+        ScanChain(index=index, cells=tuple(
+            ScanCell(name=name, chain_index=index, position=position)
+            for position, name in enumerate(flip_flop_names[index::chain_count])
+        ))
+        for index in range(chain_count)
+    )
     return ScanConfiguration(core_name=core_name or netlist.name, chains=chains)

@@ -1,8 +1,9 @@
 """Unit tests for the configuration scan bus, CTL descriptions and wrappers."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.kernel import NS, SimTime
+from repro.kernel import NS, SimTime, Simulator
 from repro.dft import (
     ConfigurationScanBus,
     ConfigurableRegister,
@@ -14,6 +15,7 @@ from repro.dft import (
     generate_wrapper,
 )
 from repro.dft.tam import TamSlaveInterface
+from repro.rtl.lfsr import MISR
 
 
 class TestConfigurableRegister:
@@ -131,18 +133,12 @@ class TestCoreTestDescription:
 
 class TestWrapperParallelPort:
     def make_wrapper(self, sim, parallel_width_bits, chain_lengths=(25, 25, 25, 25)):
-        from repro.rtl.scan import ScanCell, ScanChain, ScanConfiguration
+        from repro.rtl.scan import ScanConfiguration
 
-        chains = [
-            ScanChain(index=i, cells=[
-                ScanCell(name=f"ff{i}_{p}", chain_index=i, position=p)
-                for p in range(length)
-            ])
-            for i, length in enumerate(chain_lengths)
-        ]
         description = CoreTestDescription(
             core_name="demo",
-            scan_config=ScanConfiguration(core_name="demo", chains=chains),
+            scan_config=ScanConfiguration(core_name="demo",
+                                          chain_lengths=chain_lengths),
         )
         return generate_wrapper(sim, description,
                                 parallel_width_bits=parallel_width_bits)
@@ -293,6 +289,28 @@ class TestTestWrapper:
         wrapper = generate_wrapper(sim, description)
         with pytest.raises(ValueError):
             wrapper.apply_bist_patterns(5)
+
+    @given(bursts=st.lists(st.tuples(st.booleans(), st.integers(0, 300)),
+                           max_size=12))
+    def test_signature_matches_per_word_misr_loop(self, bursts):
+        # Reference: one MISR.compact per pattern, folding the running
+        # external/BIST pattern number, in application order.
+        description = CoreTestDescription.describe(
+            "demo", chain_count=2, scan_cells=16, has_logic_bist=True)
+        wrapper = generate_wrapper(Simulator("misr"), description)
+        reference = MISR(wrapper.misr.width, seed=0)
+        applied = {True: 0, False: 0}
+        for bist, count in bursts:
+            if bist:
+                wrapper.apply_bist_patterns(count)
+            else:
+                wrapper.apply_external_patterns(count)
+            for _ in range(count):
+                applied[bist] += 1
+                reference.compact(applied[bist])
+            assert wrapper.signature == reference.signature
+        assert wrapper.bist_patterns_applied == applied[True]
+        assert wrapper.external_patterns_applied == applied[False]
 
     def test_signature_is_deterministic_and_order_sensitive(self, sim):
         description = CoreTestDescription.describe("demo", chain_count=2,

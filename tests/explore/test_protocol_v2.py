@@ -50,6 +50,7 @@ from repro.explore.distrib import job_to_dict, plan_shards
 from repro.explore.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.explore.scenarios import ScenarioSpec
 from repro.explore.store import (
+    COLUMN_KINDS,
     StoreError,
     decode_shard_block,
     encode_shard_block,
@@ -160,11 +161,37 @@ def shard_documents(draw):
     }
 
 
+_VALUE_KINDS = {bool: "bool", int: "int", float: "float", str: "str"}
+
+
+def miskinded_columns(document):
+    """Columns the store schema declares with another kind than the
+    document's values: the codec must refuse these, not coerce them."""
+    return [name for name in document["columns"]
+            if name in COLUMN_KINDS
+            and any(_VALUE_KINDS[type(row[name])] != COLUMN_KINDS[name]
+                    for row in document["rows"])]
+
+
+def encode_or_refuse(document):
+    """The encoded block, or None once the codec has refused a document
+    with a miskinded declared column."""
+    if miskinded_columns(document):
+        with pytest.raises(StoreError,
+                           match="cannot store losslessly|cannot represent"):
+            encode_shard_block(document)
+        return None
+    return encode_shard_block(document)
+
+
 class TestShardBlockCodec:
     @settings(max_examples=80, deadline=None)
     @given(document=shard_documents())
     def test_round_trip_is_json_identical(self, document):
-        block = decode_shard_block(encode_shard_block(document))
+        encoded = encode_or_refuse(document)
+        if encoded is None:
+            return
+        block = decode_shard_block(encoded)
         assert block.row_count == document["row_count"]
         assert json.dumps(block.document(), sort_keys=False) == \
             json.dumps(document, sort_keys=False)
@@ -172,7 +199,9 @@ class TestShardBlockCodec:
     @settings(max_examples=60, deadline=None)
     @given(document=shard_documents(), data=st.data())
     def test_any_truncation_is_rejected(self, document, data):
-        encoded = encode_shard_block(document)
+        encoded = encode_or_refuse(document)
+        if encoded is None:
+            return
         cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
         with pytest.raises(StoreError):
             decode_shard_block(encoded[:cut])
@@ -180,7 +209,10 @@ class TestShardBlockCodec:
     @settings(max_examples=60, deadline=None)
     @given(document=shard_documents(), data=st.data())
     def test_corrupt_archive_bytes_are_rejected(self, document, data):
-        encoded = bytearray(encode_shard_block(document))
+        encoded = encode_or_refuse(document)
+        if encoded is None:
+            return
+        encoded = bytearray(encoded)
         header_len = struct.unpack_from(">I", encoded, 4)[0]
         archive_start = 4 + 4 + header_len
         # Corrupt the npz central directory: zero out a tail byte.
@@ -214,6 +246,22 @@ class TestShardBlockCodec:
         with pytest.raises(StoreError, match="NUL-terminated"):
             encode_shard_block({"columns": ["name"], "row_count": 1,
                                 "rows": [{"name": "lossy\x00"}]})
+        # A value of another kind than its declared column is refused,
+        # never coerced (1.5 -> 1, True -> 1, 1 -> 1.0, False -> "False").
+        for column, value in (("round", 1.5), ("round", True),
+                              ("budget", 1), ("survivor", 0),
+                              ("scenario", False)):
+            with pytest.raises(StoreError, match="cannot store losslessly"):
+                encode_shard_block({"columns": [column], "row_count": 1,
+                                    "rows": [{column: value}]})
+        for value in ("", 2**70):
+            with pytest.raises(StoreError, match="cannot represent"):
+                encode_shard_block({"columns": ["seed"], "row_count": 1,
+                                    "rows": [{"seed": value}]})
+        # Undeclared columns take one dtype; mixing kinds would coerce.
+        with pytest.raises(StoreError, match="cannot store losslessly"):
+            encode_shard_block({"columns": ["a"], "row_count": 2,
+                                "rows": [{"a": 1}, {"a": True}]})
         # A lying row_count in the header is caught against the arrays.
         tampered = dict(document)
         tampered["row_count"] = document["row_count"] + 1

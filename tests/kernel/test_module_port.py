@@ -40,6 +40,30 @@ class TestInterface:
         assert DemoInterface.is_implemented_by(Direct())
 
 
+    def test_incomplete_channel_refused_after_a_complete_one(self):
+        # The method list is computed once per class; a later check against
+        # a channel missing a method must still fail.
+        assert DemoInterface.is_implemented_by(DemoChannel())
+        assert not DemoInterface.is_implemented_by(Incomplete())
+        with pytest.raises(BindingError):
+            Port(DemoInterface, name="p").bind(Incomplete())
+
+    def test_subclass_interface_has_its_own_method_list(self):
+        class WiderInterface(DemoInterface):
+            def pong(self):
+                raise NotImplementedError
+
+        assert DemoInterface.required_methods() == ["ping"]
+        assert WiderInterface.required_methods() == ["ping", "pong"]
+        assert DemoInterface.required_methods() == ["ping"]
+        assert DemoInterface.is_implemented_by(DemoChannel())
+        assert not WiderInterface.is_implemented_by(DemoChannel())
+
+    def test_required_methods_returns_a_fresh_list(self):
+        DemoInterface.required_methods().append("mutated")
+        assert DemoInterface.required_methods() == ["ping"]
+
+
 class TestPort:
     def test_bind_and_call(self):
         port = Port(DemoInterface, name="p")

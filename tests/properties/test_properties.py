@@ -76,11 +76,9 @@ class TestScanConfigurationProperties:
         total = chains * cells_per_chain + (extra % chains if chains > 1 else 0)
         config = ScanConfiguration.describe("core", chains, total)
         assert config.total_cells == total
-        lengths = [chain.length for chain in config.chains]
+        lengths = config.chain_lengths
         assert max(lengths) - min(lengths) <= 1
         assert config.max_chain_length == max(lengths)
-        names = [cell.name for chain in config.chains for cell in chain]
-        assert len(set(names)) == total
 
 
 class TestMemoryProperties:

@@ -1,9 +1,22 @@
 """Unit tests for synthetic core generation and scan insertion."""
 
+import dataclasses
+import tracemalloc
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.rtl.generate import SyntheticCoreSpec, generate_netlist
+from repro.rtl.netlist import Netlist
 from repro.rtl.scan import ScanConfiguration, insert_scan
+
+
+def flip_flop_netlist(flip_flops: int) -> Netlist:
+    """A netlist of *flip_flops* unconnected flip-flops (enough for scan)."""
+    netlist = Netlist("ffs")
+    for index in range(flip_flops):
+        netlist.add_flip_flop(f"ff{index}", f"d{index}", f"q{index}")
+    return netlist
 
 
 class TestSyntheticCoreSpec:
@@ -77,7 +90,7 @@ class TestScanInsertion:
 
     def test_describe_uneven_distribution(self):
         config = ScanConfiguration.describe("c", chain_count=3, total_cells=10)
-        lengths = sorted(chain.length for chain in config.chains)
+        lengths = sorted(config.chain_lengths)
         assert lengths == [3, 3, 4]
 
     def test_describe_invalid_parameters(self):
@@ -85,6 +98,42 @@ class TestScanInsertion:
             ScanConfiguration.describe("c", chain_count=0, total_cells=10)
         with pytest.raises(ValueError):
             ScanConfiguration.describe("c", chain_count=5, total_cells=3)
+
+    @given(chain_count=st.integers(1, 40), extra=st.integers(0, 200))
+    def test_describe_splits_like_insert_scan(self, chain_count, extra):
+        total = chain_count + extra
+        inserted = insert_scan(flip_flop_netlist(total), chain_count)
+        described = ScanConfiguration.describe("c", chain_count, total)
+        assert described.chain_lengths == inserted.chain_lengths
+        assert [chain.length for chain in inserted.chains] == \
+            list(described.chain_lengths)
+        assert described.total_cells == inserted.total_cells == total
+        assert described.max_chain_length == inserted.max_chain_length
+
+    def test_describe_allocates_per_chain_not_per_cell(self):
+        # The paper's processor core: 32 chains of 1450 cells.  Allocating
+        # one object per cell would cost megabytes; per chain, a few bytes.
+        ScanConfiguration.describe("cpu", chain_count=32, total_cells=32 * 1450)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            config = ScanConfiguration.describe("cpu", chain_count=32,
+                                                total_cells=32 * 1450)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert config.total_cells == 32 * 1450
+        assert peak - before < 64 * 32
+
+    def test_counts_cannot_go_stale(self):
+        config = ScanConfiguration.describe("c", chain_count=4, total_cells=10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.chain_lengths = (1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.total_cells = 2
+        rebuilt = dataclasses.replace(config, chain_lengths=(5, 1))
+        assert (rebuilt.total_cells, rebuilt.max_chain_length) == (6, 5)
 
     def test_shift_and_pattern_cycle_accounting(self):
         config = ScanConfiguration.describe("c", chain_count=4, total_cells=400)
