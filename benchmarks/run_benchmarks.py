@@ -9,7 +9,8 @@ Measures the performance-critical layers of the stack:
 * ``tracing``  -- per-transaction append cost of the transaction tracer and
                   activity log (enabled and disabled) and columnar query time,
 * ``lfsr``     -- bit-accurate pattern generation (LFSR) and signature
-                  compaction (MISR) throughput,
+                  compaction (MISR) throughput, per word and as deferred
+                  closed-form range folds,
 * ``schedule`` -- builds/second of every registered scheduler strategy on a
                   generated task set, plus schedule-quality deltas
                   (estimated makespan / peak power) vs the greedy baseline,
@@ -39,7 +40,8 @@ the checked-in artifacts record the before/after trajectory of a PR::
         --baseline-dir /tmp/bench
 
 The script only uses public APIs, so it runs unchanged on older revisions
-(it adapts to either the record-object or the columnar tracer interface).
+(it adapts to either the record-object or the columnar tracer interface),
+except that ``lfsr`` needs ``MISR.compact_range``.
 
 CI runs ``--quick`` as a smoke job and uploads the JSON as an artifact.
 """
@@ -289,6 +291,22 @@ def bench_lfsr(scale: float) -> dict:
 
     misr_wall, signature = _best_of(REPEATS, run_misr)
 
+    def run_misr_range():
+        # The wrapper's access pattern: consecutive 100-word bursts folded
+        # through the deferred closed form, read once at the end.
+        misr = MISR(32)
+        start = time.perf_counter()
+        for first in range(0, misr_words, 100):
+            misr.compact_range(first, min(first + 100, misr_words))
+        range_signature = misr.signature
+        return time.perf_counter() - start, range_signature
+
+    range_wall, range_signature = _best_of(REPEATS, run_misr_range)
+    if range_signature != signature:
+        raise AssertionError(
+            f"compact_range signature {range_signature} differs from the "
+            f"per-word compact_sequence signature {signature}")
+
     return {
         "workload": {
             "words": words, "word_bits": word_bits,
@@ -302,10 +320,13 @@ def bench_lfsr(scale: float) -> dict:
             patterns * pattern_bits / pattern_wall, 1),
         "misr_wall_seconds": round(misr_wall, 6),
         "misr_words_per_second": round(misr_words / misr_wall, 1),
+        "misr_range_wall_seconds": round(range_wall, 6),
+        "misr_range_words_per_second": round(misr_words / range_wall, 1),
         "checks": {
             "word_checksum": checksum,
             "pattern_ones": ones,
             "misr_signature": signature,
+            "misr_range_signature": range_signature,
         },
     }
 

@@ -225,10 +225,11 @@ class TestWrapper(Channel):
         self.external_patterns_applied += count
         self.stimulus_bits_received += bits
         self.response_bits_produced += count * self.response_bits_per_pattern()
-        # Fold a deterministic token per pattern into the signature so that
-        # repeated runs produce identical, checkable signatures.
+        # Fold a deterministic token per pattern (its running number) into
+        # the signature so that repeated runs produce identical, checkable
+        # signatures.  Consecutive bursts coalesce into one deferred fold.
         applied = self.external_patterns_applied
-        self.misr.compact_sequence(range(applied - count + 1, applied + 1))
+        self.misr.compact_range(applied - count + 1, applied + 1)
 
     def apply_bist_patterns(self, count: int) -> None:
         """Account *count* patterns generated by the core-internal LFSR."""
@@ -242,7 +243,7 @@ class TestWrapper(Channel):
         self.bist_patterns_applied += count
         self.response_bits_produced += count * self.response_bits_per_pattern()
         applied = self.bist_patterns_applied
-        self.misr.compact_sequence(range(applied - count + 1, applied + 1))
+        self.misr.compact_range(applied - count + 1, applied + 1)
 
     @property
     def signature(self) -> int:

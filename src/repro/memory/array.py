@@ -58,23 +58,28 @@ class MemoryArray:
         """Write the stored value without fault effects (used by fault models)."""
         self._contents[address] = value & self.word_mask
 
+    # read/write are the march-test inner loop: the bounds check and the
+    # raw access are inlined (same effect as _check_address/raw_read/
+    # raw_write, which only the failure path and the fault models call).
     def read(self, address: int) -> int:
         """Functional read, including the effect of injected faults."""
-        self._check_address(address)
+        if not 0 <= address < self.words:
+            self._check_address(address)
         self.read_count += 1
-        value = self.raw_read(address)
+        value = self._contents.get(address, self.background)
         for fault in self._faults:
             value = fault.on_read(self, address, value)
         return value & self.word_mask
 
     def write(self, address: int, value: int) -> None:
         """Functional write, including the effect of injected faults."""
-        self._check_address(address)
+        if not 0 <= address < self.words:
+            self._check_address(address)
         self.write_count += 1
         value &= self.word_mask
         for fault in self._faults:
             value = fault.on_write(self, address, value)
-        self.raw_write(address, value)
+        self._contents[address] = value & self.word_mask
         for fault in self._faults:
             fault.after_write(self, address, value)
 

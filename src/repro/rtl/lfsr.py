@@ -14,6 +14,15 @@ therefore advance 8 bits per handful of C-level table lookups instead of
 looping per bit in Python, while producing bit-identical sequences to
 repeated :meth:`LFSR.step` calls (pinned by the differential property
 tests).
+
+The same linearity folds runs of consecutive response words in closed form
+(:meth:`MISR.compact_range`).  With ``L`` the zero-input shift, folding the
+aligned block of words ``base | t`` (``t < 2**k``, low ``k`` bits of
+``base`` zero) maps a state ``s`` to ``L^(2^k)·s ^ P_k·base ^ C_k``, where
+``P_k = sum(L^j for j < 2^k)`` and ``C_k`` is a constant.  Doubling a block
+gives ``P_{k+1} = (L^(2^k) + I)·P_k`` and
+``C_{k+1} = (L^(2^k) + I)·C_k ^ P_k·2^k`` from ``P_0 = I`` and ``C_0 = 0``,
+so any range splits into at most about ``2·log2(n)`` aligned blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +44,22 @@ STANDARD_POLYNOMIALS: Dict[int, Sequence[int]] = {
 #: Bit-reversal table for one byte (used to fold a leapt output chunk back
 #: into the low bits of the register state).
 _REV8 = tuple(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
+def _resolve_taps(kind: str, width: int, taps) -> tuple:
+    """Validated tap positions of a *kind* register (standard polynomial
+    when *taps* is None)."""
+    if width <= 0:
+        raise ValueError(f"{kind} width must be positive")
+    if taps is None:
+        if width not in STANDARD_POLYNOMIALS:
+            raise ValueError(
+                f"no standard polynomial for width {width}; pass taps="
+            )
+        taps = STANDARD_POLYNOMIALS[width]
+    if any(tap < 1 or tap > width for tap in taps):
+        raise ValueError("tap positions must be within 1..width")
+    return tuple(taps)
 
 
 @functools.lru_cache(maxsize=512)
@@ -74,6 +99,37 @@ def _chunk_tables(width: int, taps: Sequence[int]) -> tuple:
             table.append(chunk)
         tables.append(tuple(table))
     return tuple(tables)
+
+
+def _apply(columns: tuple, vector: int) -> int:
+    """GF(2) matrix (one int per column) times *vector*; reads only the low
+    ``len(columns)`` bits of *vector*, so words need no masking."""
+    result = 0
+    for column in columns:
+        if not vector:
+            break
+        if vector & 1:
+            result ^= column
+        vector >>= 1
+    return result
+
+
+@functools.lru_cache(maxsize=1024)
+def _fold_matrices(width: int, tap_mask: int, level: int) -> tuple:
+    """``(L^(2^level), P_level, C_level)`` of the MISR block fold (see the
+    module docstring); matrices as ``width`` column ints."""
+    if level == 0:
+        mask = (1 << width) - 1
+        shift = tuple(((2 << bit) & mask) | ((tap_mask >> bit) & 1)
+                      for bit in range(width))
+        return shift, tuple(1 << bit for bit in range(width)), 0
+    shift, sums, constant = _fold_matrices(width, tap_mask, level - 1)
+    shift_plus_identity = tuple(column ^ (1 << bit)
+                                for bit, column in enumerate(shift))
+    return (tuple(_apply(shift, column) for column in shift),
+            tuple(_apply(shift_plus_identity, column) for column in sums),
+            _apply(shift_plus_identity, constant)
+            ^ _apply(sums, 1 << (level - 1)))
 
 
 class _LinearRegister:
@@ -143,20 +199,10 @@ class LFSR(_LinearRegister):
 
     def __init__(self, width: int, seed: int = 1,
                  taps: Sequence[int] = None):
-        if width <= 0:
-            raise ValueError("LFSR width must be positive")
-        if taps is None:
-            if width not in STANDARD_POLYNOMIALS:
-                raise ValueError(
-                    f"no standard polynomial for width {width}; pass taps="
-                )
-            taps = STANDARD_POLYNOMIALS[width]
-        if any(tap < 1 or tap > width for tap in taps):
-            raise ValueError("tap positions must be within 1..width")
+        self.taps = _resolve_taps("LFSR", width, taps)
         if seed % (1 << width) == 0:
             raise ValueError("LFSR seed must be non-zero modulo 2**width")
         self.width = width
-        self.taps = tuple(taps)
         self._tap_mask = _feedback_masks(width, self.taps, 1)[0]
         self.state = seed & ((1 << width) - 1)
 
@@ -186,31 +232,44 @@ class LFSR(_LinearRegister):
 
 
 class MISR(_LinearRegister):
-    """A multiple-input signature register compacting response words."""
+    """A multiple-input signature register compacting response words.
+
+    Runs of consecutive words passed to :meth:`compact_range` are folded
+    lazily: the register only records the pending range, extends it while
+    further calls continue it, and folds it in closed form the next time the
+    register is used otherwise (any other compaction, :meth:`leap`, or a
+    read of :attr:`state`/:attr:`signature`).  Assigning :attr:`state`
+    discards a pending range, as the per-word fold would have been
+    overwritten too.
+    """
 
     def __init__(self, width: int, seed: int = 0,
                  taps: Sequence[int] = None):
-        if width <= 0:
-            raise ValueError("MISR width must be positive")
-        if taps is None:
-            if width not in STANDARD_POLYNOMIALS:
-                raise ValueError(
-                    f"no standard polynomial for width {width}; pass taps="
-                )
-            taps = STANDARD_POLYNOMIALS[width]
+        self.taps = _resolve_taps("MISR", width, taps)
         self.width = width
-        self.taps = tuple(taps)
         self._tap_mask = _feedback_masks(width, self.taps, 1)[0]
         self._word_mask = (1 << width) - 1
-        self.state = seed & self._word_mask
+        self._pending = None
+        self._state = seed & self._word_mask
+
+    @property
+    def state(self) -> int:
+        if self._pending is not None:
+            self._fold_pending()
+        return self._state
+
+    @state.setter
+    def state(self, value: int) -> None:
+        self._pending = None
+        self._state = value
 
     def compact(self, word: int) -> int:
         """Fold one response word into the signature; returns the new state."""
         state = self.state
         feedback = (state & self._tap_mask).bit_count() & 1
-        self.state = (((state << 1) | feedback) & self._word_mask) \
+        self._state = (((state << 1) | feedback) & self._word_mask) \
             ^ (word & self._word_mask)
-        return self.state
+        return self._state
 
     def compact_sequence(self, words) -> int:
         """Fold a sequence of response words; returns the final signature."""
@@ -222,6 +281,39 @@ class MISR(_LinearRegister):
                      & word_mask) ^ (word & word_mask)
         self.state = state
         return state
+
+    def compact_range(self, start: int, stop: int) -> None:
+        """Fold the words ``start, start + 1, ..., stop - 1``.
+
+        Bit-identical to :meth:`compact` called once per word.  The fold is
+        deferred (see the class docstring), so a run of calls that continue
+        each other costs one closed-form fold of O(width · log(n)) steps.
+        """
+        if stop <= start:
+            return
+        pending = self._pending
+        if pending is not None:
+            if pending[1] == start:
+                self._pending = (pending[0], stop)
+                return
+            self._fold_pending()
+        self._pending = (start, stop)
+
+    def _fold_pending(self) -> None:
+        position, stop = self._pending
+        self._pending = None
+        width = self.width
+        tap_mask = self._tap_mask
+        state = self._state
+        while position < stop:
+            # The largest aligned block starting at ``position`` that fits.
+            level = (stop - position).bit_length() - 1
+            if position:
+                level = min(level, (position & -position).bit_length() - 1)
+            shift, sums, constant = _fold_matrices(width, tap_mask, level)
+            state = _apply(shift, state) ^ _apply(sums, position) ^ constant
+            position += 1 << level
+        self._state = state
 
     def leap(self, steps: int) -> int:
         """Advance by *steps* zero-input shifts at once; returns the state.

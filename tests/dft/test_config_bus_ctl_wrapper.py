@@ -312,6 +312,34 @@ class TestTestWrapper:
         assert wrapper.bist_patterns_applied == applied[True]
         assert wrapper.external_patterns_applied == applied[False]
 
+    def test_bursts_coalesce_into_one_fold_read_at_the_end(self, sim):
+        # Many bursts, signature read once: the bursts continue each other,
+        # so the MISR holds a single pending range until the read.
+        description = CoreTestDescription.describe(
+            "demo", chain_count=2, scan_cells=16, has_logic_bist=True)
+        wrapper = generate_wrapper(sim, description)
+        reference = MISR(wrapper.misr.width, seed=0)
+        bursts = [(index * 37) % 131 + 1 for index in range(200)]
+        for count in bursts:
+            wrapper.apply_bist_patterns(count)
+        total = sum(bursts)
+        assert wrapper.misr._pending == (1, total + 1)
+        for word in range(1, total + 1):
+            reference.compact(word)
+        assert wrapper.signature == reference.signature
+        assert wrapper.misr._pending is None
+
+    def test_reset_statistics_drops_a_pending_fold(self, sim):
+        description = CoreTestDescription.describe("demo", chain_count=2,
+                                                    scan_cells=16)
+        reset = generate_wrapper(sim, description)
+        fresh = generate_wrapper(sim, description)
+        reset.apply_external_patterns(40)  # pending, never read
+        reset.reset_statistics()
+        reset.apply_external_patterns(5)
+        fresh.apply_external_patterns(5)
+        assert reset.signature == fresh.signature
+
     def test_signature_is_deterministic_and_order_sensitive(self, sim):
         description = CoreTestDescription.describe("demo", chain_count=2,
                                                     scan_cells=16)

@@ -115,6 +115,68 @@ class TestLeapAhead:
             LFSR(16, seed=1).leap(-1)
 
 
+#: Standard registers plus narrow custom-tap ones (the 3/5/11-bit widths
+#: take the per-bit leap path and wrap their words within a few hundred).
+_MISR_SHAPES = ([(width, None) for width in sorted(STANDARD_POLYNOMIALS)]
+                + [(3, (3, 2)), (5, (5, 3)), (11, (11, 9))])
+
+_MISR_OPERATIONS = st.one_of(
+    # (kind, continues the last range, gap to a new start, length)
+    st.tuples(st.just("range"), st.booleans(),
+              st.integers(-300, 1 << 66), st.integers(0, 300)),
+    st.tuples(st.just("compact"), st.integers(0, (1 << 64) - 1)),
+    st.tuples(st.just("sequence"),
+              st.lists(st.integers(0, (1 << 64) - 1), max_size=5)),
+    st.tuples(st.just("leap"), st.integers(0, 40)),
+    st.tuples(st.just("read_state")),
+    st.tuples(st.just("read_signature")),
+    st.tuples(st.just("write_state"), st.integers(0, (1 << 64) - 1)),
+)
+
+
+class TestMisrCompactRange:
+    @given(shape=st.sampled_from(_MISR_SHAPES),
+           seed=st.integers(0, (1 << 64) - 1),
+           start_below_top=st.booleans(), start=st.integers(0, 300),
+           operations=st.lists(_MISR_OPERATIONS, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_compact_range_equals_per_word_compact(self, shape, seed,
+                                                   start_below_top, start,
+                                                   operations):
+        width, taps = shape
+        folded = MISR(width, seed=seed, taps=taps)
+        reference = MISR(width, seed=seed, taps=taps)
+        # Starts just below 2**width make the words wrap past the mask.
+        cursor = (1 << width) - start if start_below_top else start
+        for operation in operations:
+            kind = operation[0]
+            if kind == "range":
+                _, continues, gap, length = operation
+                if not continues:
+                    cursor += gap
+                folded.compact_range(cursor, cursor + length)
+                for word in range(cursor, cursor + length):
+                    reference.compact(word)
+                cursor += length
+            elif kind == "compact":
+                assert folded.compact(operation[1]) == \
+                    reference.compact(operation[1])
+            elif kind == "sequence":
+                assert folded.compact_sequence(operation[1]) == \
+                    reference.compact_sequence(operation[1])
+            elif kind == "leap":
+                assert folded.leap(operation[1]) == \
+                    reference.leap(operation[1])
+            elif kind == "read_state":
+                assert folded.state == reference.state
+            elif kind == "read_signature":
+                assert folded.signature == reference.signature
+            else:
+                folded.state = reference.state = \
+                    operation[1] & ((1 << width) - 1)
+        assert folded.signature == reference.signature
+
+
 class TestCompressionRoundTrip:
     @given(expanded_bits=st.integers(1, 10**6),
            ratio=st.floats(1.0, 1000.0, allow_nan=False, allow_infinity=False))

@@ -1,5 +1,7 @@
 """Unit tests for the LFSR and MISR primitives."""
 
+import time
+
 import pytest
 
 from repro.rtl.lfsr import LFSR, MISR, STANDARD_POLYNOMIALS
@@ -29,6 +31,15 @@ class TestLfsr:
             LFSR(8, seed=1, taps=(9,))
         with pytest.raises(ValueError):
             LFSR(8, seed=1, taps=(0,))
+
+    @pytest.mark.parametrize("taps", [(9,), (0,), (8, 6, 9)])
+    def test_misr_rejects_the_same_invalid_taps(self, taps):
+        # A tap outside 1..width never reads a state bit (feedback stuck at
+        # 0) or shifts by a negative count; both registers refuse it alike.
+        with pytest.raises(ValueError, match="within 1..width"):
+            MISR(8, taps=taps)
+        with pytest.raises(ValueError, match="within 1..width"):
+            LFSR(8, seed=1, taps=taps)
 
     def test_sequence_is_deterministic(self):
         first = LFSR(16, seed=0xACE1)
@@ -105,3 +116,41 @@ class TestMisr:
             MISR(0)
         with pytest.raises(ValueError):
             MISR(7)
+
+
+class TestMisrCompactRange:
+    def test_folds_like_one_compact_per_word(self):
+        folded = MISR(32, seed=0x1234)
+        reference = MISR(32, seed=0x1234)
+        folded.compact_range(7, 1000)
+        for word in range(7, 1000):
+            reference.compact(word)
+        assert folded.signature == reference.signature
+
+    def test_empty_range_is_a_no_op(self):
+        misr = MISR(16, seed=5)
+        misr.compact_range(10, 10)
+        misr.compact_range(10, 3)
+        assert misr.signature == 5
+
+    def test_assigning_state_discards_the_pending_range(self):
+        misr = MISR(16)
+        misr.compact_range(1, 100)
+        misr.state = 0x42
+        assert misr.signature == 0x42
+
+    def test_fold_is_logarithmic_in_the_range_length(self):
+        # A per-word loop over 2**30 words takes minutes; the closed form
+        # touches about 2 * 30 aligned blocks.
+        misr = MISR(64)
+        began = time.perf_counter()
+        misr.compact_range(0, 1 << 30)
+        signature = misr.signature
+        assert time.perf_counter() - began < 1.0
+        # Another block decomposition of the same words agrees: reading the
+        # signature folds the first part on its own.
+        split = MISR(64)
+        split.compact_range(0, (1 << 29) + 12345)
+        assert split.signature != signature
+        split.compact_range((1 << 29) + 12345, 1 << 30)
+        assert split.signature == signature
