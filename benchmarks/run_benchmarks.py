@@ -997,12 +997,11 @@ def bench_coordinator(scale: float) -> dict:
       scrambled completion order, with the regenerated JSON compared
       byte-for-byte against the dict-path artifact (``bitwise_identical``),
     * *wire* — the same drain and a bulk-ingest campaign over real localhost
-      sockets with the client in a subprocess (a real worker process), once
-      per protocol: v1 (connection per op, JSON row payloads) against v2
-      (one framed session, ``prefetch`` span batching, pipelined completion
-      flights, binary columnar payloads for bulk spans), with both
-      protocols' campaign artifacts compared byte-for-byte against the
-      dict-path merge (``wire.bitwise_identical``).
+      sockets with the client in a subprocess (a real worker process): one
+      framed session, ``prefetch`` span batching, pipelined completion
+      flights, binary columnar payloads for bulk spans, with the campaign
+      artifact compared byte-for-byte against the dict-path merge
+      (``wire.bitwise_identical``).
     """
     import tempfile
     import threading
@@ -1157,23 +1156,23 @@ def bench_coordinator(scale: float) -> dict:
     # The wire clients run as real subprocesses: an in-process client would
     # share the GIL with the coordinator's serving thread and serialize the
     # very overlap (client encoding span n+1 while the server ingests span
-    # n) that the pipelined v2 session exists to exploit.  The child times
+    # n) that the pipelined session exists to exploit.  The child times
     # itself and reports the walls on stdout.
     wire_client_script = r"""
 import json, sys, time
-protocol, port, docs_path, prefetch, mode = (
-    sys.argv[1], int(sys.argv[2]), sys.argv[3], int(sys.argv[4]), sys.argv[5])
-from repro.explore.coordinator import CoordinatorClient, CoordinatorSession
+port, docs_path, prefetch, mode = (
+    int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4])
+from repro.explore.coordinator import CoordinatorSession
 with open(docs_path, "r", encoding="utf-8") as handle:
     documents = {int(key): value for key, value in json.load(handle).items()}
 drained = 0
 completion = 0.0
-if protocol == "v2" and mode == "drain":
+client = CoordinatorSession(port=port)
+start = time.perf_counter()
+if mode == "drain":
     # Fully pipelined drain: each flight carries the current batch's
     # completions plus the next lease request, so grant latency is hidden
     # behind completion processing.
-    client = CoordinatorSession(port=port)
-    start = time.perf_counter()
     pending = client.request_leases("bench", prefetch).get("leases") or []
     while pending:
         requests = [{"op": "complete",
@@ -1186,12 +1185,8 @@ if protocol == "v2" and mode == "drain":
         drained += sum(1 for response in responses[:-1]
                        if response.get("accepted"))
         pending = responses[-1].get("leases") or []
-    wall = time.perf_counter() - start
-    completion = wall
-    client.close()
-elif protocol == "v2":
-    client = CoordinatorSession(port=port)
-    start = time.perf_counter()
+    completion = time.perf_counter() - start
+else:
     while True:
         leases = client.request_leases("bench", prefetch).get("leases") or []
         if not leases:
@@ -1202,37 +1197,23 @@ elif protocol == "v2":
         began = time.perf_counter()
         drained += sum(client.complete_many(pairs))
         completion += time.perf_counter() - began
-    wall = time.perf_counter() - start
-    client.close()
-else:
-    client = CoordinatorClient(port=port)
-    start = time.perf_counter()
-    while True:
-        response = client.request_lease("bench")
-        if "lease" not in response:
-            break
-        index = response["shard"]["shard"]["index"]
-        began = time.perf_counter()
-        if client.complete(int(response["lease"]["lease_id"]),
-                           documents[index]):
-            drained += 1
-        completion += time.perf_counter() - began
-    wall = time.perf_counter() - start
+wall = time.perf_counter() - start
+client.close()
 print(json.dumps({"wall": wall, "completion_wall": completion,
                   "drained": drained}))
 """
 
-    def run_wire_client(protocol, port, docs_path, mode):
+    def run_wire_client(port, docs_path, mode):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(ROOT / "src")] +
             ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         proc = subprocess.run(
-            [sys.executable, "-c", wire_client_script, protocol, str(port),
+            [sys.executable, "-c", wire_client_script, str(port),
              str(docs_path), str(wire_prefetch), mode],
             capture_output=True, text=True, env=env, timeout=600)
         if proc.returncode != 0:
-            raise AssertionError(f"wire client ({protocol}) failed:\n"
+            raise AssertionError(f"wire client ({mode}) failed:\n"
                                  f"{proc.stderr}")
         return json.loads(proc.stdout)
 
@@ -1241,32 +1222,25 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
         json.dump({str(index): document
                    for index, document in documents.items()}, handle)
 
-    def run_wire_drain(protocol):
+    def run_wire_drain():
         """Grant + complete every span over the socket from a subprocess
-        worker; v2 batches leases and pipelines completions, v1 opens a
-        connection per op."""
+        worker that batches leases and pipelines completions."""
         coordinator = Coordinator(lease_timeout=300.0, clock=_ManualClock())
         coordinator.submit_jobs(jobs, spans,
-                                store_path=str(tmp / f"drain-{protocol}"
+                                store_path=str(tmp / "drain"
                                                / "campaign.store"))
         server, thread = serve(coordinator)
         try:
-            report = run_wire_client(protocol, server.port,
-                                      drain_docs_path, "drain")
+            report = run_wire_client(server.port, drain_docs_path, "drain")
         finally:
             stop(server, thread)
             coordinator.close()
         if report["drained"] != spans:
-            raise AssertionError(f"wire drain ({protocol}) completed "
+            raise AssertionError(f"wire drain completed "
                                  f"{report['drained']} of {spans} span(s)")
         return report["wall"], report["drained"]
 
-    wire_walls = {
-        protocol: _best_of(REPEATS,
-                           lambda protocol=protocol:
-                           run_wire_drain(protocol))[0]
-        for protocol in ("v1", "v2")
-    }
+    wire_wall = _best_of(REPEATS, run_wire_drain)[0]
 
     # Bulk ingest: few spans, many rows — the completion-payload path.
     ingest_jobs = []
@@ -1291,47 +1265,41 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
                    for index, document in enumerate(ingest_documents)},
                   handle)
 
-    def run_wire_ingest(protocol):
+    def run_wire_ingest():
         """Ship ``total`` rows through ``stream_shards`` completions over
-        the socket from a subprocess worker.  The v1 client embeds the rows
-        in a JSON request line; the v2 session pipelines binary columnar
-        blocks (encode cost deliberately inside the timed loop — workers
-        pay it too).  The reported wall covers only the completion calls —
+        the socket from a subprocess worker.  The session pipelines binary
+        columnar blocks (encode cost deliberately inside the timed loop —
+        workers pay it too).  The reported wall covers only the completion calls —
         the lease-grant path has its own measurement above — and the JSON
         artifact is written from the finalized store after the clock stops,
         mirroring the in-process *stream* measurement."""
         coordinator = Coordinator(lease_timeout=300.0, clock=_ManualClock())
-        work_dir = tmp / f"ingest-{protocol}"
+        work_dir = tmp / "ingest"
         json_path = work_dir / "campaign.json"
         campaign = coordinator.submit_jobs(
             ingest_jobs, stream_shards,
             store_path=str(work_dir / "campaign.store"))
         server, thread = serve(coordinator)
         try:
-            report = run_wire_client(protocol, server.port,
-                                      ingest_docs_path, "ingest")
+            report = run_wire_client(server.port, ingest_docs_path,
+                                     "ingest")
             write_document_json(coordinator.campaign_store(campaign),
                                 json_path)
         finally:
             stop(server, thread)
             coordinator.close()
         if report["drained"] != stream_shards:
-            raise AssertionError(f"wire ingest ({protocol}) completed "
+            raise AssertionError(f"wire ingest completed "
                                  f"{report['drained']} of {stream_shards} "
                                  f"span(s)")
         return report["completion_wall"], json_path
 
-    ingest_walls = {}
-    ingest_artifacts = {}
-    for protocol in ("v1", "v2"):
-        ingest_walls[protocol], ingest_artifacts[protocol] = _best_of(
-            REPEATS, lambda protocol=protocol: run_wire_ingest(protocol))
+    ingest_wall, ingest_artifact = _best_of(REPEATS, run_wire_ingest)
 
     write_merged_json(merge_shard_documents(ingest_documents),
                       tmp / "ingest_dict.json")
-    reference = (tmp / "ingest_dict.json").read_bytes()
-    wire_bitwise = all(ingest_artifacts[protocol].read_bytes() == reference
-                       for protocol in ("v1", "v2"))
+    wire_bitwise = (ingest_artifact.read_bytes()
+                    == (tmp / "ingest_dict.json").read_bytes())
     if not wire_bitwise:
         raise AssertionError("wire-ingested campaign JSON diverged from the "
                              "dict-path artifact")
@@ -1354,13 +1322,8 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
         "stream_rows_per_second": round(total / stream_wall, 1),
         "bitwise_identical": bitwise,
         "wire": {
-            "v1_lease_ops_per_second": round(2 * spans / wire_walls["v1"], 1),
-            "lease_ops_per_second": round(2 * spans / wire_walls["v2"], 1),
-            "lease_speedup": round(wire_walls["v1"] / wire_walls["v2"], 2),
-            "v1_ingest_rows_per_second": round(total / ingest_walls["v1"], 1),
-            "ingest_rows_per_second": round(total / ingest_walls["v2"], 1),
-            "ingest_speedup": round(ingest_walls["v1"]
-                                    / ingest_walls["v2"], 2),
+            "lease_ops_per_second": round(2 * spans / wire_wall, 1),
+            "ingest_rows_per_second": round(total / ingest_wall, 1),
             "bitwise_identical": wire_bitwise,
         },
     }

@@ -69,9 +69,9 @@ from repro.explore.campaign import (
 from repro.explore.coordinator import (
     COORDINATOR_SCHEMA_VERSION,
     Coordinator,
-    CoordinatorClient,
     CoordinatorError,
     CoordinatorServer,
+    CoordinatorSession,
     SpanLease,
 )
 from repro.explore.distrib import (
@@ -149,9 +149,9 @@ __all__ = [
     "CampaignWorker",
     "ColumnarStore",
     "Coordinator",
-    "CoordinatorClient",
     "CoordinatorError",
     "CoordinatorServer",
+    "CoordinatorSession",
     "DEFAULT_OBJECTIVES",
     "DISTRIB_SCHEMA_VERSION",
     "InProcessClient",

@@ -36,7 +36,6 @@ import json
 import multiprocessing
 import os
 import time
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -244,13 +243,12 @@ def clear_scenario_cache() -> None:
     _SCENARIO_CACHE_MISSES = 0
 
 
-def execute_job(job: CampaignJob) -> CampaignOutcome:
-    """Run one campaign job to completion (also the worker-pool entry point).
+def _run_job(job: CampaignJob, horizon_cycles: Optional[int]
+             ) -> Tuple[CampaignOutcome, bool]:
+    """The body of :func:`execute_job` and :func:`execute_job_raced`.
 
-    Builds the scenario from its spec (through the per-process memo),
-    instantiates a fresh SoC TLM, runs the schedule and reduces the metrics
-    to plain scalars so the outcome travels cheaply across process
-    boundaries.
+    Neither public function calls the other, so a wrapper installed on
+    either name (a profiler marking row starts, say) sees each row once.
     """
     scenario = cached_scenario(job.spec)
     # Resolves pre-built schedules and materializes registered strategy
@@ -261,40 +259,6 @@ def execute_job(job: CampaignJob) -> CampaignOutcome:
     # CPU time, not wall clock: the cpu_seconds column reproduces the
     # paper's "CPU [s]" numbers, which measure compute cost.  perf_counter
     # here would fold in scheduler queueing on loaded hosts.
-    cpu_start = time.process_time()
-    metrics = soc.run_test_schedule(schedule, scenario.tasks)
-    cpu_seconds = time.process_time() - cpu_start
-    return CampaignOutcome(
-        spec=job.spec,
-        schedule=job.schedule,
-        phase_count=schedule.phase_count,
-        task_count=len(schedule.task_names),
-        estimated_cycles=scenario.estimated_cycles(job.schedule),
-        test_length_cycles=metrics.test_length_cycles,
-        peak_tam_utilization=metrics.peak_tam_utilization,
-        avg_tam_utilization=metrics.avg_tam_utilization,
-        peak_power=metrics.peak_power,
-        avg_power=metrics.avg_power,
-        simulated_activations=metrics.simulated_activations,
-        cpu_seconds=cpu_seconds,
-        worker=os.getpid(),
-    )
-
-
-def execute_job_raced(job: CampaignJob,
-                      horizon_cycles: Optional[int],
-                      ) -> Tuple[CampaignOutcome, bool]:
-    """Run one campaign job under a makespan horizon (the racing path).
-
-    Returns ``(outcome, stopped)``.  With ``horizon_cycles=None`` this is
-    exactly :func:`execute_job`.  A job whose simulated makespan exceeds the
-    horizon is abandoned (``stopped=True``); its outcome then holds the
-    *partial* metrics — deterministic lower bounds of the full run, never
-    comparable to completed outcomes on the Pareto front.
-    """
-    scenario = cached_scenario(job.spec)
-    schedule = scenario.schedule_for(job.schedule)
-    soc = scenario.build_soc()
     cpu_start = time.process_time()
     metrics = soc.run_test_schedule(schedule, scenario.tasks,
                                     horizon_cycles=horizon_cycles)
@@ -315,6 +279,31 @@ def execute_job_raced(job: CampaignJob,
         worker=os.getpid(),
     )
     return outcome, not metrics.completed
+
+
+def execute_job(job: CampaignJob) -> CampaignOutcome:
+    """Run one campaign job to completion (also the worker-pool entry point).
+
+    Builds the scenario from its spec (through the per-process memo),
+    instantiates a fresh SoC TLM, runs the schedule and reduces the metrics
+    to plain scalars so the outcome travels cheaply across process
+    boundaries.
+    """
+    return _run_job(job, None)[0]
+
+
+def execute_job_raced(job: CampaignJob,
+                      horizon_cycles: Optional[int],
+                      ) -> Tuple[CampaignOutcome, bool]:
+    """Run one campaign job under a makespan horizon (the racing path).
+
+    Returns ``(outcome, stopped)``.  With ``horizon_cycles=None`` this is
+    exactly :func:`execute_job`.  A job whose simulated makespan exceeds the
+    horizon is abandoned (``stopped=True``); its outcome then holds the
+    *partial* metrics — deterministic lower bounds of the full run, never
+    comparable to completed outcomes on the Pareto front.
+    """
+    return _run_job(job, horizon_cycles)
 
 
 def _execute_job_batch(jobs: Sequence[CampaignJob]) -> List[CampaignOutcome]:
@@ -392,16 +381,6 @@ class CampaignRun:
         if self.wall_seconds <= 0:
             return 0.0
         return len(self.outcomes) / self.wall_seconds
-
-    @property
-    def scenarios_per_second(self) -> float:
-        """Deprecated alias of :attr:`rows_per_second` (the quantity was
-        always rows per second; the old name miscounted)."""
-        warnings.warn(
-            "CampaignRun.scenarios_per_second is deprecated; it always "
-            "computed rows per second — use rows_per_second",
-            DeprecationWarning, stacklevel=2)
-        return self.rows_per_second
 
     # -- artifacts ---------------------------------------------------------
     def write_csv(self, path, deterministic: bool = False) -> None:

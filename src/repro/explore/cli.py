@@ -91,9 +91,8 @@ from repro.explore.campaign import CampaignJob, campaign_from_axes, run_jobs
 from repro.explore.coordinator import (
     DEFAULT_LEASE_TIMEOUT,
     Coordinator,
-    CoordinatorClient,
-    CoordinatorSession,
     CoordinatorServer,
+    CoordinatorSession,
 )
 from repro.explore.distrib import (
     job_to_dict,
@@ -425,10 +424,7 @@ def _connect_value(text: str):
 
 def _run_work(args) -> None:
     host, port = args.connect
-    if args.protocol == "v1":
-        client = CoordinatorClient(host, port)
-    else:
-        client = CoordinatorSession(host, port)
+    client = CoordinatorSession(host, port)
     log = StructuredLog(args.log_file) if args.log_file else None
     worker = CampaignWorker(
         client, args.id or f"worker-{os.getpid()}",
@@ -443,9 +439,7 @@ def _run_work(args) -> None:
     try:
         stats = worker.run()
     finally:
-        close = getattr(client, "close", None)
-        if close is not None:
-            close()
+        client.close()
         if log is not None:
             log.close()
     print(format_worker_stats(worker.worker_id, stats))
@@ -453,9 +447,9 @@ def _run_work(args) -> None:
 
 def _run_status(args) -> None:
     host, port = args.connect
-    client = CoordinatorClient(host, port, timeout=args.timeout)
     try:
-        status = client.status()
+        with CoordinatorSession(host, port, timeout=args.timeout) as client:
+            status = client.status()
     except OSError as error:
         # ConnectionRefusedError etc. carry no address; re-raise with one so
         # the one-line `error:` report (main's rc-2 path) says *which*
@@ -493,36 +487,36 @@ def _run_submit(args) -> None:
     # working directory — pin the paths before they cross the socket.
     resolve = lambda path: os.path.abspath(path) if path else None
     host, port = args.connect
-    client = CoordinatorClient(host, port)
-    campaign_id = client.submit(
-        [job_to_dict(job) for job in jobs], args.shards,
-        label=args.label, json_path=resolve(args.json),
-        csv_path=resolve(args.csv), store_path=resolve(args.store))
-    print(f"submitted {campaign_id}: {len(jobs)} job(s) in "
-          f"{args.shards} span(s)")
-    if args.wait:
-        import time as _time
-        while True:
+    with CoordinatorSession(host, port) as client:
+        campaign_id = client.submit(
+            [job_to_dict(job) for job in jobs], args.shards,
+            label=args.label, json_path=resolve(args.json),
+            csv_path=resolve(args.csv), store_path=resolve(args.store))
+        print(f"submitted {campaign_id}: {len(jobs)} job(s) in "
+              f"{args.shards} span(s)")
+        if args.wait:
+            import time as _time
+            while True:
+                progress = client.campaign_progress(campaign_id)
+                if progress["complete"]:
+                    break
+                print(f"{campaign_id}: {progress['completed']}/"
+                      f"{progress['spans']} span(s) done, "
+                      f"{progress['pending']} pending, "
+                      f"{progress['leased']} leased, "
+                      f"{progress['steals']} steal(s)",
+                      file=sys.stderr, flush=True)
+                _time.sleep(args.poll)
             progress = client.campaign_progress(campaign_id)
-            if progress["complete"]:
-                break
-            print(f"{campaign_id}: {progress['completed']}/"
-                  f"{progress['spans']} span(s) done, "
-                  f"{progress['pending']} pending, "
-                  f"{progress['leased']} leased, "
-                  f"{progress['steals']} steal(s)",
-                  file=sys.stderr, flush=True)
-            _time.sleep(args.poll)
-        progress = client.campaign_progress(campaign_id)
-        print(f"{campaign_id} complete: {progress['row_count']} row(s) "
-              f"from {progress['spans']} span(s), "
-              f"{progress['steals']} steal(s)")
-        for path in (resolve(args.json), resolve(args.csv),
-                     resolve(args.store)):
-            if path:
-                print(f"wrote {path}")
-    if args.shutdown_after:
-        client.shutdown()
+            print(f"{campaign_id} complete: {progress['row_count']} row(s) "
+                  f"from {progress['spans']} span(s), "
+                  f"{progress['steals']} steal(s)")
+            for path in (resolve(args.json), resolve(args.csv),
+                         resolve(args.store)):
+                if path:
+                    print(f"wrote {path}")
+        if args.shutdown_after:
+            client.shutdown()
 
 
 def _shard_value(text: str):
@@ -833,11 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
     work.add_argument("--log-file", default=None, metavar="PATH",
                       help="append structured JSONL worker events (leases, "
                            "completions, exits) to PATH")
-    work.add_argument("--protocol", choices=("v1", "v2"), default="v2",
-                      help="wire protocol: v2 pipelines framed ops over one "
-                           "persistent socket with binary columnar "
-                           "completions; v1 is the legacy connection-per-op "
-                           "JSONL client (default: v2)")
     work.add_argument("--prefetch", type=int, default=1, metavar="N",
                       help="lease up to N spans per round trip and coalesce "
                            "their heartbeats into one frame (default: 1)")

@@ -19,17 +19,17 @@ gap by hand.  This module is the missing control plane, ROADMAP item 1:
   ``campaign`` run of the same grid, the invariant the fault-injection
   differential tests pin down.
 * :class:`CoordinatorServer` / :class:`CoordinatorSession` — a localhost
-  TCP transport for the state machine, protocol v2: persistent
-  length-prefixed framed sessions (one socket per worker for its whole
-  lifetime), batched ops (multi-span lease prefetch, one coalesced
-  heartbeat frame for every held lease) and *binary columnar completion
-  payloads* (:func:`~repro.explore.store.encode_shard_block`), so a
-  completed span streams from worker to :class:`~repro.explore.store.
-  ColumnarStore` without ever round-tripping through per-row dicts or
-  JSON.  The v1 JSONL protocol (one request per connection,
-  :class:`CoordinatorClient`) stays served by the same port — the server
-  sniffs the first byte of each connection — so old workers keep working.
-  The worker side lives in :mod:`repro.explore.worker`.
+  TCP transport for the state machine: persistent length-prefixed framed
+  sessions (one socket per worker for its whole lifetime), batched ops
+  (multi-span lease prefetch, one coalesced heartbeat frame for every held
+  lease) and *binary columnar completion payloads*
+  (:func:`~repro.explore.store.encode_shard_block`), so a completed span
+  streams from worker to :class:`~repro.explore.store.ColumnarStore`
+  without ever round-tripping through per-row dicts or JSON.  The op table
+  lives in one place, :meth:`Coordinator.dispatch`; the socket handler and
+  the in-process test session (:class:`repro.explore.worker.
+  InProcessClient`) both reach it through :func:`answer_frame`.  The worker
+  side lives in :mod:`repro.explore.worker`.
 
 Determinism and fault injection: the coordinator takes its wall clock as a
 constructor argument (``clock=time.monotonic``), performs *no* waiting of
@@ -102,15 +102,16 @@ from repro.explore.store import (
 #: Version of the coordinator status document and wire protocol.  v2 added
 #: the registry-backed counters (leases granted, heartbeats, invalid
 #: documents); v3 is the framed-session transport (persistent sessions,
-#: batched ops, binary completion payloads, ``protocol_errors`` counter).
-COORDINATOR_SCHEMA_VERSION = 3
+#: batched ops, binary completion payloads, ``protocol_errors`` counter);
+#: v4 dropped the JSON Lines transport and the single-span ``lease`` /
+#: single-id ``heartbeat`` op forms.
+COORDINATOR_SCHEMA_VERSION = 4
 
 #: Default seconds a lease may go without a heartbeat before it is stolen.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
-#: Preamble a protocol-v2 client sends once per connection; the server
-#: sniffs the first byte to tell a framed session (``R``) from a legacy
-#: JSONL request (``{``) on the same port.
+#: Preamble a client sends once per connection.  A connection that opens
+#: with anything else gets one structured error line and is closed.
 PROTOCOL_MAGIC = b"RXP2"
 
 #: Frame header: big-endian u32 payload length + u8 frame kind.
@@ -121,9 +122,9 @@ FRAME_HEADER = struct.Struct(">IB")
 FRAME_KIND_JSON = 0x4A
 FRAME_KIND_BLOCK = 0x43
 
-#: Upper bound on a single frame (and on a v1 request line).  Far above any
-#: legitimate op — a shard block of a million-row span is a few tens of MB —
-#: while bounding what a misbehaving client can make the server buffer.
+#: Upper bound on a single frame.  Far above any legitimate op — a shard
+#: block of a million-row span is a few tens of MB — while bounding what a
+#: misbehaving client can make the server buffer.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
@@ -300,8 +301,9 @@ class Coordinator:
     what drives stealing — no timer thread, no hidden clock reads.  The
     *clock* only needs to be monotone; tests inject a fake.
 
-    Not thread-safe by itself; :class:`CoordinatorServer` serializes calls
-    under one lock.
+    The state-machine methods are not thread-safe by themselves; the op
+    handler (:meth:`dispatch`, :meth:`dispatch_block`) serializes every wire
+    op under one lock.
     """
 
     def __init__(self, lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
@@ -326,6 +328,7 @@ class Coordinator:
         #: Worker name -> last-seen timestamp.
         self._workers: Dict[str, float] = {}
         self._draining = False
+        self._lock = threading.Lock()
         self._started = clock()
         #: Optional structured JSONL run log (one event per lease / steal /
         #: completion / merge-drain, timestamped by the injected clock).
@@ -595,29 +598,21 @@ class Coordinator:
         return granted
 
     def heartbeat(self, lease_id: int) -> bool:
-        """Extend a lease's deadline; False when the lease is no longer
+        """Extend one lease's deadline; False when the lease is no longer
         live (stolen or its span already completed) — the worker's cue to
-        abandon cooperatively."""
-        self.tick()
-        self._m_heartbeats.inc()
-        lease = self._leases.get(lease_id)
-        if lease is None:
+        abandon cooperatively.  Unlike :meth:`heartbeat_many`, an unknown
+        lease id raises :class:`CoordinatorError`."""
+        live = self.heartbeat_many([lease_id])[int(lease_id)]
+        if int(lease_id) not in self._leases:
             raise CoordinatorError(f"unknown lease id {lease_id}")
-        state = self._campaigns[lease.campaign_id]
-        if state.leases.get(lease.shard_index) is not lease:
-            return False
-        now = self._now()
-        lease.deadline = now + self._lease_timeout
-        self._workers[lease.worker] = now
-        return True
+        return live
 
     def heartbeat_many(self, lease_ids: Sequence[int]) -> Dict[int, bool]:
         """Batched heartbeat: every held lease extended from one frame.
 
-        Unlike :meth:`heartbeat`, an unknown lease id maps to ``False``
-        instead of raising — in a coalesced batch one stale id (a span
-        completed between frames) must not poison the extension of the
-        others.
+        An unknown lease id maps to ``False`` instead of raising — in a
+        coalesced batch one stale id (a span completed between frames) must
+        not poison the extension of the others.
         """
         self.tick()
         now = self._now()
@@ -649,6 +644,10 @@ class Coordinator:
         idempotent and a restarted worker — whose cumulative counts reset —
         simply starts a fresh baseline.
         """
+        if not isinstance(snapshot, Mapping):
+            raise CoordinatorError(
+                f"worker {worker!r} ships an RTT snapshot that is not a JSON "
+                f"object: {snapshot!r}")
         bounds = tuple(float(bound) for bound in snapshot.get("bounds", ()))
         if bounds != self._m_worker_rtt.bounds:
             raise CoordinatorError(
@@ -674,8 +673,9 @@ class Coordinator:
 
     def protocol_error(self, message: str) -> None:
         """Count one malformed/oversized wire frame (server handler hook)."""
-        self._m_protocol_errors.inc()
-        self._emit("protocol-error", error=message)
+        with self._lock:
+            self._m_protocol_errors.inc()
+            self._emit("protocol-error", error=message)
 
     def complete_lease(self, lease_id: int,
                        document: Mapping[str, object]) -> bool:
@@ -803,6 +803,67 @@ class Coordinator:
             raise CoordinatorError(f"unknown campaign {campaign_id!r}")
         return state
 
+    # -- the op handler -----------------------------------------------------
+    def dispatch(self, request: Mapping[str, object]) -> Dict[str, object]:
+        """Answer one JSON op (the table under "wire protocol" below).
+
+        The only op table: the socket server and the in-process session
+        both reach it through :func:`answer_frame`.  Bad arguments raise
+        ``ValueError``/``KeyError``/``TypeError``, which the frame layer
+        turns into a structured ``{"ok": false}`` answer.
+        """
+        op = request.get("op")
+        with self._lock:
+            if op == "lease":
+                granted = self.request_leases(str(request["worker"]),
+                                              int(request["count"]))
+                if not granted and self._draining:
+                    return {"ok": True, "shutdown": True}
+                return {"ok": True,
+                        "heartbeat_seconds": self._lease_timeout / 3.0,
+                        "leases": [{"lease": lease.as_document(),
+                                    "shard": shard.as_document()}
+                                   for lease, shard in granted]}
+            if op == "heartbeat":
+                rtt = request.get("rtt")
+                if rtt is not None:
+                    self.record_worker_rtt(str(request.get("worker", "")),
+                                           rtt)
+                live = self.heartbeat_many(request["lease_ids"])
+                return {"ok": True,
+                        "live": {str(lease_id): alive
+                                 for lease_id, alive in live.items()}}
+            if op == "complete":
+                return {"ok": True, "accepted": self.complete_lease(
+                    int(request["lease_id"]), request["document"])}
+            if op == "submit":
+                campaign_id = self.submit_job_documents(
+                    request["jobs"], int(request["shards"]),
+                    label=request.get("label"),
+                    json_path=request.get("json"),
+                    csv_path=request.get("csv"),
+                    store_path=request.get("store"))
+                return {"ok": True, "campaign": campaign_id}
+            if op == "campaign":
+                return {"ok": True, "progress": self.campaign_progress(
+                    str(request["campaign"]))}
+            if op == "status":
+                return {"ok": True, "status": self.status()}
+            if op == "shutdown":
+                self.drain()
+                return {"ok": True}
+        raise CoordinatorError(f"unknown op {op!r}")
+
+    def dispatch_block(self, meta: Mapping[str, object],
+                       block: bytes) -> Dict[str, object]:
+        """A completion frame: lease id from the meta, rows from the block."""
+        if meta.get("op") != "complete":
+            raise FrameError(f"unexpected op {meta.get('op')!r} in a "
+                             f"completion frame")
+        with self._lock:
+            return {"ok": True, "accepted": self.complete_lease_block(
+                int(meta["lease_id"]), block)}
+
     # -- observability ------------------------------------------------------
     def campaign_progress(self, campaign_id: str) -> Dict[str, object]:
         self.tick()
@@ -855,30 +916,20 @@ class Coordinator:
 
 # -- wire protocol -----------------------------------------------------------
 #
-# Two protocols share the port; the server sniffs the first byte of every
-# connection.
+# A connection opens with the 4-byte preamble b"RXP2", then carries
+# length-prefixed frames (u32 payload length + u8 kind) in both directions
+# over one persistent socket — lease, heartbeat and complete ops for a
+# worker's whole lifetime are pipelined on a single connection.  Frame
+# kinds: 0x4A = JSON op payload, 0x43 = completion (u32 meta length + meta
+# JSON + binary columnar shard block).  Responses are always JSON frames.
 #
-# v1 (legacy, CoordinatorClient): first byte "{" — one JSON object per
-# line, one request/response pair per connection.
+# Ops (Coordinator.dispatch / dispatch_block):
 #
-# v2 (CoordinatorSession): the connection opens with the 4-byte preamble
-# b"RXP2", then carries length-prefixed frames (u32 payload length + u8
-# kind) in both directions over one persistent socket — lease, heartbeat
-# and complete ops for a worker's whole lifetime are pipelined on a single
-# connection.  Frame kinds: 0x4A = JSON op payload, 0x43 = completion
-# (u32 meta length + meta JSON + binary columnar shard block).  Responses
-# are always JSON frames.
-#
-# Ops (both protocols; batched forms are v2 idioms but protocol-agnostic):
-#
-#   {"op": "lease", "worker": W}       -> {"ok": true, "lease": .., "shard": ..}
-#                                       | {"ok": true, "idle": true}
-#                                       | {"ok": true, "shutdown": true}
 #   {"op": "lease", "worker": W,
-#    "count": N}                       -> {"ok": true, "leases": [{lease,
-#                                          shard}, ..]} (possibly empty)
+#    "count": N}                       -> {"ok": true, "heartbeat_seconds": s,
+#                                          "leases": [{lease, shard}, ..]}
+#                                          (possibly empty)
 #                                       | {"ok": true, "shutdown": true}
-#   {"op": "heartbeat", "lease_id": L} -> {"ok": true, "live": bool}
 #   {"op": "heartbeat", "lease_ids":
 #    [..], "worker": W, "rtt": {..}}   -> {"ok": true, "live": {id: bool}}
 #   {"op": "complete", "lease_id": L,
@@ -893,12 +944,43 @@ class Coordinator:
 #   {"op": "shutdown"}                 -> {"ok": true}   (server then stops)
 #
 # Failures answer {"ok": false, "error": msg} and the client raises
-# CoordinatorError.  Malformed or oversized frames/lines are answered with
-# the same structured error (never silently dropped) and counted in
+# CoordinatorError.  Malformed or oversized frames are answered with the
+# same structured error (never silently dropped) and counted in
 # coordinator_protocol_errors_total; only a frame whose *framing* is lost
-# (truncation, oversized length prefix) also closes the connection, since
-# the stream cannot be resynchronized.  All coordinator state changes
-# happen under one server-side lock, frame by frame.
+# (truncation, oversized length prefix) or a connection without the
+# preamble also closes the connection, since the stream cannot be
+# resynchronized.  All coordinator state changes happen under one lock,
+# frame by frame.
+
+def answer_frame(endpoint, kind: int, payload: bytes) -> Dict[str, object]:
+    """The response document to one request frame.
+
+    *endpoint* provides ``dispatch``, ``dispatch_block`` and
+    ``protocol_error``: the :class:`CoordinatorServer` for a socket session,
+    the :class:`Coordinator` itself for the in-process one, so both run the
+    same decode, op and error-mapping code.  A payload defect is a counted
+    protocol error, an invalid op a plain structured error; neither ends
+    the session.
+    """
+    try:
+        if kind == FRAME_KIND_JSON:
+            try:
+                request = json.loads(payload.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError) as error:
+                raise FrameError(f"malformed JSON frame: {error}")
+            if not isinstance(request, dict):
+                raise FrameError("JSON frame is not an object")
+            return endpoint.dispatch(request)
+        if kind == FRAME_KIND_BLOCK:
+            meta, block = decode_block_payload(payload)
+            return endpoint.dispatch_block(meta, block)
+        raise FrameError(f"unknown frame kind 0x{kind:02x}")
+    except FrameError as error:
+        endpoint.protocol_error(str(error))
+        return {"ok": False, "error": str(error)}
+    except (ValueError, KeyError, TypeError) as error:
+        return {"ok": False, "error": str(error) or repr(error)}
+
 
 class _CoordinatorHandler(socketserver.StreamRequestHandler):
     # Framed request/response round trips on a persistent socket stall for
@@ -907,102 +989,44 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self) -> None:
-        first = self.rfile.read(1)
-        if not first:
+        server = self.server
+        preamble = self.rfile.read(len(PROTOCOL_MAGIC))
+        if preamble != PROTOCOL_MAGIC:
+            if preamble:
+                # The peer does not speak frames; answer in a plain line.
+                message = f"unrecognized protocol preamble {preamble!r}"
+                server.protocol_error(message)  # type: ignore[attr-defined]
+                self._answer(json.dumps({"ok": False, "error": message})
+                             .encode("utf-8") + b"\n")
             return
-        if first == PROTOCOL_MAGIC[:1]:
-            rest = self.rfile.read(len(PROTOCOL_MAGIC) - 1)
-            if rest != PROTOCOL_MAGIC[1:]:
-                self._answer_line(self._protocol_error(
-                    f"unrecognized protocol preamble {(first + rest)!r}"))
-                return
-            self._handle_session()
-        elif first == b"{":
-            self._handle_v1(first)
-        else:
-            self._answer_line(self._protocol_error(
-                f"unrecognized protocol preamble {first!r}"))
-
-    # -- v1: one JSONL request per connection ------------------------------
-    def _handle_v1(self, first: bytes) -> None:
-        line = first + self.rfile.readline(MAX_FRAME_BYTES + 1)
-        if len(line) > MAX_FRAME_BYTES:
-            self._answer_line(self._protocol_error(
-                f"request line exceeds the {MAX_FRAME_BYTES}-byte limit"))
-            return
-        try:
-            request = json.loads(line)
-        except ValueError as error:
-            self._answer_line(self._protocol_error(
-                f"malformed JSON request: {error}"))
-            return
-        try:
-            response = self.server.dispatch(request)  # type: ignore[attr-defined]
-        except (ValueError, KeyError, TypeError) as error:
-            response = {"ok": False, "error": str(error) or repr(error)}
-        self._answer_line(response)
-
-    def _answer_line(self, response: Mapping[str, object]) -> None:
-        try:
-            self.wfile.write(json.dumps(response).encode("utf-8") + b"\n")
-        except OSError:  # pragma: no cover - peer vanished mid-answer
-            pass
-
-    # -- v2: persistent framed session -------------------------------------
-    def _handle_session(self) -> None:
         while True:
             try:
                 frame = read_frame(self.rfile)
             except FrameError as error:
                 # Framing is lost — answer once, then close: the stream
                 # cannot be resynchronized after a bad length prefix.
-                self._answer_frame(self._protocol_error(str(error)))
+                server.protocol_error(str(error))  # type: ignore[attr-defined]
+                self._answer(encode_json_frame({"ok": False,
+                                                "error": str(error)}))
                 return
             except OSError:  # pragma: no cover - peer reset mid-read
                 return
             if frame is None:
                 return
-            kind, payload = frame
-            try:
-                response = self._dispatch_frame(kind, payload)
-            except FrameError as error:
-                # Payload-level defect; framing is intact, session survives.
-                response = self._protocol_error(str(error))
-            except (ValueError, KeyError, TypeError) as error:
-                response = {"ok": False, "error": str(error) or repr(error)}
-            if not self._answer_frame(response):
+            response = answer_frame(server, *frame)
+            if not self._answer(encode_json_frame(response)):
                 return
 
-    def _dispatch_frame(self, kind: int,
-                        payload: bytes) -> Dict[str, object]:
-        server = self.server
-        if kind == FRAME_KIND_JSON:
-            try:
-                request = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as error:
-                raise FrameError(f"malformed JSON frame: {error}")
-            if not isinstance(request, dict):
-                raise FrameError("JSON frame is not an object")
-            return server.dispatch(request)  # type: ignore[attr-defined]
-        if kind == FRAME_KIND_BLOCK:
-            meta, block = decode_block_payload(payload)
-            return server.dispatch_block(meta, block)  # type: ignore[attr-defined]
-        raise FrameError(f"unknown frame kind 0x{kind:02x}")
-
-    def _answer_frame(self, response: Mapping[str, object]) -> bool:
+    def _answer(self, data: bytes) -> bool:
         try:
-            self.wfile.write(encode_json_frame(response))
+            self.wfile.write(data)
             return True
         except OSError:  # pragma: no cover - peer vanished mid-answer
             return False
 
-    def _protocol_error(self, message: str) -> Dict[str, object]:
-        self.server.count_protocol_error(message)  # type: ignore[attr-defined]
-        return {"ok": False, "error": message}
-
 
 class CoordinatorServer(socketserver.ThreadingTCPServer):
-    """Serve a :class:`Coordinator` over localhost TCP (v1 + v2 protocols)."""
+    """Serve a :class:`Coordinator` over localhost TCP framed sessions."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -1011,107 +1035,53 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
                  address: Tuple[str, int] = ("127.0.0.1", 0)):
         super().__init__(address, _CoordinatorHandler)
         self.coordinator = coordinator
-        self._lock = threading.Lock()
 
     @property
     def port(self) -> int:
         return self.server_address[1]
 
-    def count_protocol_error(self, message: str) -> None:
-        with self._lock:
-            self.coordinator.protocol_error(message)
+    def protocol_error(self, message: str) -> None:
+        self.coordinator.protocol_error(message)
 
     def dispatch_block(self, meta: Mapping[str, object],
                        block: bytes) -> Dict[str, object]:
-        """A completion frame: lease id from the meta, rows from the block."""
-        if meta.get("op") != "complete":
-            raise FrameError(f"unexpected op {meta.get('op')!r} in a "
-                             f"completion frame")
-        with self._lock:
-            accepted = self.coordinator.complete_lease_block(
-                int(meta["lease_id"]), block)
-            return {"ok": True, "accepted": accepted}
+        return self.coordinator.dispatch_block(meta, block)
 
     def dispatch(self, request: Mapping[str, object]) -> Dict[str, object]:
-        op = request.get("op")
-        with self._lock:
-            coordinator = self.coordinator
-            if op == "lease":
-                if "count" in request:
-                    granted = coordinator.request_leases(
-                        str(request["worker"]), int(request["count"]))
-                    if not granted and coordinator.draining:
-                        return {"ok": True, "shutdown": True}
-                    return {
-                        "ok": True,
-                        "heartbeat_seconds":
-                            coordinator._lease_timeout / 3.0,
-                        "leases": [{"lease": lease.as_document(),
-                                    "shard": shard.as_document()}
-                                   for lease, shard in granted],
-                    }
-                granted = coordinator.request_lease(str(request["worker"]))
-                if granted is None:
-                    if coordinator.draining:
-                        return {"ok": True, "shutdown": True}
-                    return {"ok": True, "idle": True}
-                lease, shard = granted
-                return {"ok": True, "lease": lease.as_document(),
-                        "heartbeat_seconds": coordinator._lease_timeout / 3.0,
-                        "shard": shard.as_document()}
-            if op == "heartbeat":
-                if "lease_ids" in request:
-                    rtt = request.get("rtt")
-                    if rtt is not None:
-                        coordinator.record_worker_rtt(
-                            str(request.get("worker", "")), rtt)
-                    live = coordinator.heartbeat_many(
-                        [int(lease_id)
-                         for lease_id in request["lease_ids"]])
-                    return {"ok": True,
-                            "live": {str(lease_id): alive
-                                     for lease_id, alive in live.items()}}
-                live = coordinator.heartbeat(int(request["lease_id"]))
-                return {"ok": True, "live": live}
-            if op == "complete":
-                accepted = coordinator.complete_lease(
-                    int(request["lease_id"]), request["document"])
-                return {"ok": True, "accepted": accepted}
-            if op == "submit":
-                campaign_id = coordinator.submit_job_documents(
-                    request["jobs"], int(request["shards"]),
-                    label=request.get("label"),
-                    json_path=request.get("json"),
-                    csv_path=request.get("csv"),
-                    store_path=request.get("store"))
-                return {"ok": True, "campaign": campaign_id}
-            if op == "campaign":
-                progress = coordinator.campaign_progress(
-                    str(request["campaign"]))
-                return {"ok": True, "progress": progress}
-            if op == "status":
-                return {"ok": True, "status": coordinator.status()}
-            if op == "shutdown":
-                coordinator.drain()
-                # shutdown() blocks until serve_forever returns, so it must
-                # not run on this handler thread; closing the listening
-                # socket afterwards turns further connects into refusals
-                # instead of hangs.
-                threading.Thread(target=self._stop, daemon=True).start()
-                return {"ok": True}
-        raise CoordinatorError(f"unknown op {op!r}")
+        response = self.coordinator.dispatch(request)
+        if request.get("op") == "shutdown":
+            # shutdown() blocks until serve_forever returns, so it must not
+            # run on this handler thread; closing the listening socket
+            # afterwards turns further connects into refusals instead of
+            # hangs.
+            threading.Thread(target=self._stop, daemon=True).start()
+        return response
 
     def _stop(self) -> None:
         self.shutdown()
         self.server_close()
 
 
-class CoordinatorClient:
-    """Stateless client: one fresh connection per operation.
+#: Smallest span (in result rows) that a session ships as a binary shard
+#: block.  The block codec costs about 2–3 ms per span to encode, decode
+#: and ingest (mostly one ``.npy`` header parse per column), against
+#: 0.1–0.6 ms for a JSON completion, so smaller spans ride in ordinary JSON
+#: op frames instead.
+SESSION_BLOCK_MIN_ROWS = 128
 
-    Matches :class:`repro.explore.worker.InProcessClient` method for
-    method, so workers and the submit CLI run unchanged over TCP or against
-    an in-process coordinator (the deterministic test seam).
+
+class CoordinatorSession:
+    """Persistent client: framed ops pipelined over one socket.
+
+    Opens a single connection (lazily, on first use), announces itself with
+    the ``RXP2`` preamble, and then exchanges length-prefixed frames for the
+    session's whole lifetime — no per-op connection setup.  Completions of
+    at least :data:`SESSION_BLOCK_MIN_ROWS` rows travel as binary columnar
+    shard blocks; smaller ones go as JSON op frames.  An internal lock
+    serializes round trips, so a worker's heartbeat thread can share the
+    session with its execution loop.  Any transport fault closes the socket
+    and raises :class:`ConnectionError`; the next call transparently
+    reconnects.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -1119,110 +1089,6 @@ class CoordinatorClient:
         self.host = host
         self.port = port
         self.timeout = timeout
-
-    def call(self, request: Mapping[str, object]) -> Dict[str, object]:
-        with socket.create_connection((self.host, self.port),
-                                      timeout=self.timeout) as connection:
-            connection.sendall(json.dumps(request).encode("utf-8") + b"\n")
-            with connection.makefile("rb") as reader:
-                line = reader.readline()
-        if not line:
-            raise ConnectionError("coordinator closed the connection "
-                                  "without a response")
-        response = json.loads(line)
-        if not response.get("ok"):
-            raise CoordinatorError(response.get("error", "request failed"))
-        return response
-
-    # -- worker plane -------------------------------------------------------
-    def request_lease(self, worker: str) -> Dict[str, object]:
-        return self.call({"op": "lease", "worker": worker})
-
-    def request_leases(self, worker: str, count: int) -> Dict[str, object]:
-        return self.call({"op": "lease", "worker": worker,
-                          "count": int(count)})
-
-    def heartbeat(self, lease_id: int) -> bool:
-        return bool(self.call({"op": "heartbeat",
-                               "lease_id": lease_id})["live"])
-
-    def heartbeat_many(self, lease_ids: Sequence[int],
-                       worker: Optional[str] = None,
-                       rtt: Optional[Mapping[str, object]] = None,
-                       ) -> Dict[int, bool]:
-        request: Dict[str, object] = {"op": "heartbeat",
-                                      "lease_ids": list(lease_ids)}
-        if worker is not None:
-            request["worker"] = worker
-        if rtt is not None:
-            request["rtt"] = dict(rtt)
-        live = self.call(request)["live"]
-        return {int(lease_id): bool(alive)
-                for lease_id, alive in live.items()}
-
-    def complete(self, lease_id: int,
-                 document: Mapping[str, object]) -> bool:
-        return bool(self.call({"op": "complete", "lease_id": lease_id,
-                               "document": document})["accepted"])
-
-    # -- control plane ------------------------------------------------------
-    def submit(self, job_documents: Sequence[Mapping[str, object]],
-               shards: int, label: Optional[str] = None,
-               json_path: Optional[str] = None,
-               csv_path: Optional[str] = None,
-               store_path: Optional[str] = None) -> str:
-        return str(self.call({
-            "op": "submit", "jobs": list(job_documents), "shards": shards,
-            "label": label, "json": json_path, "csv": csv_path,
-            "store": store_path,
-        })["campaign"])
-
-    def campaign_progress(self, campaign_id: str) -> Dict[str, object]:
-        return self.call({"op": "campaign",
-                          "campaign": campaign_id})["progress"]
-
-    def status(self) -> Dict[str, object]:
-        return self.call({"op": "status"})["status"]
-
-    def shutdown(self) -> None:
-        self.call({"op": "shutdown"})
-
-
-#: Smallest span (in result rows) that a session ships as a binary shard
-#: block.  Below this the numpy codec's fixed cost exceeds the JSON rows it
-#: saves, so tiny completions ride in ordinary JSON op frames instead.
-SESSION_BLOCK_MIN_ROWS = 128
-
-
-class CoordinatorSession:
-    """Persistent protocol-v2 client: framed ops pipelined over one socket.
-
-    Opens a single connection (lazily, on first use), announces itself with
-    the ``RXP2`` preamble, and then exchanges length-prefixed frames for the
-    session's whole lifetime — no per-op connection setup.  Completions of
-    at least ``block_min_rows`` rows travel as binary columnar shard blocks;
-    smaller ones go as JSON op frames, and ``json_payloads`` forces JSON for
-    every completion (the differential-test seam).  An internal lock
-    serializes round trips, so a worker's heartbeat thread can share the
-    session with its execution loop.  Any transport fault closes the socket
-    and raises :class:`ConnectionError`; the next call transparently
-    reconnects.
-
-    API-compatible superset of :class:`CoordinatorClient` /
-    :class:`repro.explore.worker.InProcessClient`.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0,
-                 timeout: Optional[float] = 60.0,
-                 json_payloads: bool = False,
-                 block_min_rows: Optional[int] = None):
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.json_payloads = json_payloads
-        self.block_min_rows = (SESSION_BLOCK_MIN_ROWS
-                               if block_min_rows is None
-                               else max(0, int(block_min_rows)))
         self._lock = threading.Lock()
         self._sock: Optional[socket.socket] = None
         self._reader: Optional[BinaryIO] = None
@@ -1280,23 +1146,9 @@ class CoordinatorSession:
         the per-op cost collapses from ``client + wire + server`` to
         whichever side is slowest.
         """
-        answers = []
         with self._lock:
             try:
-                if self._sock is None:
-                    self._connect()
-                assert self._sock is not None and self._reader is not None
-                sent = 0
-                for frame in frames:
-                    self._sock.sendall(frame)
-                    sent += 1
-                for _ in range(sent):
-                    answer = read_frame(self._reader)
-                    if answer is None:
-                        raise ConnectionError(
-                            "coordinator closed the session without a "
-                            "response")
-                    answers.append(answer)
+                answers = self._transfer(frames)
             except FrameError as error:
                 self._drop()
                 raise ConnectionError(
@@ -1309,6 +1161,24 @@ class CoordinatorSession:
                 raise ConnectionError(
                     f"coordinator connection failed: {error}")
         return [self._parse_response(answer) for answer in answers]
+
+    def _transfer(self, frames: Iterable[bytes]) -> List[Tuple[int, bytes]]:
+        """Send every request frame, then read one answer frame each."""
+        if self._sock is None:
+            self._connect()
+        assert self._sock is not None and self._reader is not None
+        sent = 0
+        for frame in frames:
+            self._sock.sendall(frame)
+            sent += 1
+        answers = []
+        for _ in range(sent):
+            answer = read_frame(self._reader)
+            if answer is None:
+                raise ConnectionError("coordinator closed the session "
+                                      "without a response")
+            answers.append(answer)
+        return answers
 
     def _parse_response(self, answer: Tuple[int, bytes]
                         ) -> Dict[str, object]:
@@ -1344,16 +1214,9 @@ class CoordinatorSession:
                               for request in list(requests))
 
     # -- worker plane -------------------------------------------------------
-    def request_lease(self, worker: str) -> Dict[str, object]:
-        return self.call({"op": "lease", "worker": worker})
-
     def request_leases(self, worker: str, count: int) -> Dict[str, object]:
         return self.call({"op": "lease", "worker": worker,
                           "count": int(count)})
-
-    def heartbeat(self, lease_id: int) -> bool:
-        return bool(self.call({"op": "heartbeat",
-                               "lease_id": lease_id})["live"])
 
     def heartbeat_many(self, lease_ids: Sequence[int],
                        worker: Optional[str] = None,
@@ -1369,16 +1232,16 @@ class CoordinatorSession:
         return {int(lease_id): bool(alive)
                 for lease_id, alive in live.items()}
 
-    def _completion_frame(self, lease_id: int,
+    @staticmethod
+    def _completion_frame(lease_id: int,
                           document: Mapping[str, object]) -> bytes:
         rows = document.get("rows")
-        row_count = len(rows) if isinstance(rows, list) else 0
-        if self.json_payloads or row_count < self.block_min_rows:
-            return encode_json_frame({"op": "complete", "lease_id": lease_id,
-                                      "document": document})
-        return encode_block_frame({"op": "complete",
-                                   "lease_id": int(lease_id)},
-                                  encode_shard_block(document))
+        if isinstance(rows, list) and len(rows) >= SESSION_BLOCK_MIN_ROWS:
+            return encode_block_frame({"op": "complete",
+                                       "lease_id": int(lease_id)},
+                                      encode_shard_block(document))
+        return encode_json_frame({"op": "complete", "lease_id": lease_id,
+                                  "document": document})
 
     def complete(self, lease_id: int,
                  document: Mapping[str, object]) -> bool:
@@ -1389,21 +1252,15 @@ class CoordinatorSession:
             Tuple[int, Mapping[str, object]]]) -> List[bool]:
         """Complete many leases in one pipelined flight.
 
-        All completion frames (JSON or binary, per the ``block_min_rows``
-        policy) are written back-to-back and the responses collected
-        afterwards, so the client encodes span *n+1* while the coordinator
-        is still validating and ingesting span *n*.  Returns the per-lease
-        ``accepted`` flags in input order.
+        All completion frames are written back-to-back and the responses
+        collected afterwards, so the client encodes span *n+1* while the
+        coordinator is still validating and ingesting span *n*.  Returns
+        the per-lease ``accepted`` flags in input order.
         """
         frames = (self._completion_frame(lease_id, document)
                   for lease_id, document in list(completions))
         return [bool(response["accepted"])
                 for response in self._exchange(frames)]
-
-    def complete_block(self, lease_id: int, block: bytes) -> bool:
-        frame = encode_block_frame({"op": "complete",
-                                    "lease_id": int(lease_id)}, block)
-        return bool(self._round_trip(frame)["accepted"])
 
     # -- control plane ------------------------------------------------------
     def submit(self, job_documents: Sequence[Mapping[str, object]],

@@ -1,46 +1,50 @@
 """Campaign worker: the execution plane for the live coordinator.
 
-A worker is deliberately dumb: it leases a span, executes it on the
+A worker is deliberately dumb: it leases spans, executes them on the
 standard :func:`~repro.explore.distrib.run_shard` path (the *same* code a
 ``campaign --shard I/N`` host runs, which is what keeps coordinated
 artifacts bitwise identical to monolithic ones), posts the deterministic
-shard document back, and repeats.  All scheduling intelligence — fairness,
+shard documents back, and repeats.  All scheduling intelligence — fairness,
 stealing, merge order — lives in the coordinator.
 
-Three client flavours plug into the same loop:
+Two clients plug into the same loop, and both speak the same frames:
 
-* :class:`~repro.explore.coordinator.CoordinatorSession` — the protocol-v2
-  framed-session client (persistent socket, batched ops, binary columnar
-  completions); the default for the ``work`` CLI subcommand.
-* :class:`~repro.explore.coordinator.CoordinatorClient` — the legacy v1
-  connection-per-op JSONL client, kept as a compatibility shim
-  (``work --protocol v1``).
-* :class:`InProcessClient` — direct method calls against a
-  :class:`~repro.explore.coordinator.Coordinator`; the deterministic test
-  seam (no sockets, no threads unless the test asks for them).
+* :class:`~repro.explore.coordinator.CoordinatorSession` — the framed
+  socket session (persistent socket, batched ops, binary columnar
+  completions); what the ``work`` CLI subcommand uses.
+* :class:`InProcessClient` — the same session with the socket replaced by
+  a direct call of :func:`~repro.explore.coordinator.answer_frame` on a
+  local :class:`~repro.explore.coordinator.Coordinator`; the deterministic
+  test seam (no sockets, no threads unless the test asks for them).
 
-While a span executes, an optional daemon thread heartbeats the lease so a
-*slow* worker is distinguishable from a *dead* one.  A heartbeat answered
-with ``live=False`` means the coordinator already stole the lease; the
-loop notes it and keeps going — its eventual completion is acknowledged as
-stale and merged by nobody, preserving exactly-once ingestion.
-
-With ``prefetch > 1`` (and a client that supports batched leasing) the
-worker leases up to N spans per round trip and a single daemon thread
-coalesces heartbeats for *all* held leases into one frame, shipping the
-worker's cumulative heartbeat-RTT histogram snapshot along for coordinator
--side aggregation.  With ``reconnect_tries > 0`` a transient connection
-error triggers bounded exponential backoff instead of an immediate exit;
-leases are abandoned only once the budget is exhausted.
+Each loop iteration leases up to ``prefetch`` spans in one round trip.
+While they execute, a daemon thread coalesces heartbeats for *all* held
+leases into one frame, so a *slow* worker is distinguishable from a *dead*
+one, and ships the worker's cumulative heartbeat-RTT histogram snapshot
+along for coordinator-side aggregation.  A lease reported not live means
+the coordinator already stole it; the loop notes it and keeps going — its
+eventual completion is acknowledged as stale and merged by nobody,
+preserving exactly-once ingestion.  With ``reconnect_tries > 0`` a
+transient connection error triggers bounded exponential backoff instead of
+an immediate exit; leases are abandoned only once the budget is exhausted.
 """
 
 from __future__ import annotations
 
+import io
 import threading
 import time
-from typing import Callable, Dict, Mapping, Optional, Sequence, Set
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple,
+)
 
-from repro.explore.coordinator import Coordinator
+from repro.explore.coordinator import (
+    Coordinator,
+    CoordinatorSession,
+    answer_frame,
+    encode_json_frame,
+    read_frame,
+)
 from repro.explore.distrib import CampaignShard, run_shard
 from repro.explore.metrics import (
     LATENCY_BUCKETS,
@@ -49,64 +53,29 @@ from repro.explore.metrics import (
 )
 
 
-class InProcessClient:
-    """The wire-client API as direct calls on a local coordinator."""
+class InProcessClient(CoordinatorSession):
+    """A :class:`~repro.explore.coordinator.CoordinatorSession` wired
+    straight to a local coordinator.
+
+    Every request frame is decoded and answered by
+    :func:`~repro.explore.coordinator.answer_frame` — the code the socket
+    handler runs — and the encoded answer frame is decoded back, so the op,
+    frame and block code is the wire's byte for byte; only the socket is
+    missing.
+    """
 
     def __init__(self, coordinator: Coordinator):
+        super().__init__()
         self._coordinator = coordinator
 
-    def request_lease(self, worker: str) -> Dict[str, object]:
-        granted = self._coordinator.request_lease(worker)
-        if granted is None:
-            if self._coordinator.draining:
-                return {"ok": True, "shutdown": True}
-            return {"ok": True, "idle": True}
-        lease, shard = granted
-        return {"ok": True, "lease": lease.as_document(),
-                "heartbeat_seconds": self._coordinator._lease_timeout / 3.0,
-                "shard": shard.as_document()}
-
-    def request_leases(self, worker: str, count: int) -> Dict[str, object]:
-        granted = self._coordinator.request_leases(worker, count)
-        if not granted and self._coordinator.draining:
-            return {"ok": True, "shutdown": True}
-        return {"ok": True,
-                "heartbeat_seconds": self._coordinator._lease_timeout / 3.0,
-                "leases": [{"lease": lease.as_document(),
-                            "shard": shard.as_document()}
-                           for lease, shard in granted]}
-
-    def heartbeat(self, lease_id: int) -> bool:
-        return self._coordinator.heartbeat(lease_id)
-
-    def heartbeat_many(self, lease_ids: Sequence[int],
-                       worker: Optional[str] = None,
-                       rtt: Optional[Mapping[str, object]] = None,
-                       ) -> Dict[int, bool]:
-        if rtt is not None and worker:
-            self._coordinator.record_worker_rtt(worker, rtt)
-        return self._coordinator.heartbeat_many(list(lease_ids))
-
-    def complete(self, lease_id: int,
-                 document: Mapping[str, object]) -> bool:
-        return self._coordinator.complete_lease(lease_id, document)
-
-    def submit(self, job_documents: Sequence[Mapping[str, object]],
-               shards: int, **kwargs) -> str:
-        return self._coordinator.submit_job_documents(
-            job_documents, shards,
-            label=kwargs.get("label"), json_path=kwargs.get("json_path"),
-            csv_path=kwargs.get("csv_path"),
-            store_path=kwargs.get("store_path"))
-
-    def campaign_progress(self, campaign_id: str) -> Dict[str, object]:
-        return self._coordinator.campaign_progress(campaign_id)
-
-    def status(self) -> Dict[str, object]:
-        return self._coordinator.status()
-
-    def shutdown(self) -> None:
-        self._coordinator.drain()
+    def _transfer(self, frames: Iterable[bytes]) -> List[Tuple[int, bytes]]:
+        answers = []
+        for frame in frames:
+            kind, payload = read_frame(io.BytesIO(frame))
+            response = answer_frame(self._coordinator, kind, payload)
+            answers.append(read_frame(io.BytesIO(
+                encode_json_frame(response))))
+        return answers
 
 
 def _default_executor(shard: CampaignShard) -> Dict[str, object]:
@@ -170,26 +139,8 @@ class CampaignWorker:
         if self._status is not None:
             self._status(f"[{self.worker_id}] {message}")
 
-    def _heartbeat_loop(self, lease_id: int, interval: float,
-                        stop: threading.Event) -> None:
-        while not stop.wait(interval):
-            try:
-                sent = self._clock()
-                live = self.client.heartbeat(lease_id)
-                self._m_rtt.observe(self._clock() - sent)
-                if not live:
-                    self._report(f"lease {lease_id} was stolen; "
-                                 "finishing anyway")
-                    return
-            except (OSError, ValueError):
-                # Coordinator unreachable mid-span: keep computing; the
-                # completion attempt will surface the failure.
-                return
-
-    def _coalesced_heartbeat_loop(self, held: Set[int],
-                                  held_lock: threading.Lock,
-                                  interval: float,
-                                  stop: threading.Event) -> None:
+    def _heartbeat_loop(self, held: Set[int], held_lock: threading.Lock,
+                        interval: float, stop: threading.Event) -> None:
         """One frame per beat for *all* held leases, RTT snapshot included.
 
         The snapshot is cumulative, so retransmits are idempotent — the
@@ -215,42 +166,6 @@ class CampaignWorker:
                 self._report(f"lease(s) {stolen} were stolen; "
                              "finishing anyway")
 
-    def run_one(self) -> bool:
-        """Lease and execute one span.  False when no work was granted."""
-        response = self.client.request_lease(self.worker_id)
-        if response.get("shutdown"):
-            raise StopIteration
-        if response.get("idle"):
-            return False
-        lease = response["lease"]
-        lease_id = int(lease["lease_id"])
-        shard = CampaignShard.from_document(response["shard"])
-        self.stats["leases"] += 1
-        self._report(f"leased span {lease['campaign_id']}/"
-                     f"{lease['shard_index']} "
-                     f"({len(shard.jobs)} job(s))")
-        self._emit("worker-lease", campaign=lease["campaign_id"],
-                   span=lease["shard_index"], lease=lease_id,
-                   jobs=len(shard.jobs))
-        interval = self.heartbeat_interval
-        if interval is None:
-            interval = float(response.get("heartbeat_seconds") or 0) or None
-        stop = threading.Event()
-        beat: Optional[threading.Thread] = None
-        if interval is not None and interval > 0:
-            beat = threading.Thread(
-                target=self._heartbeat_loop, args=(lease_id, interval, stop),
-                daemon=True)
-            beat.start()
-        try:
-            document = self._executor(shard)
-        finally:
-            stop.set()
-            if beat is not None:
-                beat.join(timeout=5.0)
-        self._complete_span(lease, lease_id, document)
-        return True
-
     def _complete_span(self, lease: Mapping[str, object], lease_id: int,
                        document: Mapping[str, object]) -> None:
         if self.client.complete(lease_id, document):
@@ -271,10 +186,10 @@ class CampaignWorker:
                        span=lease["shard_index"], lease=lease_id,
                        accepted=False)
 
-    def run_batch(self) -> bool:
-        """Lease up to ``prefetch`` spans in one round trip, execute them
-        back to back under a single coalesced heartbeat thread.  False when
-        no work was granted."""
+    def run_one(self) -> bool:
+        """Lease up to ``prefetch`` spans in one round trip and execute them
+        back to back under one coalesced heartbeat thread.  False when no
+        work was granted."""
         response = self.client.request_leases(self.worker_id, self.prefetch)
         if response.get("shutdown"):
             raise StopIteration
@@ -299,13 +214,12 @@ class CampaignWorker:
             spans.append((lease, lease_id, shard))
         interval = self.heartbeat_interval
         if interval is None:
-            interval = float(response.get("heartbeat_seconds") or 0) or None
+            interval = float(response.get("heartbeat_seconds") or 0)
         stop = threading.Event()
         beat: Optional[threading.Thread] = None
-        if interval is not None and interval > 0 \
-                and hasattr(self.client, "heartbeat_many"):
+        if interval > 0:
             beat = threading.Thread(
-                target=self._coalesced_heartbeat_loop,
+                target=self._heartbeat_loop,
                 args=(held, held_lock, interval, stop), daemon=True)
             beat.start()
         try:
@@ -325,11 +239,9 @@ class CampaignWorker:
         ``should_run`` turns false.  Returns the stats counters."""
         idle = 0
         failures = 0
-        batched = self.prefetch > 1 \
-            and hasattr(self.client, "request_leases")
         while self._should_run is None or self._should_run():
             try:
-                worked = self.run_batch() if batched else self.run_one()
+                worked = self.run_one()
             except StopIteration:
                 self._report("coordinator is draining; exiting")
                 self._emit("worker-exit", reason="draining")

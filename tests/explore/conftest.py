@@ -12,8 +12,9 @@ the fault-injection tests replace both sides of the wire:
 
 Real sockets are exercised separately by the protocol tests in
 ``test_coordinator.py``; everything else runs through
-:class:`repro.explore.worker.InProcessClient` so arbitrary interleavings
-can be scripted without threads or sleeps.
+:class:`repro.explore.worker.InProcessClient` — the same frames and op
+handler as the socket, minus the socket — so arbitrary interleavings can be
+scripted without threads or sleeps.
 """
 
 import re
@@ -101,13 +102,13 @@ class FlakyClient:
             self.failures -= 1
             raise ConnectionError("injected partition")
 
-    def request_lease(self, worker):
+    def request_leases(self, worker, count):
         self._check()
-        return self._client.request_lease(worker)
+        return self._client.request_leases(worker, count)
 
-    def heartbeat(self, lease_id):
+    def heartbeat_many(self, lease_ids, worker=None, rtt=None):
         self._check()
-        return self._client.heartbeat(lease_id)
+        return self._client.heartbeat_many(lease_ids, worker=worker, rtt=rtt)
 
     def complete(self, lease_id, document):
         self._check()

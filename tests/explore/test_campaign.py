@@ -449,10 +449,3 @@ class TestRunTiming:
             len(run.outcomes) / run.wall_seconds)
         assert CampaignRun(outcomes=[], wall_seconds=0.0).rows_per_second \
             == 0.0
-
-    def test_scenarios_per_second_is_a_deprecated_alias(self):
-        from repro.explore.campaign import CampaignRun
-
-        run = CampaignRun(outcomes=[], workers=1, wall_seconds=1.0)
-        with pytest.deprecated_call(match="use rows_per_second"):
-            assert run.scenarios_per_second == run.rows_per_second

@@ -23,7 +23,7 @@ Layout:
   :class:`~repro.explore.worker.CampaignWorker` with 1/2/4/7 workers
   (including one killed mid-lease), fast sizes plus a slow-marked
   72-scenario case.
-* ``TestSocketProtocol`` — the TCP server/client pair for real: threaded
+* ``TestSocketProtocol`` — the TCP server/session pair for real: threaded
   workers over localhost, protocol errors, shutdown.
 
 Fake outcomes (pure data, never simulated) keep the fault matrix and the
@@ -48,9 +48,9 @@ from repro.explore.campaign import (
 from repro.explore.coordinator import (
     COORDINATOR_SCHEMA_VERSION,
     Coordinator,
-    CoordinatorClient,
     CoordinatorError,
     CoordinatorServer,
+    CoordinatorSession,
 )
 from repro.explore.distrib import MergeError, ShardRun, job_to_dict, plan_shards
 from repro.explore.metrics import (
@@ -831,7 +831,8 @@ class TestSocketProtocol:
     def test_two_tcp_workers_drain_a_real_campaign(self, live_server,
                                                    tmp_path):
         coordinator, server = live_server
-        client = CoordinatorClient(port=server.port)
+        sessions = [CoordinatorSession(port=server.port) for _ in range(3)]
+        client = sessions[0]
         campaign = campaign_from_axes(AXES, base=BASE)
         json_path = tmp_path / "coord.json"
         mono_json = tmp_path / "mono.json"
@@ -841,9 +842,9 @@ class TestSocketProtocol:
             label="tcp", json_path=str(json_path))
         threads = [
             threading.Thread(target=CampaignWorker(
-                CoordinatorClient(port=server.port), f"tcp-w{index}",
+                session, f"tcp-w{index}",
                 poll_interval=0.01, max_idle_polls=3).run)
-            for index in range(2)
+            for index, session in enumerate(sessions[1:])
         ]
         for thread in threads:
             thread.start()
@@ -854,17 +855,20 @@ class TestSocketProtocol:
         status = client.status()
         assert status["completed_spans"] == 4
         assert json_path.read_bytes() == mono_json.read_bytes()
+        for session in sessions:
+            session.close()
 
     def test_protocol_errors_are_reported_not_fatal(self, live_server):
         coordinator, server = live_server
-        client = CoordinatorClient(port=server.port)
+        client = CoordinatorSession(port=server.port)
         with pytest.raises(CoordinatorError, match="unknown op"):
             client.call({"op": "bogus"})
         with pytest.raises(CoordinatorError, match="unknown lease"):
-            client.heartbeat(12345)
+            client.complete(12345, {"rows": []})
         # The server survives malformed traffic and still answers.
         assert client.status()["coordinator_schema_version"] == \
             COORDINATOR_SCHEMA_VERSION
+        client.close()
 
     def test_metrics_endpoint_under_concurrent_scrapes(self, live_server,
                                                        tmp_path,
@@ -891,16 +895,17 @@ class TestSocketProtocol:
             except Exception as error:  # pragma: no cover - failure path
                 failures.append(error)
 
-        client = CoordinatorClient(port=server.port)
+        sessions = [CoordinatorSession(port=server.port) for _ in range(3)]
+        client = sessions[0]
         json_path = tmp_path / "coord.json"
         client.submit([job_to_dict(job)
                        for job in monolithic_reference["jobs"]], 4,
                       label="scraped", json_path=str(json_path))
         workers = [
             threading.Thread(target=CampaignWorker(
-                CoordinatorClient(port=server.port), f"scrape-w{index}",
+                session, f"scrape-w{index}",
                 poll_interval=0.01, max_idle_polls=3).run)
-            for index in range(2)
+            for index, session in enumerate(sessions[1:])
         ]
         scrapers = [threading.Thread(target=scraper, args=(bucket,))
                     for bucket in scrapes.values()]
@@ -935,20 +940,25 @@ class TestSocketProtocol:
         assert final[("coordinator_queue_depth",
                       (("campaign", "c0001"),))] == 0
         assert json_path.read_bytes() == monolithic_reference["json"]
+        for session in sessions:
+            session.close()
 
     def test_shutdown_op_drains_and_stops_the_server(self, live_server):
         import time
 
         coordinator, server = live_server
-        client = CoordinatorClient(port=server.port, timeout=5.0)
-        client.shutdown()
+        with CoordinatorSession(port=server.port, timeout=5.0) as client:
+            client.shutdown()
         assert coordinator.draining
         # The drained coordinator grants nothing, and the serving loop
-        # closes its listening socket shortly after answering.
+        # closes its listening socket shortly after answering, so a fresh
+        # session is refused.
         assert coordinator.request_lease("late") is None
         for _ in range(100):
             try:
-                client.status()
+                with CoordinatorSession(port=server.port,
+                                        timeout=5.0) as client:
+                    client.status()
             except OSError:
                 break
             time.sleep(0.05)

@@ -12,16 +12,18 @@ Four layers of evidence that the fast data plane is also a *correct* one:
   the connection, and a framed session survives its own bad frame;
 * batching semantics — multi-span leases, coalesced heartbeats, and the
   delta-merged per-worker RTT histograms in the coordinator registry;
-* differentials — columnar-payload campaigns over real sockets are
-  byte-identical to JSON-payload ones and to the monolithic run at 1/2/4
-  workers with one worker killed mid-lease, and a partitioned worker
-  reconnects with bounded exponential backoff instead of abandoning work.
+* differentials — campaigns whose spans complete as columnar blocks and
+  campaigns whose spans complete as JSON frames are both byte-identical to
+  the monolithic run over real sockets at 1/2/4 workers with one worker
+  killed mid-lease, and a partitioned worker reconnects with bounded
+  exponential backoff instead of abandoning work.
 """
 
 import io
 import json
 import socket
 import struct
+import sys
 import threading
 
 import pytest
@@ -34,8 +36,8 @@ from repro.explore.coordinator import (
     FRAME_KIND_JSON,
     MAX_FRAME_BYTES,
     PROTOCOL_MAGIC,
+    SESSION_BLOCK_MIN_ROWS,
     Coordinator,
-    CoordinatorClient,
     CoordinatorError,
     CoordinatorServer,
     CoordinatorSession,
@@ -58,6 +60,8 @@ from repro.explore.store import (
 from repro.explore.worker import CampaignWorker, InProcessClient
 from tests.explore.conftest import FlakyClient
 from tests.explore.test_coordinator import (
+    assert_metrics_match_status,
+    assert_span_partition,
     fake_jobs,
     scripted_executor,
     submit_fake,
@@ -311,11 +315,31 @@ class TestProtocolErrors:
         assert coordinator.status()["protocol_errors"] == 1
 
     def test_malformed_v1_json_gets_structured_answer(self, live_server):
+        """A connection without the RXP2 preamble — here a JSON request
+        line — gets one structured error line, is counted, and is closed."""
         coordinator, server = live_server
         with raw_connect(server) as connection:
-            connection.sendall(b'{"op": not-json\n')
-            self.expect_error_line(connection, "malformed JSON")
+            connection.sendall(b'{"op": "status"}\n')
+            with connection.makefile("rb") as reader:
+                response = json.loads(reader.readline())
+                assert response["ok"] is False
+                assert "unrecognized protocol preamble" in response["error"]
+                assert reader.read(1) == b""  # closed after the one answer
         assert coordinator.status()["protocol_errors"] == 1
+
+    def test_malformed_heartbeat_rtt_is_answered_not_fatal(self,
+                                                          live_server):
+        coordinator, server = live_server
+        with CoordinatorSession(port=server.port, timeout=10.0) as session:
+            for rtt in ([1], "x"):
+                with pytest.raises(CoordinatorError, match="RTT snapshot"):
+                    session.call({"op": "heartbeat", "lease_ids": [],
+                                  "worker": "w", "rtt": rtt})
+            # Same session, next op: the connection survived both frames.
+            assert session._sock is not None
+            connection = session._sock
+            assert session.status()["protocol_errors"] == 0
+            assert session._sock is connection
 
     def test_oversized_frame_is_answered_then_closed(self, live_server):
         coordinator, server = live_server
@@ -466,6 +490,41 @@ class TestBatchedOps:
         finally:
             coordinator.close()
 
+    def test_threaded_in_process_workers_share_one_coordinator(self,
+                                                               tmp_path):
+        """More worker threads than cores, each beating its leases every
+        millisecond, drive one coordinator through the in-process frame
+        path with a tiny switch interval: the op handler's lock must keep
+        every span merged exactly once."""
+        coordinator = Coordinator(lease_timeout=60.0)
+        campaign_id, jobs, paths = submit_fake(coordinator, tmp_path, 96, 96)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [CampaignWorker(
+                InProcessClient(coordinator), f"t{index}", max_idle_polls=2,
+                heartbeat_interval=0.001, prefetch=2,
+                executor=scripted_executor, sleep=lambda seconds: None)
+                for index in range(8)]
+            threads = [threading.Thread(target=worker.run)
+                       for worker in workers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert coordinator.campaign_progress(campaign_id)["complete"]
+            assert sum(worker.stats["completed"] for worker in workers) == 96
+            assert_span_partition(coordinator)
+            assert_metrics_match_status(coordinator)
+            assert paths["json"].read_bytes() == \
+                paths["mono_json"].read_bytes()
+        finally:
+            coordinator.close()
+
 
 # -- reconnect with bounded exponential backoff ------------------------------
 
@@ -525,31 +584,60 @@ class TestWorkerReconnect:
             coordinator.close()
 
 
-# -- differential: columnar == JSON == monolithic over real sockets ----------
+# -- differential: columnar == monolithic == JSON over real sockets ----------
 
-AXES = {"core_count": [1, 2], "tam_width_bits": [16, 32]}
-BASE = ScenarioSpec(name="base", patterns_per_core=16, seed=3)
+#: One real grid on each side of SESSION_BLOCK_MIN_ROWS: 8 jobs in 5 spans
+#: complete as JSON frames, 256 jobs in 2 spans as columnar shard blocks.
+PAYLOAD_GRIDS = {
+    "json": ({"core_count": [1, 2], "tam_width_bits": [16, 32]},
+             ScenarioSpec(name="base", patterns_per_core=16, seed=3), 5),
+    "columnar": ({"core_count": [1, 2], "tam_width_bits": [8, 16, 32, 64],
+                  "seed": list(range(1, 17))},
+                 ScenarioSpec(name="base", patterns_per_core=4, seed=3), 2),
+}
 
 
 @pytest.fixture(scope="module")
 def monolithic_reference(tmp_path_factory):
-    campaign = campaign_from_axes(AXES, base=BASE)
-    tmp_path = tmp_path_factory.mktemp("monolithic-v2")
-    run = campaign.run()
-    json_path = tmp_path / "mono.json"
-    csv_path = tmp_path / "mono.csv"
-    run.write_json(json_path, deterministic=True)
-    run.write_csv(csv_path, deterministic=True)
-    return {"jobs": campaign.jobs(), "json": json_path.read_bytes(),
-            "csv": csv_path.read_bytes()}
+    references = {}
+    for payload, (axes, base, spans) in PAYLOAD_GRIDS.items():
+        campaign = campaign_from_axes(axes, base=base)
+        tmp_path = tmp_path_factory.mktemp(f"monolithic-{payload}")
+        run = campaign.run()
+        json_path = tmp_path / "mono.json"
+        csv_path = tmp_path / "mono.csv"
+        run.write_json(json_path, deterministic=True)
+        run.write_csv(csv_path, deterministic=True)
+        references[payload] = {
+            "jobs": campaign.jobs(), "spans": spans,
+            "json": json_path.read_bytes(), "csv": csv_path.read_bytes()}
+    return references
 
 
 class TestDifferentialColumnarPayloads:
     @pytest.mark.parametrize("worker_count", [1, 2, 4])
     def test_columnar_json_and_monolithic_agree_with_one_kill(
-            self, worker_count, tmp_path, monolithic_reference):
-        artifacts = {}
-        for payload in ("columnar", "json"):
+            self, worker_count, tmp_path, monolithic_reference, monkeypatch):
+        completions = {"columnar": 0, "json": 0}
+
+        def counting(method, payload):
+            def counted(self, *args):
+                completions[payload] += 1
+                return method(self, *args)
+            return counted
+
+        monkeypatch.setattr(Coordinator, "complete_lease_block", counting(
+            Coordinator.complete_lease_block, "columnar"))
+        monkeypatch.setattr(Coordinator, "complete_lease", counting(
+            Coordinator.complete_lease, "json"))
+        for payload, reference in monolithic_reference.items():
+            spans = plan_shards(reference["jobs"], reference["spans"])
+            rows = [len(shard.jobs) for shard in spans]
+            if payload == "columnar":
+                assert min(rows) >= SESSION_BLOCK_MIN_ROWS
+            else:
+                assert max(rows) < SESSION_BLOCK_MIN_ROWS
+            completions.update(columnar=0, json=0)
             coordinator = Coordinator(lease_timeout=0.5)
             server = CoordinatorServer(coordinator)
             thread = threading.Thread(target=server.serve_forever,
@@ -558,26 +646,27 @@ class TestDifferentialColumnarPayloads:
             thread.start()
             json_path = tmp_path / f"{payload}.json"
             csv_path = tmp_path / f"{payload}.csv"
+            sessions = []
             try:
                 victim = CoordinatorSession(port=server.port)
-                submitter = CoordinatorClient(port=server.port)
+                submitter = CoordinatorSession(port=server.port)
+                sessions = [submitter]
                 submitter.submit(
-                    [job_to_dict(job)
-                     for job in monolithic_reference["jobs"]], 5,
+                    [job_to_dict(job) for job in reference["jobs"]],
+                    len(spans),
                     json_path=str(json_path), csv_path=str(csv_path))
                 # The victim takes one lease and is never heard from again;
                 # the survivors pick the span up after the lease times out.
-                granted = victim.request_lease("victim")
-                assert "lease" in granted
+                granted = victim.request_leases("victim", 1)
+                assert len(granted["leases"]) == 1
                 victim.close()
+                sessions += [CoordinatorSession(port=server.port)
+                             for _ in range(worker_count)]
                 workers = [
-                    CampaignWorker(
-                        CoordinatorSession(port=server.port,
-                                           json_payloads=payload == "json",
-                                           block_min_rows=0),
-                        f"{payload}-w{index}", poll_interval=0.05,
-                        max_idle_polls=40, prefetch=2)
-                    for index in range(worker_count)
+                    CampaignWorker(session, f"{payload}-w{index}",
+                                   poll_interval=0.05, max_idle_polls=40,
+                                   prefetch=2)
+                    for index, session in enumerate(sessions[1:])
                 ]
                 threads = [threading.Thread(target=worker.run)
                            for worker in workers]
@@ -586,15 +675,17 @@ class TestDifferentialColumnarPayloads:
                 for worker_thread in threads:
                     worker_thread.join(timeout=60.0)
                 status = submitter.status()
-                assert status["completed_spans"] == 5
+                assert status["completed_spans"] == len(spans)
                 assert status["steals"] == 1
-                artifacts[payload] = (json_path.read_bytes(),
-                                      csv_path.read_bytes())
+                assert completions[payload] >= len(spans)
+                assert completions["columnar" if payload == "json"
+                                   else "json"] == 0
+                assert json_path.read_bytes() == reference["json"]
+                assert csv_path.read_bytes() == reference["csv"]
             finally:
+                for session in sessions:
+                    session.close()
                 server.shutdown()
                 server.server_close()
                 thread.join(timeout=5.0)
                 coordinator.close()
-        assert artifacts["columnar"] == artifacts["json"]
-        assert artifacts["columnar"] == (monolithic_reference["json"],
-                                         monolithic_reference["csv"])
