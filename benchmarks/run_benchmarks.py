@@ -49,6 +49,7 @@ CI runs ``--quick`` as a smoke job and uploads the JSON as an artifact.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -60,7 +61,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.kernel import NS, SimTime, Simulator, Timeout  # noqa: E402
+from repro.kernel import AllOf, NS, SimTime, Simulator, Timeout  # noqa: E402
 from repro.kernel.tracing import TransactionRecord, TransactionTracer  # noqa: E402
 from repro.rtl.lfsr import LFSR, MISR  # noqa: E402
 
@@ -94,7 +95,13 @@ def bench_kernel(scale: float) -> dict:
     processes (cores shifting patterns, clock edges, status polls) each
     waiting short, clock-period-sized delays, so the pending set stays large
     and almost every activation is a near-future Timeout.  The *delta*
-    workload drains long same-timestamp chains (update-phase style).
+    workload drains long same-timestamp chains (update-phase style).  The
+    *spawn/join* workload streams EBI-shaped bursts: per burst, two short
+    stage processes plus one delayed event, joined by ``AllOf``.  It is
+    sized from the other two (one stream per delta process, one burst per
+    timeout step), so process creation, teardown and join cost are tracked
+    next to raw dispatch; the cyclic-GC collections it triggers are
+    reported for information.
     """
     procs = 160
     steps = max(1, int(1200 * scale))
@@ -131,6 +138,33 @@ def bench_kernel(scale: float) -> dict:
 
     delta_wall, delta_dispatched = _best_of(REPEATS, run_delta_workload)
 
+    def stage(period, cycles):
+        yield Timeout(period * cycles)
+
+    def burst_stream(sim, bursts):
+        period = periods[0]
+        for index in range(bursts):
+            ate = sim.spawn(stage(period, 3 + index % 4), name="ate_burst")
+            tam = sim.spawn(stage(period, 2 + index % 3), name="tam_burst")
+            shift_done = sim.event("shift_done")
+            shift_done.notify(period * 5)
+            yield AllOf([ate.finished, tam.finished, shift_done])
+
+    def run_spawn_join_workload():
+        sim = Simulator("bench_spawn_join")
+        for index in range(8):
+            sim.spawn(burst_stream(sim, steps), name=f"ebi{index}")
+        collections = sum(stat["collections"] for stat in gc.get_stats())
+        start = time.perf_counter()
+        sim.run()
+        wall = time.perf_counter() - start
+        collections = sum(stat["collections"]
+                          for stat in gc.get_stats()) - collections
+        return wall, (sim.dispatched_activations, collections)
+
+    spawn_join_wall, (spawn_join_dispatched, spawn_join_collections) = \
+        _best_of(REPEATS, run_spawn_join_workload)
+
     return {
         "workload": {
             "timeout_processes": procs,
@@ -148,6 +182,10 @@ def bench_kernel(scale: float) -> dict:
         "dispatch_per_second": round(
             (timeout_dispatched + delta_dispatched) / (timeout_wall + delta_wall), 1
         ),
+        "spawn_join_dispatched": spawn_join_dispatched,
+        "spawn_join_wall_seconds": round(spawn_join_wall, 6),
+        "spawn_join_per_second": round(spawn_join_dispatched / spawn_join_wall, 1),
+        "spawn_join_gc_collections": spawn_join_collections,
     }
 
 

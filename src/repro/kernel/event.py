@@ -69,19 +69,27 @@ class Event:
 
     def add_callback(self, callback) -> None:
         """Register a plain callable invoked (with the notification value)
-        every time the event fires.  Callbacks are persistent."""
+        every time the event fires, until :meth:`remove_callback`."""
         self._callbacks.append(callback)
+
+    def remove_callback(self, callback) -> None:
+        """Unregister *callback* (no-op if it is not registered)."""
+        try:
+            self._callbacks.remove(callback)
+        except ValueError:
+            pass
 
     # -- notification ------------------------------------------------------
     def notify(self, delay: Union[SimTime, int] = 0, value=None) -> None:
         """Notify the event after *delay* (default: next delta cycle)."""
-        delay = SimTime.coerce(delay)
         if self.sim is None:
             raise SchedulingError(
                 f"event {self.name!r} cannot be notified: it is not attached "
                 "to a simulator and has never been waited on"
             )
-        self.sim.schedule_callback(lambda: self._fire(value), delay)
+        # The event itself is the queue action: the scheduler calls
+        # ``_fire(value)`` on it, so no closure is built per notification.
+        self.sim._push(delay, self, value)
 
     def _fire(self, value) -> None:
         self.last_value = value
@@ -90,8 +98,10 @@ class Event:
         for process in waiters:
             process.unsubscribe_all()
             push(0, process, value)
-        for callback in list(self._callbacks):
-            callback(value)
+        if self._callbacks:
+            # Iterate a copy: a callback may unregister itself.
+            for callback in list(self._callbacks):
+                callback(value)
 
     @property
     def waiter_count(self) -> int:

@@ -41,6 +41,8 @@ class Process:
         #: Events this process is currently registered with (for composite
         #: waits the process may be registered with several at once).
         self._subscriptions = []
+        #: ``(event, callback)`` pairs of a pending :class:`AllOf` join.
+        self._join = ()
 
     # -- subscription management -------------------------------------------
     def subscribe(self, event: Event) -> None:
@@ -109,26 +111,36 @@ class Process:
     def _wait_all(self, condition: AllOf) -> None:
         pending = {id(event) for event in condition.events}
 
-        def make_callback(event):
-            def callback(_value, _event_id=id(event)):
-                if not self.alive or _event_id not in pending:
+        def make_callback(event_id):
+            def callback(_value):
+                if not self.alive or event_id not in pending:
                     return
-                pending.discard(_event_id)
+                pending.discard(event_id)
                 if not pending:
+                    self._drop_join()
                     self.sim.schedule_process(self, 0)
 
             return callback
 
-        for event in condition.events:
-            event.add_callback(make_callback(event))
+        self._join = [(event, make_callback(id(event)))
+                      for event in condition.events]
+        for event, callback in self._join:
+            event.add_callback(callback)
+
+    def _drop_join(self) -> None:
+        """Unregister the join's callbacks, so an event joined many times
+        (or outliving this process) does not keep one per join."""
+        for event, callback in self._join:
+            event.remove_callback(callback)
+        self._join = ()
 
     def _terminate(self, result) -> None:
         self.alive = False
         self.result = result
         self.unsubscribe_all()
+        self._drop_join()
         self.finished.sim = self.finished.sim or self.sim
         self.finished.notify(0, value=result)
-        self.sim.process_terminated(self)
 
     def kill(self) -> None:
         """Terminate the process at its current suspension point."""

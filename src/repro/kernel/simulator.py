@@ -60,8 +60,9 @@ class _QueueEntry:
 class Simulator:
     """Event-driven simulation kernel.
 
-    Two kinds of actions are scheduled: process resumptions and plain
-    callbacks (used for delayed event notifications and primitive updates).
+    Three kinds of actions are scheduled: process resumptions, event
+    notifications (the event fires with the entry's value) and plain
+    callbacks.
     An *update phase* modelled after SystemC's evaluate/update delta cycle is
     run whenever all activations at the current timestamp have been processed.
 
@@ -96,7 +97,6 @@ class Simulator:
         self._sequence = 0
         self._now_fs = 0
         self._running = False
-        self._processes: List[Process] = []
         self._update_requests = []
         self._failures = []
         self._pending_count = 0
@@ -251,7 +251,6 @@ class Simulator:
     def spawn(self, generator, name: str = "") -> Process:
         """Create a process from *generator* and schedule its first activation."""
         process = Process(self, generator, name=name)
-        self._processes.append(process)
         self.schedule_process(process, 0)
         return process
 
@@ -259,17 +258,9 @@ class Simulator:
         """Create an event attached to this simulator."""
         return Event(self, name=name)
 
-    def process_terminated(self, process: Process) -> None:
-        """Hook called by :class:`Process` when it finishes."""
-        # Processes stay in the list for introspection; nothing to do here.
-
     def report_process_failure(self, process: Process, exc: Exception) -> None:
         """Record an exception escaping a process and re-raise it at run()."""
         self._failures.append((process, exc))
-
-    @property
-    def processes(self) -> List[Process]:
-        return list(self._processes)
 
     # -- execution ---------------------------------------------------------------
     def _run_update_phase(self) -> None:
@@ -300,6 +291,7 @@ class Simulator:
         bucket_times = self._bucket_times
         failures = self._failures
         process_class = Process
+        event_class = Event
         heappop = heapq.heappop
         dispatched = 0
         try:
@@ -353,8 +345,12 @@ class Simulator:
                     entry.cancelled = True
                     if action.__class__ is process_class:
                         action.resume(value)
+                    elif action.__class__ is event_class:
+                        action._fire(value)
                     elif isinstance(action, process_class):
                         action.resume(value)
+                    elif isinstance(action, event_class):
+                        action._fire(value)
                     else:
                         action()
                     if failures:

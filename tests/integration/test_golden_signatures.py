@@ -1,10 +1,16 @@
-"""Golden ATE task signatures of the paper's schedules and of a generated
-scenario.
+"""Golden ATE task signatures and activation counts of the paper's
+schedules and of a generated scenario.
 
 No campaign artifact column carries MISR signatures, so the row checks of
 the benchmarks cannot see a change in signature folding.  These constants
 were recorded with the per-pattern MISR fold (one ``compact`` per pattern
 number); any other fold must reproduce them bit for bit.
+
+``simulated_activations`` is an artifact column: it counts the entries the
+scheduler dispatched, so a kernel change that adds, drops or merges queue
+entries moves it even when every simulated time stays the same.  The
+counts below were recorded while the simulator still retained every
+process and notified events through one closure per notification.
 """
 
 import pytest
@@ -60,6 +66,12 @@ GENERATED_SIGNATURES = {
 }
 
 
+TABLE1_ACTIVATIONS = {"schedule_1": 4269, "schedule_2": 4142,
+                      "schedule_3": 4278, "schedule_4": 4401}
+
+GENERATED_ACTIVATIONS = 292
+
+
 def _signatures(metrics):
     return {name: result.signature
             for name, result in metrics.execution.task_results.items()}
@@ -78,3 +90,18 @@ def test_generated_scenario_task_signatures():
     metrics = scenario.build_soc().run_test_schedule(
         scenario.schedule_for("greedy"), scenario.tasks)
     assert _signatures(metrics) == GENERATED_SIGNATURES
+
+
+@pytest.mark.parametrize("schedule_name", sorted(TABLE1_ACTIVATIONS))
+def test_table1_activation_counts(schedule_name):
+    metrics = JpegSocTlm().run_test_schedule(
+        build_test_schedules()[schedule_name], build_test_tasks())
+    assert metrics.simulated_activations == TABLE1_ACTIVATIONS[schedule_name]
+
+
+def test_generated_scenario_activation_count():
+    scenario = build_scenario(ScenarioSpec(name="g", core_count=2,
+                                           patterns_per_core=48, seed=11))
+    metrics = scenario.build_soc().run_test_schedule(
+        scenario.schedule_for("greedy"), scenario.tasks)
+    assert metrics.simulated_activations == GENERATED_ACTIVATIONS

@@ -190,6 +190,39 @@ class TestCompositeWaits:
         sim.run()
         assert log == [SimTime(30, NS)]
 
+    def test_repeated_joins_do_not_accumulate_callbacks(self, sim):
+        beacon = sim.event("beacon")
+        held = []
+
+        def joiner():
+            for _ in range(1000):
+                stage = sim.event("stage")
+                stage.notify(2)
+                beacon.notify(1)
+                yield AllOf([beacon, stage])
+                held.append(len(beacon._callbacks))
+
+        sim.spawn(joiner())
+        sim.run()
+        assert held == [0] * 1000
+        # The spawn, then per join two notifications and one resume: the
+        # same activations as when every join left its callbacks behind.
+        assert sim.dispatched_activations == 3002
+
+    def test_killed_joiner_unregisters_its_callbacks(self, sim):
+        first = sim.event("first")
+        second = sim.event("second")
+
+        def joiner():
+            yield AllOf([first, second])
+
+        process = sim.spawn(joiner())
+        first.notify(1)
+        sim.run()
+        assert len(first._callbacks) == len(second._callbacks) == 1
+        process.kill()
+        assert first._callbacks == second._callbacks == []
+
     def test_empty_composite_rejected(self):
         with pytest.raises(SchedulingError):
             AnyOf([])

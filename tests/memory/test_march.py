@@ -1,6 +1,8 @@
 """Unit tests for march tests and pattern tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import (
     CouplingFault,
@@ -11,6 +13,7 @@ from repro.memory import (
     MARCH_X,
     MARCH_Y,
     MemoryArray,
+    MemoryFault,
     StuckAtCellFault,
     TransitionFault,
     run_march_test,
@@ -150,3 +153,103 @@ class TestCustomMarch:
         memory = MemoryArray(words=32)
         result = run_march_test(memory, march, background=0)
         assert result.passed
+
+
+class _TransparentFault(MemoryFault):
+    """A fault that changes nothing.  Injecting it forces the per-address
+    walk, which is the reference for the fault-free op-major path."""
+
+
+_ELEMENTS = st.builds(
+    lambda order, ops: f"{order}({','.join(ops)})",
+    st.sampled_from(["up", "down", "any"]),
+    st.lists(st.sampled_from(["r0", "r1", "w0", "w1"]), min_size=1, max_size=4)
+    | st.sampled_from([["w1", "r0"], ["r0", "r1"], ["r0", "w1", "r1"]]),
+)
+
+
+@st.composite
+def _memories(draw):
+    """A data background plus two identical arrays whose prior contents may
+    make reads fail (mostly the background or its inverse, so pre-write
+    reads match for some elements and not others); the second array
+    carries the transparent fault."""
+    words = draw(st.integers(1, 48))
+    word_bits = draw(st.integers(1, 8))
+    mask = (1 << word_bits) - 1
+    background = draw(st.integers(0, 255))
+    data = st.sampled_from([background & mask, ~background & mask])
+    initial = draw(data | st.integers(0, mask))
+    prior = draw(st.dictionaries(st.integers(0, words - 1),
+                                 data | st.integers(0, mask), max_size=words))
+    arrays = []
+    for _ in range(2):
+        memory = MemoryArray(words=words, word_bits=word_bits,
+                             background=initial)
+        for address, value in prior.items():
+            memory.raw_write(address, value)
+        arrays.append(memory)
+    arrays[1].inject_fault(_TransparentFault())
+    return background, arrays
+
+
+def _state(memory, result):
+    return (result, memory.read_count, memory.write_count,
+            list(memory._contents.items()))
+
+
+class TestFaultFreeOpMajor:
+    """The op-major fault-free path must match the per-address walk in
+    every observable: result, counters and stored contents (key order
+    included)."""
+
+    @given(memories=_memories(),
+           elements=st.lists(_ELEMENTS, min_size=1, max_size=5),
+           stride=st.integers(1, 8) | st.integers(1, 60),
+           max_failures=st.none() | st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_march_matches_per_address_walk(self, memories, elements, stride,
+                                            max_failures):
+        background, arrays = memories
+        march = MarchTest.from_notation("RANDOM", elements)
+        fast, reference = arrays
+        results = [run_march_test(memory, march, background=background,
+                                  stride=stride, max_failures=max_failures)
+                   for memory in arrays]
+        assert _state(fast, results[0]) == _state(reference, results[1])
+
+    @given(memories=_memories(),
+           patterns=st.lists(st.integers(0, 511), min_size=1, max_size=3),
+           stride=st.integers(1, 8) | st.integers(1, 60),
+           max_failures=st.none() | st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_pattern_matches_per_address_walk(self, memories, patterns,
+                                              stride, max_failures):
+        _, arrays = memories
+        results = [run_pattern_test(memory, patterns=patterns, stride=stride,
+                                    max_failures=max_failures)
+                   for memory in arrays]
+        assert _state(arrays[0], results[0]) == _state(arrays[1], results[1])
+
+    @pytest.mark.parametrize("notation", ["any(r0,r1)", "up(r1,r0,w1)"])
+    def test_cells_holding_both_read_values_fail_like_the_walk(self,
+                                                               notation):
+        # Each cell matches one of the two pre-write reads, so the set of
+        # held values equals the set of expected ones, yet every cell fails.
+        march = MarchTest.from_notation("MIXED", [notation])
+        arrays = [MemoryArray(words=4, background=0xFF) for _ in range(2)]
+        arrays[1].inject_fault(_TransparentFault())
+        for memory in arrays:
+            memory.raw_write(0, 0x00)
+            memory.raw_write(2, 0x00)
+        results = [run_march_test(memory, march) for memory in arrays]
+        assert len(results[0].failures) == 4
+        assert _state(arrays[0], results[0]) == _state(arrays[1], results[1])
+
+    def test_fault_free_validation_never_walks_addresses(self):
+        memory = MemoryArray(words=1 << 20)
+        memory.write = memory.read = None  # the walk would fail loudly
+        result = run_march_test(memory, MARCH_C_MINUS, stride=257)
+        assert result.passed
+        assert result.reads + result.writes == 10 * len(range(0, 1 << 20, 257))
+        run_pattern_test(memory, stride=257)
