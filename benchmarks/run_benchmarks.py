@@ -96,12 +96,14 @@ def bench_kernel(scale: float) -> dict:
     waiting short, clock-period-sized delays, so the pending set stays large
     and almost every activation is a near-future Timeout.  The *delta*
     workload drains long same-timestamp chains (update-phase style).  The
-    *spawn/join* workload streams EBI-shaped bursts: per burst, two short
-    stage processes plus one delayed event, joined by ``AllOf``.  It is
-    sized from the other two (one stream per delta process, one burst per
-    timeout step), so process creation, teardown and join cost are tracked
-    next to raw dispatch; the cyclic-GC collections it triggers are
-    reported for information.
+    *spawn/join* workload measures process fan-out and joins: per step,
+    two short child processes plus one delayed event, joined by ``AllOf``,
+    the shape of the ATE's per-task processes and barriers.  (EBI bursts
+    had this shape until their stages became scheduled callbacks; see
+    docs/performance.md §11.)  It is sized from the other two (one stream
+    per delta process, one step per timeout step), so process creation,
+    teardown and join cost are tracked next to raw dispatch; the cyclic-GC
+    collections it triggers are reported for information.
     """
     procs = 160
     steps = max(1, int(1200 * scale))
@@ -141,19 +143,19 @@ def bench_kernel(scale: float) -> dict:
     def stage(period, cycles):
         yield Timeout(period * cycles)
 
-    def burst_stream(sim, bursts):
+    def fan_out_stream(sim, fan_outs):
         period = periods[0]
-        for index in range(bursts):
-            ate = sim.spawn(stage(period, 3 + index % 4), name="ate_burst")
-            tam = sim.spawn(stage(period, 2 + index % 3), name="tam_burst")
-            shift_done = sim.event("shift_done")
-            shift_done.notify(period * 5)
-            yield AllOf([ate.finished, tam.finished, shift_done])
+        for index in range(fan_outs):
+            first = sim.spawn(stage(period, 3 + index % 4), name="child_a")
+            second = sim.spawn(stage(period, 2 + index % 3), name="child_b")
+            timer = sim.event("timer")
+            timer.notify(period * 5)
+            yield AllOf([first.finished, second.finished, timer])
 
     def run_spawn_join_workload():
         sim = Simulator("bench_spawn_join")
         for index in range(8):
-            sim.spawn(burst_stream(sim, steps), name=f"ebi{index}")
+            sim.spawn(fan_out_stream(sim, steps), name=f"join{index}")
         collections = sum(stat["collections"] for stat in gc.get_stats())
         start = time.perf_counter()
         sim.run()

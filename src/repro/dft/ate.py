@@ -229,7 +229,7 @@ class AutomatedTestEquipment(Channel):
                     step.target, step.value, initiator=self.name,
                 )
             elif step.kind is StepKind.WAIT_CYCLES:
-                yield Timeout(clock.cycles(step.cycles))
+                yield Timeout(clock.cycles_fs(step.cycles))
             elif step.kind is StepKind.READ_STATUS:
                 payload = TamPayload.read(
                     architecture.addresses.get("test_controller", 0),
@@ -314,7 +314,7 @@ class AutomatedTestEquipment(Channel):
         )
         while bist_process.alive:
             timer = self.sim.event(f"{self.name}.{task.name}.poll")
-            timer.notify(clock.cycles(poll_cycles))
+            timer.notify(clock.cycles_fs(poll_cycles))
             yield AnyOf([timer, bist_process.finished])
             if not bist_process.alive:
                 break
@@ -406,7 +406,7 @@ class AutomatedTestEquipment(Channel):
             if stats is not None:
                 # Not the first chunk: the vector memory must be refilled
                 # before streaming resumes.
-                yield Timeout(clock.cycles(self.reload_cycles))
+                yield Timeout(clock.cycles_fs(self.reload_cycles))
                 reloads += 1
                 self.vector_memory_reloads += 1
             chunk_start_fs = self.sim.now_fs

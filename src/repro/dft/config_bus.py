@@ -118,7 +118,7 @@ class ConfigurationScanBus(Channel):
         yield from self._mutex.acquire()
         start_fs = self.sim.now_fs
         try:
-            yield Timeout(self.clock.cycles(cycles))
+            yield Timeout(self.clock.cycles_fs(cycles))
         finally:
             self._mutex.release()
         register.update(value)
@@ -142,7 +142,7 @@ class ConfigurationScanBus(Channel):
         yield from self._mutex.acquire()
         start_fs = self.sim.now_fs
         try:
-            yield Timeout(self.clock.cycles(cycles))
+            yield Timeout(self.clock.cycles_fs(cycles))
         finally:
             self._mutex.release()
         for name, value in assignments.items():

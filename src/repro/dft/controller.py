@@ -85,7 +85,7 @@ class TestController(Channel):
         applied = 0
         while applied < pattern_count:
             chunk = min(chunk_size, pattern_count - applied)
-            yield Timeout(clock.cycles(chunk * cycles_per_pattern))
+            yield Timeout(clock.cycles_fs(chunk * cycles_per_pattern))
             wrapper.apply_bist_patterns(chunk)
             applied += chunk
             status["patterns_done"] = applied
@@ -154,7 +154,7 @@ class TestController(Channel):
             )
             idle_cycles = chunk_cycles - busy_cycles
             if idle_cycles > 0:
-                yield Timeout(clock.cycles(idle_cycles))
+                yield Timeout(clock.cycles_fs(idle_cycles))
             done_operations += chunk
             status["operations_done"] = done_operations
         status["done"] = True

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.kernel.channel import Channel
-from repro.kernel.event import AllOf
 from repro.kernel.module import Module
 from repro.kernel.simulator import Simulator
+from repro.kernel.sync import Countdown
 from repro.dft.config_bus import ConfigurableRegister
 from repro.dft.payload import TamPayload
 from repro.dft.tam import AteLink, TamChannel
@@ -103,6 +103,15 @@ class ExternalBusInterface(Channel):
         and each stage occupies (and is accounted on) its own resource, so the
         recorded transaction streams directly yield ATE-channel and TAM
         utilization.
+
+        The stages are plain scheduled callbacks, not processes: the ATE and
+        TAM stages go through :meth:`AteLink.transfer_then` and
+        :meth:`TamChannel.occupy_then`, the shift stage is a delayed
+        arrival, and all three arrive at one :class:`Countdown` per call
+        that resumes the streaming process.  They push the same queue
+        entries in the same order as one process per channel stage, a
+        delayed event and an ``AllOf`` join would, so the activation stream
+        is that of the process-based form.
         """
         if patterns <= 0:
             raise ValueError("pattern count must be positive")
@@ -113,7 +122,6 @@ class ExternalBusInterface(Channel):
         burst_size = burst_patterns or self.buffer_patterns
         clock = self.tam.clock
         remaining = patterns
-        pattern_index = 0
         stats = {
             "patterns": 0,
             "bursts": 0,
@@ -121,6 +129,8 @@ class ExternalBusInterface(Channel):
             "tam_busy_cycles": 0,
             "shift_cycles": 0,
         }
+        join = Countdown(self.sim, f"{self.name}.burst_done")
+        arrive = join.arrive
         while remaining > 0:
             burst = min(burst_size, remaining)
             ate_bits = burst * timing.ate_bits_per_pattern
@@ -130,30 +140,18 @@ class ExternalBusInterface(Channel):
             tam_cycles = (self.tam.transfer_cycles(tam_bits)
                           + self.tam.arbitration_overhead_cycles)
 
-            waits = []
-            ate_process = self.sim.spawn(
-                self.ate_link.transfer(
-                    initiator=initiator, stimulus_bits=ate_bits,
-                    response_bits=ate_response_bits, kind="pattern_burst",
-                    attributes={"patterns": burst},
-                ),
-                name=f"{self.name}.ate_burst",
+            self.ate_link.transfer_then(
+                arrive, initiator=initiator, stimulus_bits=ate_bits,
+                response_bits=ate_response_bits, kind="pattern_burst",
+                attributes={"patterns": burst},
             )
-            waits.append(ate_process.finished)
-            tam_process = self.sim.spawn(
-                self.tam.occupy(
-                    initiator=initiator, busy_cycles=tam_cycles,
-                    kind="pattern_burst", address=address, data_bits=tam_bits,
-                    attributes={"patterns": burst},
-                ),
-                name=f"{self.name}.tam_burst",
+            self.tam.occupy_then(
+                arrive, initiator=initiator, busy_cycles=tam_cycles,
+                kind="pattern_burst", address=address, data_bits=tam_bits,
+                attributes={"patterns": burst},
             )
-            waits.append(tam_process.finished)
-            shift_done = self.sim.event(f"{self.name}.shift_done")
-            shift_done.notify(clock.cycles(shift_cycles))
-            waits.append(shift_done)
-
-            yield AllOf(waits)
+            self.sim.schedule_callback(arrive, clock.cycles_fs(shift_cycles))
+            yield join.wait(3)
 
             if decompressor is not None and not decompressor.bypass:
                 decompressor.expand(
@@ -175,7 +173,6 @@ class ExternalBusInterface(Channel):
             stats["shift_cycles"] += shift_cycles
             self.patterns_streamed += burst
             self.bursts_streamed += 1
-            pattern_index += burst
             remaining -= burst
         return stats
 

@@ -136,9 +136,32 @@ class TamChannel(Channel, TamInterface):
         start_fs = self.sim.now_fs
         try:
             if busy_cycles:
-                yield Timeout(self.clock.cycles(busy_cycles))
+                yield Timeout(self.clock.cycles_fs(busy_cycles))
         finally:
             self._mutex.release()
+        self._account(start_fs, busy_cycles, initiator, kind, address,
+                      data_bits, attributes)
+
+    def occupy_then(self, then, initiator: str, busy_cycles: int,
+                    kind: str = "burst", address: Optional[int] = None,
+                    data_bits: int = 0,
+                    attributes: Optional[Dict[str, object]] = None) -> None:
+        """Callback form of :meth:`occupy` for callback-driven models.
+
+        Schedules the occupation as a delta activation and, once it is
+        released and accounted, schedules ``then()`` as another; the
+        channel sees exactly what a process running :meth:`occupy` would
+        do to it, with no process behind it.
+        """
+        if busy_cycles < 0:
+            raise ValueError("busy_cycles cannot be negative")
+        _Hold(self, busy_cycles, then,
+              (initiator, kind, address, data_bits, attributes))
+
+    def _account(self, start_fs: int, busy_cycles: int, initiator: str,
+                 kind: str, address: Optional[int], data_bits: int,
+                 attributes: Optional[Dict[str, object]]) -> None:
+        """Counters and tracer record of one finished occupation."""
         self.transaction_count += 1
         self.busy_cycles_total += busy_cycles
         self.bits_transferred += data_bits
@@ -243,19 +266,77 @@ class AteLink(Channel):
         start_fs = self.sim.now_fs
         try:
             if cycles:
-                yield Timeout(self.clock.cycles(cycles))
+                yield Timeout(self.clock.cycles_fs(cycles))
         finally:
             self._mutex.release()
+        self._account(start_fs, cycles, initiator, kind,
+                      max(stimulus_bits, response_bits), attributes)
+
+    def transfer_then(self, then, initiator: str, stimulus_bits: int,
+                      response_bits: int = 0, kind: str = "ate_transfer",
+                      attributes: Optional[Dict[str, object]] = None) -> None:
+        """Callback form of :meth:`transfer` (see
+        :meth:`TamChannel.occupy_then`): the transfer runs as scheduled
+        activations, then ``then()`` is scheduled."""
+        cycles = self.transfer_cycles(stimulus_bits, response_bits)
+        _Hold(self, cycles, then,
+              (initiator, kind, max(stimulus_bits, response_bits), attributes))
+
+    def _account(self, start_fs: int, cycles: int, initiator: str, kind: str,
+                 data_bits: int,
+                 attributes: Optional[Dict[str, object]]) -> None:
+        """Counters and tracer record of one finished transfer."""
         self.transaction_count += 1
         self.busy_cycles_total += cycles
         tracer = self.tracer
         if tracer.enabled:  # disabled tracing costs exactly this flag check
             tracer.record_fs(
                 self.name, kind, start_fs, self.sim.now_fs,
-                initiator=initiator,
-                data_bits=max(stimulus_bits, response_bits),
+                initiator=initiator, data_bits=data_bits,
                 attributes=dict(attributes or {}, busy_cycles=cycles),
             )
 
     def __repr__(self):
         return f"AteLink({self.name!r}, width={self.width_bits})"
+
+
+class _Hold:
+    """One callback-driven hold of an arbitrated channel.
+
+    The queue-action twin of the generator bodies of
+    :meth:`TamChannel.occupy` and :meth:`AteLink.transfer`: take the
+    channel's mutex, hold it for *busy_cycles*, release it, account through
+    the channel's ``_account`` and schedule *then*.  It pushes one entry
+    wherever a process running the generator form pushes one (its spawn,
+    the mutex hand-off, its ``Timeout`` and its ``finished`` notification),
+    in the same order, so a model may switch between the two forms without
+    moving a single activation.
+    """
+
+    __slots__ = ("channel", "busy_cycles", "then", "record", "start_fs")
+
+    def __init__(self, channel, busy_cycles: int, then, record: tuple):
+        self.channel = channel
+        self.busy_cycles = busy_cycles
+        self.then = then
+        #: The channel's ``_account`` arguments after the start and cycles.
+        self.record = record
+        channel.sim._push(0, self._start)
+
+    def _start(self) -> None:
+        self.channel._mutex.acquire_then(self._granted)
+
+    def _granted(self) -> None:
+        channel = self.channel
+        self.start_fs = channel.sim.now_fs
+        if self.busy_cycles:
+            channel.sim._push(channel.clock.cycles_fs(self.busy_cycles),
+                              self._expired)
+        else:
+            self._expired()
+
+    def _expired(self) -> None:
+        channel = self.channel
+        channel._mutex.release()
+        channel._account(self.start_fs, self.busy_cycles, *self.record)
+        channel.sim._push(0, self.then)

@@ -21,17 +21,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Timeout:
-    """A relative wait for a fixed duration of simulated time."""
+    """A relative wait for a fixed duration of simulated time.
 
-    __slots__ = ("duration",)
+    The duration is kept as integer femtoseconds (:attr:`duration_fs`), the
+    unit the scheduler queues in, so a clocked wait such as
+    ``Timeout(clock.cycles_fs(n))`` builds no :class:`SimTime`;
+    :attr:`duration` builds one on demand.
+    """
+
+    __slots__ = ("duration_fs",)
 
     def __init__(self, duration: Union[SimTime, int]):
-        # Hot path: Timeouts are created once per clocked wait, so skip the
-        # coerce() call for the common case of an existing SimTime.
-        if type(duration) is SimTime:
-            self.duration = duration
+        if type(duration) is int:
+            if duration < 0:
+                # Same error type/message as the SimTime constructor raises.
+                raise ValueError("simulated time cannot be negative")
+            self.duration_fs = duration
+        elif type(duration) is SimTime:
+            self.duration_fs = duration.femtoseconds
         else:
-            self.duration = SimTime.coerce(duration)
+            self.duration_fs = SimTime.coerce(duration).femtoseconds
+
+    @property
+    def duration(self) -> SimTime:
+        """The wait as a :class:`SimTime`."""
+        return SimTime(self.duration_fs)
 
     def __repr__(self):
         return f"Timeout({self.duration})"

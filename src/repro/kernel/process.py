@@ -78,7 +78,7 @@ class Process:
         # Hot path: Timeout waits and bare yields dominate every timed model,
         # so handle them inline and fall back to _suspend_on for the rest.
         if type(condition) is Timeout:
-            self.sim._push(condition.duration, self)
+            self.sim._push(condition.duration_fs, self)
         elif condition is None:
             self.sim._push(0, self)
         else:
@@ -89,7 +89,7 @@ class Process:
             # Bare ``yield`` waits for the next delta cycle.
             self.sim.schedule_process(self, 0)
         elif isinstance(condition, Timeout):
-            self.sim.schedule_process(self, condition.duration)
+            self.sim.schedule_process(self, condition.duration_fs)
         elif isinstance(condition, Event):
             self.subscribe(condition)
         elif isinstance(condition, AnyOf):

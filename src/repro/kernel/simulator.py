@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from types import MethodType
 from typing import Callable, List, Optional, Union
 
 from repro.kernel.event import Event
@@ -118,16 +119,16 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------------
     def _push(self, delay, action, value=None) -> _QueueEntry:
-        # Hot path: delays arrive either as SimTime (Timeout durations) or as
-        # plain integer femtoseconds (delta cycles); avoid SimTime.coerce and
-        # the temporary object for both.
-        if type(delay) is SimTime:
-            delay_fs = delay.femtoseconds
-        elif type(delay) is int:
+        # Hot path: the models' delays arrive as plain integer femtoseconds
+        # (Timeout durations, clocked waits, delta cycles); SimTime delays
+        # from API callers skip SimTime.coerce too.
+        if type(delay) is int:
             if delay < 0:
                 # Same error type/message as the SimTime constructor raises.
                 raise ValueError("simulated time cannot be negative")
             delay_fs = delay
+        elif type(delay) is SimTime:
+            delay_fs = delay.femtoseconds
         else:
             delay_fs = SimTime.coerce(delay).femtoseconds
         time_fs = self._now_fs + delay_fs
@@ -274,9 +275,15 @@ class Simulator:
         Without *until* the simulation runs until the event queue drains.
         With *until* it runs up to and including that absolute time and raises
         :class:`DeadlockError` if asked to reach a time for which no activity
-        is pending at all.
+        is pending at all, or :class:`SchedulingError` (leaving :attr:`now`
+        unchanged) if that time is already in the past.
         """
         limit_fs = None if until is None else SimTime.coerce(until).femtoseconds
+        if limit_fs is not None and limit_fs < self._now_fs:
+            raise SchedulingError(
+                f"cannot run until {SimTime(limit_fs)}: simulated time is "
+                f"already {self.now}"
+            )
         if (limit_fs is not None and not self._entry_count
                 and not self._update_requests):
             raise DeadlockError("nothing is scheduled; simulation cannot advance")
@@ -292,6 +299,7 @@ class Simulator:
         failures = self._failures
         process_class = Process
         event_class = Event
+        method_class = MethodType
         heappop = heapq.heappop
         dispatched = 0
         try:
@@ -343,10 +351,16 @@ class Simulator:
                     # timeout-vs-event race) is a no-op instead of corrupting
                     # the counters of an entry no longer in the store.
                     entry.cancelled = True
-                    if action.__class__ is process_class:
+                    action_class = action.__class__
+                    if action_class is process_class:
                         action.resume(value)
-                    elif action.__class__ is event_class:
+                    elif action_class is event_class:
                         action._fire(value)
+                    elif action_class is method_class:
+                        # Bound-method callbacks (channel holds, clock
+                        # edges, countdown arrivals) skip the isinstance
+                        # fallbacks below.
+                        action()
                     elif isinstance(action, process_class):
                         action.resume(value)
                     elif isinstance(action, event_class):

@@ -196,7 +196,7 @@ class ProcessorCore(Module):
             self.name, colorconv_address, image.astype(np.float64),
             data_bits=int(flat.size) * 8,
         )
-        yield Timeout(clock.cycles(height * width))
+        yield Timeout(clock.cycles_fs(height * width))
         ycbcr = yield from self.bus.functional_read(
             self.name, colorconv_address, bits=int(flat.size) * 8,
         )
@@ -213,7 +213,7 @@ class ProcessorCore(Module):
                     {"block": block, "channel": channel},
                     data_bits=BLOCK_SIZE * BLOCK_SIZE * 8,
                 )
-                yield Timeout(clock.cycles(80))
+                yield Timeout(clock.cycles_fs(80))
                 quantized = yield from self.bus.functional_read(
                     self.name, dct_address, bits=BLOCK_SIZE * BLOCK_SIZE * 16,
                 )
@@ -228,7 +228,7 @@ class ProcessorCore(Module):
                 symbols.extend(pairs)
         codec = HuffmanCodec.from_symbols(symbols)
         bitstream = codec.encode(symbols)
-        yield Timeout(clock.cycles(len(symbols) * self.software_cycles_per_symbol))
+        yield Timeout(clock.cycles_fs(len(symbols) * self.software_cycles_per_symbol))
 
         # 5. Store the compressed size back into memory (bookkeeping word).
         yield from self.bus.functional_write(
@@ -285,7 +285,7 @@ class ProcessorCore(Module):
             )
             idle_cycles = chunk_cycles - busy_cycles
             if idle_cycles > 0:
-                yield Timeout(clock.cycles(idle_cycles))
+                yield Timeout(clock.cycles_fs(idle_cycles))
             done += chunk
         return {
             "operations": total_operations,

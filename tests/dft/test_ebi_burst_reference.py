@@ -1,0 +1,188 @@
+"""Differential test: callback burst stages against the process-based burst.
+
+``ExternalBusInterface.stream_patterns`` runs each burst's three stages as
+scheduled callbacks.  :func:`reference_stream_patterns` below keeps the
+process-based form it replaced: one process per channel stage
+(``AteLink.transfer`` and ``TamChannel.occupy``), a delayed event for the
+shift stage and an ``AllOf`` join.  Both must push the same queue entries
+in the same order, so every observable of a run (tracer records, channel
+and arbiter counters, returned stats, dispatched activations and the final
+time) must be identical, under contention from plain processes and from a
+second stream.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dft import AteLink, ExternalBusInterface, ExternalTestTiming, TamChannel
+from repro.kernel import NS, AllOf, Clock, SimTime, Simulator, Timeout
+from repro.kernel.tracing import TransactionTracer
+
+
+def reference_stream_patterns(ebi, initiator, address, patterns, timing,
+                              burst_patterns=None):
+    """The process-based burst loop of ``stream_patterns`` (no wrapper,
+    decompressor or compactor)."""
+    sim, tam, ate_link = ebi.sim, ebi.tam, ebi.ate_link
+    burst_size = burst_patterns or ebi.buffer_patterns
+    clock = tam.clock
+    remaining = patterns
+    stats = {"patterns": 0, "bursts": 0, "ate_cycles": 0,
+             "tam_busy_cycles": 0, "shift_cycles": 0}
+    while remaining > 0:
+        burst = min(burst_size, remaining)
+        ate_bits = burst * timing.ate_bits_per_pattern
+        ate_response_bits = burst * timing.ate_response_bits_per_pattern
+        tam_bits = burst * timing.tam_bits_per_pattern
+        shift_cycles = burst * timing.shift_cycles_per_pattern
+        tam_cycles = (tam.transfer_cycles(tam_bits)
+                      + tam.arbitration_overhead_cycles)
+        ate_process = sim.spawn(
+            ate_link.transfer(
+                initiator=initiator, stimulus_bits=ate_bits,
+                response_bits=ate_response_bits, kind="pattern_burst",
+                attributes={"patterns": burst},
+            ),
+            name=f"{ebi.name}.ate_burst",
+        )
+        tam_process = sim.spawn(
+            tam.occupy(
+                initiator=initiator, busy_cycles=tam_cycles,
+                kind="pattern_burst", address=address, data_bits=tam_bits,
+                attributes={"patterns": burst},
+            ),
+            name=f"{ebi.name}.tam_burst",
+        )
+        shift_done = sim.event(f"{ebi.name}.shift_done")
+        shift_done.notify(clock.cycles(shift_cycles))
+        yield AllOf([ate_process.finished, tam_process.finished, shift_done])
+
+        stats["patterns"] += burst
+        stats["bursts"] += 1
+        stats["ate_cycles"] += ate_link.transfer_cycles(ate_bits,
+                                                        ate_response_bits)
+        stats["tam_busy_cycles"] += tam_cycles
+        stats["shift_cycles"] += shift_cycles
+        ebi.patterns_streamed += burst
+        ebi.bursts_streamed += 1
+        remaining -= burst
+    return stats
+
+
+def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
+              reference):
+    """Run *streams* and *contenders* on a fresh platform; every observable
+    the two burst forms must agree on."""
+    sim = Simulator("burst")
+    clock = Clock(sim, "clk", SimTime(10, NS))
+    tracer = TransactionTracer(enabled=tracing)
+    tam = TamChannel(sim, "tam", width_bits=tam_width, clock=clock,
+                     arbitration_overhead_cycles=overhead, tracer=tracer)
+    ate_link = AteLink(sim, "ate_link", width_bits=ate_width, clock=clock,
+                       tracer=tracer)
+    ebi = ExternalBusInterface(sim, "ebi", ate_link=ate_link, tam=tam,
+                               buffer_patterns=8)
+    ebi.enable()
+    results = []
+
+    def stream(index, start_cycles, patterns, timing, burst_patterns):
+        yield Timeout(clock.cycles(start_cycles))
+        if reference:
+            body = reference_stream_patterns(
+                ebi, f"s{index}", 0x1000, patterns, timing, burst_patterns)
+        else:
+            body = ebi.stream_patterns(
+                f"s{index}", 0x1000, patterns, timing,
+                burst_patterns=burst_patterns)
+        stats = yield from body
+        results.append((index, sim.now_fs, stats))
+
+    def contender(index, channel, start_cycles, hold_cycles, repeats, gap):
+        yield Timeout(clock.cycles(start_cycles))
+        for _ in range(repeats):
+            if channel == "tam":
+                yield from tam.occupy(f"c{index}", hold_cycles, kind="other",
+                                      data_bits=hold_cycles)
+            else:
+                yield from ate_link.transfer(f"c{index}",
+                                             hold_cycles * ate_width)
+            results.append((f"c{index}", sim.now_fs))
+            yield Timeout(clock.cycles(gap))
+
+    for index, spec in enumerate(streams):
+        sim.spawn(stream(index, *spec))
+    for index, spec in enumerate(contenders):
+        sim.spawn(contender(index, *spec))
+    sim.run()
+    return {
+        "records": tracer.records,
+        "results": results,
+        "tam": (tam.transaction_count, tam.busy_cycles_total,
+                tam.bits_transferred, tam._mutex.acquisitions,
+                tam._mutex.contentions, tam._mutex.locked),
+        "ate_link": (ate_link.transaction_count, ate_link.busy_cycles_total,
+                     ate_link._mutex.acquisitions,
+                     ate_link._mutex.contentions, ate_link._mutex.locked),
+        "ebi": (ebi.patterns_streamed, ebi.bursts_streamed),
+        "dispatched_activations": sim.dispatched_activations,
+        "now_fs": sim.now_fs,
+    }
+
+
+timings = st.builds(
+    ExternalTestTiming,
+    ate_bits_per_pattern=st.integers(0, 200),
+    ate_response_bits_per_pattern=st.integers(0, 200),
+    tam_bits_per_pattern=st.integers(0, 200),
+    shift_cycles_per_pattern=st.integers(0, 40),
+)
+streams_strategy = st.lists(
+    st.tuples(st.integers(0, 60),                      # start cycle
+              st.integers(1, 40),                      # patterns
+              timings,
+              st.one_of(st.none(), st.integers(1, 12))),  # burst size
+    min_size=1, max_size=2,
+)
+contenders_strategy = st.lists(
+    st.tuples(st.sampled_from(["tam", "ate"]),
+              st.integers(0, 200),                     # start cycle
+              st.integers(0, 30),                      # hold cycles
+              st.integers(1, 5),                       # repeats
+              st.integers(0, 20)),                     # gap cycles
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=streams_strategy, contenders=contenders_strategy,
+       tam_width=st.integers(1, 64), ate_width=st.integers(1, 16),
+       overhead=st.integers(0, 2), tracing=st.booleans())
+def test_callback_stages_match_process_reference(streams, contenders,
+                                                 tam_width, ate_width,
+                                                 overhead, tracing):
+    world = dict(streams=streams, contenders=contenders, tam_width=tam_width,
+                 ate_width=ate_width, overhead=overhead, tracing=tracing)
+    assert (run_world(**world, reference=False)
+            == run_world(**world, reference=True))
+
+
+def test_zero_cycle_stages_match_process_reference():
+    """All three stages take no time: every entry lands on one timestamp."""
+    timing = ExternalTestTiming(0, 0, 0, 0)
+    world = dict(streams=[(0, 20, timing, 4), (0, 9, timing, None)],
+                 contenders=[("tam", 0, 0, 3, 0), ("ate", 0, 0, 2, 0)],
+                 tam_width=8, ate_width=4, overhead=0, tracing=True)
+    new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    assert new["now_fs"] == 0
+
+
+def test_contended_stages_match_process_reference():
+    """Two streams and a process per channel queue on both arbiters."""
+    timing = ExternalTestTiming(64, 16, 96, 5)
+    world = dict(streams=[(0, 30, timing, 4), (3, 17, timing, None)],
+                 contenders=[("tam", 1, 20, 4, 3), ("ate", 2, 10, 3, 1)],
+                 tam_width=8, ate_width=4, overhead=1, tracing=True)
+    new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    assert new["tam"][4] > 0 and new["ate_link"][3] > 0

@@ -1,17 +1,27 @@
-"""Finished simulation processes are freed by reference counting alone.
+"""Finished simulation work is freed by reference counting alone.
 
-A schedule run spawns hundreds of short-lived processes (mostly EBI burst
-stages).  Nothing may keep them, their generators or their ``finished``
-events alive once they have terminated: not the simulator, and not a
-reference cycle that only the cyclic garbage collector could break.
+A schedule run spawns a process per test task and streams hundreds of EBI
+burst stages as scheduled callbacks.  Nothing may keep the finished
+processes, their generators, their ``finished`` events or the burst-stage
+objects (channel holds, per-call joins) alive once they are done: not the
+simulator, and not a reference cycle that only the cyclic garbage collector
+could break.
 """
 
 import gc
 import weakref
 
+from repro.dft import tam as tam_module
 from repro.kernel.simulator import Simulator
+from repro.kernel.sync import Countdown
+from repro.schedule import model
 from repro.soc.system import JpegSocTlm
 from repro.soc.testplan import build_test_schedules, build_test_tasks
+
+
+def _burst_stage_objects():
+    return [obj for obj in gc.get_objects()
+            if type(obj) in (tam_module._Hold, Countdown)]
 
 
 def test_schedule_run_leaves_no_process_alive(monkeypatch):
@@ -23,16 +33,36 @@ def test_schedule_run_leaves_no_process_alive(monkeypatch):
         spawned.append(weakref.ref(process))
         return process
 
+    stages = []
+    hold_init = tam_module._Hold.__init__
+
+    def counting_hold_init(self, *args):
+        stages.append(None)
+        hold_init(self, *args)
+
     monkeypatch.setattr(Simulator, "spawn", recording_spawn)
+    monkeypatch.setattr(tam_module._Hold, "__init__", counting_hold_init)
+    schedule = build_test_schedules()["schedule_1"]
+    tasks = build_test_tasks()
     soc = JpegSocTlm()
     gc.collect()
+    before = len(_burst_stage_objects())
     gc.disable()
     try:
-        metrics = soc.run_test_schedule(build_test_schedules()["schedule_1"],
-                                        build_test_tasks())
+        metrics = soc.run_test_schedule(schedule, tasks)
         alive = [ref() for ref in spawned if ref() is not None]
+        surviving_stages = len(_burst_stage_objects()) - before
     finally:
         gc.enable()
     assert metrics.execution.task_results
-    assert len(spawned) > 500
+    # One test-flow process, one process per task and one BIST engine per
+    # logic-BIST task; burst stages spawn none.
+    task_names = list(metrics.execution.task_results)
+    bist_tasks = [name for name in task_names
+                  if tasks[name].kind is model.TestKind.LOGIC_BIST]
+    assert len(spawned) == 1 + len(task_names) + len(bist_tasks)
     assert alive == []
+    # The ATE and TAM stages of every burst ran as channel holds ...
+    assert len(stages) > 500
+    # ... and none of them, nor a per-call join, outlives the run.
+    assert surviving_stages == 0

@@ -13,6 +13,7 @@ from repro.kernel import (
     Simulator,
     Timeout,
 )
+from repro.kernel.sync import Countdown
 
 
 class TestFifo:
@@ -143,6 +144,19 @@ class TestSignal:
 class TestClock:
     def test_cycles_duration(self, clock):
         assert clock.cycles(100) == SimTime(1000, NS)
+        assert clock.cycles_fs(100) == 1000 * NS
+        assert type(clock.cycles_fs(100)) is int
+        timeout = Timeout(clock.cycles_fs(100))
+        assert timeout.duration_fs == 1000 * NS
+        assert timeout.duration == clock.cycles(100)
+
+    def test_negative_cycle_count_rejected(self, clock):
+        with pytest.raises(ValueError, match="cycle count"):
+            clock.cycles_fs(-1)
+        with pytest.raises(ValueError, match="cycle count"):
+            clock.cycles(-1)
+        with pytest.raises(ValueError):
+            Timeout(-1)
 
     def test_frequency(self, clock):
         assert clock.frequency_hz == pytest.approx(100e6)
@@ -234,6 +248,145 @@ class TestMutex:
         sim.spawn(late())
         sim.run()
         assert order == ["queued", "late"]
+
+
+    @pytest.mark.parametrize("kill_at_ns", [1, 10],
+                             ids=["while_queued", "after_hand_over"])
+    def test_killed_waiter_does_not_keep_the_lock(self, sim, kill_at_ns):
+        """A waiter killed while queued, or at 10 ns right after the holder
+        handed it the lock but before it resumed, must not keep the lock:
+        the next waiter gets it."""
+        mutex = Mutex(sim, "m")
+        order = []
+
+        def holder():
+            yield from mutex.acquire()
+            yield Timeout(SimTime(10, NS))
+            mutex.release()
+
+        def victim():
+            yield from mutex.acquire()
+            order.append("victim")  # pragma: no cover - must never run
+            mutex.release()
+
+        def later():
+            yield Timeout(SimTime(2, NS))
+            yield from mutex.acquire()
+            order.append("later")
+            mutex.release()
+
+        def killer(process):
+            yield Timeout(SimTime(kill_at_ns, NS))
+            process.kill()
+
+        sim.spawn(holder())
+        doomed = sim.spawn(victim())
+        sim.spawn(later())
+        sim.spawn(killer(doomed))
+        sim.run()
+        assert order == ["later"]
+        assert not mutex.locked
+        assert mutex.acquisitions == 2
+
+    def test_generator_and_callback_acquirers_share_one_fifo(self, sim):
+        mutex = Mutex(sim, "m")
+        order = []
+
+        def hold(tag, hold_ns):
+            order.append(f"{tag}-in@{sim.now_fs // NS}")
+
+            def done():
+                order.append(f"{tag}-out")
+                mutex.release()
+
+            sim.schedule_callback(done, SimTime(hold_ns, NS))
+
+        def process(tag, start_ns, hold_ns):
+            yield Timeout(SimTime(start_ns, NS))
+            yield from mutex.acquire()
+            order.append(f"{tag}-in@{sim.now_fs // NS}")
+            yield Timeout(SimTime(hold_ns, NS))
+            order.append(f"{tag}-out")
+            mutex.release()
+
+        # Free lock: the callback acquirer runs at once, in this activation.
+        mutex.acquire_then(lambda: hold("c0", 10))
+        assert order == ["c0-in@0"] and mutex.locked
+        sim.spawn(process("p1", 1, 5))
+        sim.schedule_callback(
+            lambda: mutex.acquire_then(lambda: hold("c2", 5)), SimTime(2, NS))
+        sim.spawn(process("p3", 3, 5))
+        sim.schedule_callback(
+            lambda: mutex.acquire_then(lambda: hold("c4", 5)), SimTime(4, NS))
+        sim.run()
+        assert order == ["c0-in@0", "c0-out", "p1-in@10", "p1-out",
+                         "c2-in@15", "c2-out", "p3-in@20", "p3-out",
+                         "c4-in@25", "c4-out"]
+        assert mutex.acquisitions == 5
+        assert mutex.contentions == 4
+        assert not mutex.locked
+
+    def test_callback_hand_over_costs_a_process_hand_over(self):
+        """A queued callback acquirer gets the lock through the same number
+        of activations, at the same times, as a queued process."""
+
+        def run(callback_waiter):
+            sim = Simulator("handover")
+            mutex = Mutex(sim, "m")
+            granted = []
+
+            def holder():
+                yield from mutex.acquire()
+                yield Timeout(SimTime(10, NS))
+                mutex.release()
+
+            def waiter():
+                yield from mutex.acquire()
+                granted.append(sim.now_fs)
+                mutex.release()
+
+            sim.spawn(holder())
+            if callback_waiter:
+                def take():
+                    granted.append(sim.now_fs)
+                    mutex.release()
+                    # Stands in for the waiter process's finished event.
+                    sim.schedule_callback(lambda: None)
+
+                sim.schedule_callback(lambda: mutex.acquire_then(take))
+            else:
+                sim.spawn(waiter())
+            sim.run()
+            return granted, sim.dispatched_activations
+
+        assert run(True) == run(False)
+
+
+class TestCountdown:
+    def test_last_arrival_resumes_the_waiter(self, sim):
+        countdown = Countdown(sim, "join")
+        resumed = []
+
+        def waiter():
+            for _ in range(2):
+                for delay in (3, 1, 2):
+                    sim.schedule_callback(countdown.arrive, SimTime(delay, NS))
+                yield countdown.wait(3)
+                resumed.append(sim.now_fs // NS)
+
+        sim.spawn(waiter())
+        sim.run()
+        assert resumed == [3, 6]
+
+    def test_misuse_raises(self, sim):
+        countdown = Countdown(sim)
+        with pytest.raises(ValueError):
+            countdown.wait(0)
+        countdown.wait(1)
+        with pytest.raises(RuntimeError):
+            countdown.wait(1)
+        with pytest.raises(RuntimeError):
+            Countdown(sim).arrive()
 
 
 class TestSemaphore:

@@ -9,7 +9,7 @@ simultaneous activations and the O(1) pending-activation counter.
 import pytest
 
 from repro.kernel import NS, SimTime, Simulator, Timeout
-from repro.kernel.exceptions import DeadlockError
+from repro.kernel.exceptions import DeadlockError, SchedulingError
 
 
 class TestRunUntilBoundary:
@@ -57,6 +57,22 @@ class TestRunUntilBoundary:
         assert fired == [5 * NS]
         sim.run(until=SimTime(15, NS))
         assert fired == [5 * NS, 10 * NS, 15 * NS]
+
+
+    def test_until_in_the_past_is_refused(self, sim):
+        def proc():
+            yield Timeout(SimTime(20, NS))
+
+        sim.spawn(proc())
+        sim.run(until=SimTime(12, NS))
+        with pytest.raises(SchedulingError):
+            sim.run(until=SimTime(5, NS))
+        # Time never moves backwards, and the pending work is untouched.
+        assert sim.now == SimTime(12, NS)
+        assert sim.pending_activations == 1
+        # Running until the current time is allowed (and a no-op here).
+        assert sim.run(until=SimTime(12, NS)) == SimTime(12, NS)
+        assert sim.run() == SimTime(20, NS)
 
 
 class TestDeadlock:
