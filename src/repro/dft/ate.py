@@ -167,6 +167,9 @@ class AutomatedTestEquipment(Channel):
         super().__init__(parent, name)
         if not 0.0 < status_poll_fraction <= 1.0:
             raise ValueError("status_poll_fraction must be in (0, 1]")
+        if burst_patterns < 1:
+            raise ValueError(
+                f"burst_patterns must be at least 1, got {burst_patterns}")
         if vector_memory_words < 0:
             raise ValueError("vector_memory_words cannot be negative")
         if reload_cycles < 0:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.kernel.channel import Channel
+from repro.kernel.event import Timeout
 from repro.kernel.module import Module
 from repro.kernel.simulator import Simulator
 from repro.kernel.sync import Countdown
@@ -55,6 +56,9 @@ class ExternalBusInterface(Channel):
                  ate_link: AteLink, tam: TamChannel,
                  buffer_patterns: int = 64):
         super().__init__(parent, name)
+        if buffer_patterns < 1:
+            raise ValueError(
+                f"buffer_patterns must be at least 1, got {buffer_patterns}")
         self.ate_link = ate_link
         self.tam = tam
         self.buffer_patterns = buffer_patterns
@@ -104,23 +108,40 @@ class ExternalBusInterface(Channel):
         recorded transaction streams directly yield ATE-channel and TAM
         utilization.
 
-        The stages are plain scheduled callbacks, not processes: the ATE and
-        TAM stages go through :meth:`AteLink.transfer_then` and
-        :meth:`TamChannel.occupy_then`, the shift stage is a delayed
-        arrival, and all three arrive at one :class:`Countdown` per call
-        that resumes the streaming process.  They push the same queue
-        entries in the same order as one process per channel stage, a
-        delayed event and an ``AllOf`` join would, so the activation stream
-        is that of the process-based form.
+        The general path runs the stages as plain scheduled callbacks, not
+        processes: the ATE and TAM stages go through
+        :meth:`AteLink.transfer_then` and :meth:`TamChannel.occupy_then`,
+        the shift stage is a delayed arrival, and all three arrive at one
+        :class:`Countdown` per call that resumes the streaming process.
+        They push the same queue entries in the same order as one process
+        per channel stage, a delayed event and an ``AllOf`` join would, so
+        the activation stream is that of the process-based form.
+
+        While both channels are free with nobody waiting, every burst that
+        ends no later than :meth:`Simulator.lookahead_fs` is leapt in
+        closed form instead: nothing else can act before it ends, so its
+        arbiter counts, channel accounting (ATE first unless its stage is
+        the longer one), model update and stats are applied at once, and
+        its queue entries are credited as dispatched.  The leapt train
+        ends in one ``Timeout``, itself one of the credited entries, so
+        records, counters, stats, ``dispatched_activations`` and ``now``
+        are those of the general path wherever anything else can look.
         """
         if patterns <= 0:
             raise ValueError("pattern count must be positive")
+        if burst_patterns is not None and burst_patterns < 1:
+            raise ValueError(
+                f"burst_patterns must be at least 1, got {burst_patterns}")
         if not self.enabled:
             raise RuntimeError(
                 f"EBI {self.name!r} must be enabled (configured) before streaming"
             )
-        burst_size = burst_patterns or self.buffer_patterns
-        clock = self.tam.clock
+        burst_size = (self.buffer_patterns if burst_patterns is None
+                      else burst_patterns)
+        sim = self.sim
+        ate_link, tam = self.ate_link, self.tam
+        ate_mutex, tam_mutex = ate_link._mutex, tam._mutex
+        cycles_fs = tam.clock.cycles_fs
         remaining = patterns
         stats = {
             "patterns": 0,
@@ -129,52 +150,122 @@ class ExternalBusInterface(Channel):
             "tam_busy_cycles": 0,
             "shift_cycles": 0,
         }
-        join = Countdown(self.sim, f"{self.name}.burst_done")
-        arrive = join.arrive
+        join = None
         while remaining > 0:
+            if ate_mutex.idle and tam_mutex.idle:
+                horizon_fs = sim.lookahead_fs()
+                start_fs = end_fs = sim.now_fs
+                # Leapt entries: all of them, and those at the train's end.
+                credit = final = 0
+                while remaining > 0:
+                    burst = min(burst_size, remaining)
+                    shape = self._burst_shape(burst, timing)
+                    (ate_bits, ate_response_bits, ate_cycles, tam_bits,
+                     tam_cycles, shift_cycles) = shape
+                    ate_end_fs = end_fs + cycles_fs(ate_cycles)
+                    tam_end_fs = end_fs + cycles_fs(tam_cycles)
+                    shift_end_fs = end_fs + cycles_fs(shift_cycles)
+                    burst_end_fs = max(ate_end_fs, tam_end_fs, shift_end_fs)
+                    if burst_end_fs > horizon_fs:
+                        break
+                    ate_mutex.acquisitions += 1
+                    tam_mutex.acquisitions += 1
+                    attributes = {"patterns": burst}
+                    ate_data_bits = max(ate_bits, ate_response_bits)
+                    if ate_end_fs <= tam_end_fs:
+                        ate_link._account(end_fs, ate_end_fs, ate_cycles,
+                                          initiator, "pattern_burst",
+                                          ate_data_bits, attributes)
+                    tam._account(end_fs, tam_end_fs, tam_cycles, initiator,
+                                 "pattern_burst", address, tam_bits,
+                                 attributes)
+                    if ate_end_fs > tam_end_fs:
+                        ate_link._account(end_fs, ate_end_fs, ate_cycles,
+                                          initiator, "pattern_burst",
+                                          ate_data_bits, attributes)
+                    # Per channel stage: its start, its expiry (if timed)
+                    # and its arrival; plus the shift arrival and the
+                    # streaming process's resumption.  At the burst's end
+                    # lie the resumption, the shift arrival if the shift
+                    # ends there, and the last two entries of each channel
+                    # stage that ends there (all six for a burst that
+                    # takes no time).
+                    credit += 6 + (ate_cycles > 0) + (tam_cycles > 0)
+                    if burst_end_fs > end_fs:
+                        final = 0
+                    final += (1 + (shift_end_fs == burst_end_fs)
+                              + 2 * (ate_end_fs == burst_end_fs)
+                              + 2 * (tam_end_fs == burst_end_fs))
+                    self._burst_done(burst, shape, stats, timing, wrapper,
+                                     decompressor, compactor)
+                    remaining -= burst
+                    end_fs = burst_end_fs
+                if credit:
+                    # The entries before the train's end are folded with
+                    # this timestamp, the rest with the end's, where the
+                    # train's own Timeout resumption stands for one.
+                    sim.credit_activations(credit - final)
+                    yield Timeout(end_fs - start_fs)
+                    sim.credit_activations(final - 1)
+                    continue
             burst = min(burst_size, remaining)
-            ate_bits = burst * timing.ate_bits_per_pattern
-            ate_response_bits = burst * timing.ate_response_bits_per_pattern
-            tam_bits = burst * timing.tam_bits_per_pattern
-            shift_cycles = burst * timing.shift_cycles_per_pattern
-            tam_cycles = (self.tam.transfer_cycles(tam_bits)
-                          + self.tam.arbitration_overhead_cycles)
-
-            self.ate_link.transfer_then(
+            shape = self._burst_shape(burst, timing)
+            (ate_bits, ate_response_bits, _, tam_bits, tam_cycles,
+             shift_cycles) = shape
+            if join is None:
+                join = Countdown(sim, f"{self.name}.burst_done")
+            arrive = join.arrive
+            ate_link.transfer_then(
                 arrive, initiator=initiator, stimulus_bits=ate_bits,
                 response_bits=ate_response_bits, kind="pattern_burst",
                 attributes={"patterns": burst},
             )
-            self.tam.occupy_then(
+            tam.occupy_then(
                 arrive, initiator=initiator, busy_cycles=tam_cycles,
                 kind="pattern_burst", address=address, data_bits=tam_bits,
                 attributes={"patterns": burst},
             )
-            self.sim.schedule_callback(arrive, clock.cycles_fs(shift_cycles))
+            sim.schedule_callback(arrive, cycles_fs(shift_cycles))
             yield join.wait(3)
-
-            if decompressor is not None and not decompressor.bypass:
-                decompressor.expand(
-                    burst * timing.ate_bits_per_pattern, patterns=burst
-                )
-            elif wrapper is not None:
-                wrapper.apply_external_patterns(burst)
-            if compactor is not None:
-                compactor.compact(
-                    burst * (wrapper.response_bits_per_pattern() if wrapper else 0),
-                )
-
-            stats["patterns"] += burst
-            stats["bursts"] += 1
-            stats["ate_cycles"] += self.ate_link.transfer_cycles(
-                ate_bits, ate_response_bits
-            )
-            stats["tam_busy_cycles"] += tam_cycles
-            stats["shift_cycles"] += shift_cycles
-            self.patterns_streamed += burst
-            self.bursts_streamed += 1
+            self._burst_done(burst, shape, stats, timing, wrapper,
+                             decompressor, compactor)
             remaining -= burst
         return stats
+
+    def _burst_shape(self, burst: int, timing: ExternalTestTiming) -> tuple:
+        """``(ate_bits, ate_response_bits, ate_cycles, tam_bits, tam_cycles,
+        shift_cycles)`` of one burst of *burst* patterns."""
+        ate_bits = burst * timing.ate_bits_per_pattern
+        ate_response_bits = burst * timing.ate_response_bits_per_pattern
+        tam_bits = burst * timing.tam_bits_per_pattern
+        tam = self.tam
+        return (ate_bits, ate_response_bits,
+                self.ate_link.transfer_cycles(ate_bits, ate_response_bits),
+                tam_bits,
+                tam.transfer_cycles(tam_bits) + tam.arbitration_overhead_cycles,
+                burst * timing.shift_cycles_per_pattern)
+
+    def _burst_done(self, burst: int, shape: tuple, stats: dict,
+                    timing: ExternalTestTiming, wrapper, decompressor,
+                    compactor) -> None:
+        """Model update and stats of one finished burst."""
+        if decompressor is not None and not decompressor.bypass:
+            decompressor.expand(
+                burst * timing.ate_bits_per_pattern, patterns=burst
+            )
+        elif wrapper is not None:
+            wrapper.apply_external_patterns(burst)
+        if compactor is not None:
+            compactor.compact(
+                burst * (wrapper.response_bits_per_pattern() if wrapper else 0),
+            )
+        stats["patterns"] += burst
+        stats["bursts"] += 1
+        stats["ate_cycles"] += shape[2]
+        stats["tam_busy_cycles"] += shape[4]
+        stats["shift_cycles"] += shape[5]
+        self.patterns_streamed += burst
+        self.bursts_streamed += 1
 
     # -- convenience ---------------------------------------------------------------------
     @staticmethod

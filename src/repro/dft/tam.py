@@ -139,8 +139,8 @@ class TamChannel(Channel, TamInterface):
                 yield Timeout(self.clock.cycles_fs(busy_cycles))
         finally:
             self._mutex.release()
-        self._account(start_fs, busy_cycles, initiator, kind, address,
-                      data_bits, attributes)
+        self._account(start_fs, self.sim.now_fs, busy_cycles, initiator, kind,
+                      address, data_bits, attributes)
 
     def occupy_then(self, then, initiator: str, busy_cycles: int,
                     kind: str = "burst", address: Optional[int] = None,
@@ -158,17 +158,19 @@ class TamChannel(Channel, TamInterface):
         _Hold(self, busy_cycles, then,
               (initiator, kind, address, data_bits, attributes))
 
-    def _account(self, start_fs: int, busy_cycles: int, initiator: str,
-                 kind: str, address: Optional[int], data_bits: int,
+    def _account(self, start_fs: int, end_fs: int, busy_cycles: int,
+                 initiator: str, kind: str, address: Optional[int],
+                 data_bits: int,
                  attributes: Optional[Dict[str, object]]) -> None:
-        """Counters and tracer record of one finished occupation."""
+        """Counters and tracer record of one occupation over
+        [*start_fs*, *end_fs*]."""
         self.transaction_count += 1
         self.busy_cycles_total += busy_cycles
         self.bits_transferred += data_bits
         tracer = self.tracer
         if tracer.enabled:  # disabled tracing costs exactly this flag check
             tracer.record_fs(
-                self.name, kind, start_fs, self.sim.now_fs,
+                self.name, kind, start_fs, end_fs,
                 initiator=initiator, address=address, data_bits=data_bits,
                 attributes=dict(attributes or {}, busy_cycles=busy_cycles),
             )
@@ -269,7 +271,7 @@ class AteLink(Channel):
                 yield Timeout(self.clock.cycles_fs(cycles))
         finally:
             self._mutex.release()
-        self._account(start_fs, cycles, initiator, kind,
+        self._account(start_fs, self.sim.now_fs, cycles, initiator, kind,
                       max(stimulus_bits, response_bits), attributes)
 
     def transfer_then(self, then, initiator: str, stimulus_bits: int,
@@ -282,16 +284,17 @@ class AteLink(Channel):
         _Hold(self, cycles, then,
               (initiator, kind, max(stimulus_bits, response_bits), attributes))
 
-    def _account(self, start_fs: int, cycles: int, initiator: str, kind: str,
-                 data_bits: int,
+    def _account(self, start_fs: int, end_fs: int, cycles: int,
+                 initiator: str, kind: str, data_bits: int,
                  attributes: Optional[Dict[str, object]]) -> None:
-        """Counters and tracer record of one finished transfer."""
+        """Counters and tracer record of one transfer over
+        [*start_fs*, *end_fs*]."""
         self.transaction_count += 1
         self.busy_cycles_total += cycles
         tracer = self.tracer
         if tracer.enabled:  # disabled tracing costs exactly this flag check
             tracer.record_fs(
-                self.name, kind, start_fs, self.sim.now_fs,
+                self.name, kind, start_fs, end_fs,
                 initiator=initiator, data_bits=data_bits,
                 attributes=dict(attributes or {}, busy_cycles=cycles),
             )
@@ -338,5 +341,6 @@ class _Hold:
     def _expired(self) -> None:
         channel = self.channel
         channel._mutex.release()
-        channel._account(self.start_fs, self.busy_cycles, *self.record)
+        channel._account(self.start_fs, channel.sim.now_fs, self.busy_cycles,
+                         *self.record)
         channel.sim._push(0, self.then)

@@ -26,6 +26,7 @@ in exact FIFO-per-timestamp order.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from types import MethodType
 from typing import Callable, List, Optional, Union
@@ -103,8 +104,16 @@ class Simulator:
         self._pending_count = 0
         self._cancelled_count = 0
         self.trace_hooks: List[Callable] = []
-        #: Number of queue entries processed so far (for performance studies).
+        #: Absolute ``until`` bound of the running :meth:`run` call, if any.
+        self._limit_fs: Optional[int] = None
+        #: Number of queue entries dispatched or leapt so far (for
+        #: performance studies).  A leapt entry is one a model applied in
+        #: closed form under :meth:`lookahead_fs` and credited through
+        #: :meth:`credit_activations`, so a leap leaves the count as if
+        #: every entry had been dispatched.
         self.dispatched_activations = 0
+        #: Credited entries not yet folded into the count (see run()).
+        self._credited = 0
 
     # -- time ----------------------------------------------------------------
     @property
@@ -244,6 +253,44 @@ class Simulator:
         entries.extend(sorted(self._far))
         return entries
 
+    def lookahead_fs(self) -> Union[int, float]:
+        """Latest time (fs) up to which nothing but the running activation
+        can act.
+
+        A model may use it to apply, in closed form, work whose queue
+        entries would all be dispatched no later than this time: no other
+        entry can run in between to observe the difference.  It is ``-1``
+        when the fast lane holds another entry or an update is requested,
+        otherwise one less than the earliest pending bucket or far-heap
+        time (``inf`` when nothing is pending), capped by the running
+        ``run(until=...)`` bound.  Cancelled entries still count as
+        pending, which only makes the answer more conservative.
+        """
+        if self._lane or self._update_requests:
+            return -1
+        buckets = self._buckets
+        bucket_times = self._bucket_times
+        while bucket_times and bucket_times[0] not in buckets:
+            heapq.heappop(bucket_times)  # stale: bucket already drained
+        horizon = bucket_times[0] - 1 if bucket_times else math.inf
+        if self._far and self._far[0].time_fs <= horizon:
+            horizon = self._far[0].time_fs - 1
+        limit_fs = self._limit_fs
+        if limit_fs is not None and limit_fs < horizon:
+            return limit_fs
+        return horizon
+
+    def credit_activations(self, count: int) -> None:
+        """Count *count* entries a model leapt under :meth:`lookahead_fs`
+        as dispatched at the running timestamp.
+
+        Called from inside an activation.  The credit is folded into
+        :attr:`dispatched_activations` with the timestamp's own dispatches,
+        so a reader sees it exactly when it would see the entries had they
+        been dispatched at this timestamp.
+        """
+        self._credited += count
+
     def request_update(self, primitive) -> None:
         """Request that ``primitive.update()`` runs in the next update phase."""
         self._update_requests.append(primitive)
@@ -288,6 +335,7 @@ class Simulator:
                 and not self._update_requests):
             raise DeadlockError("nothing is scheduled; simulation cannot advance")
         self._running = True
+        self._limit_fs = limit_fs
         # The drain below is the hottest loop of the whole stack, so the
         # three tiers (and a few bound methods) are aliased into locals.
         # _compact() and _cascade_far() mutate the containers in place, which
@@ -373,7 +421,8 @@ class Simulator:
                 # Fold the slot's dispatch count back per timestamp so that
                 # instrumentation reading the counter mid-run sees progress;
                 # the finally below only covers an exception mid-slot.
-                self.dispatched_activations += dispatched
+                self.dispatched_activations += dispatched + self._credited
+                self._credited = 0
                 dispatched = 0
                 # Update phase (may schedule new delta activations at now).
                 if self._update_requests:
@@ -381,9 +430,11 @@ class Simulator:
                     if failures:
                         self._raise_pending_failure()
         finally:
-            self.dispatched_activations += dispatched
+            self.dispatched_activations += dispatched + self._credited
+            self._credited = 0
             self._lane_time = self._lane_time if lane else -1
             self._running = False
+            self._limit_fs = None
         return self.now
 
     def _raise_pending_failure(self) -> None:

@@ -95,12 +95,17 @@ class Mutex:
             if waiter.__class__ is Event:
                 waiter.notify(0)
             else:
-                # A callback acquirer owns the lock from the hand-off on.
-                self.acquisitions += 1
+                # A callback acquirer takes over as a woken process does:
+                # the ticket notification, then the resumption, which
+                # counts the acquisition and runs the callback.
                 push = self.sim._push
-                push(0, partial(push, 0, waiter))
+                push(0, partial(push, 0, partial(self._take_over, waiter)))
         else:
             self._locked = False
+
+    def _take_over(self, callback) -> None:
+        self.acquisitions += 1
+        callback()
 
     def _abandon(self, ticket: Event) -> None:
         try:
@@ -112,6 +117,11 @@ class Mutex:
     @property
     def locked(self) -> bool:
         return self._locked
+
+    @property
+    def idle(self) -> bool:
+        """``True`` when the lock is free and nobody waits for it."""
+        return not self._locked and not self._waiters
 
 
 class Countdown:

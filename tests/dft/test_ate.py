@@ -6,7 +6,12 @@ drastically reduced pattern counts so every test stays fast.
 
 import pytest
 
-from repro.dft.ate import StepKind, TestProgram, TestProgramStep
+from repro.dft.ate import (
+    AutomatedTestEquipment,
+    StepKind,
+    TestProgram,
+    TestProgramStep,
+)
 from repro.memory.march import MATS
 from repro.schedule.model import TestKind, TestSchedule, TestTask
 from repro.soc import JpegSocTlm, SocConfiguration
@@ -60,6 +65,14 @@ class TestTestProgram:
         bad = TestSchedule(name="bad", phases=[["missing_task"]])
         with pytest.raises(ValueError):
             TestProgram.from_schedule(bad, small_tasks)
+
+
+@pytest.mark.parametrize("size", [0, -4])
+def test_ate_burst_size_below_one_rejected(small_soc, size):
+    with pytest.raises(ValueError, match="burst_patterns"):
+        AutomatedTestEquipment(small_soc.sim, "ate2",
+                               architecture=small_soc.architecture,
+                               burst_patterns=size)
 
 
 class TestAteExecution:

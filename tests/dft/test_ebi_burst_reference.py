@@ -1,20 +1,25 @@
-"""Differential test: callback burst stages against the process-based burst.
+"""Differential test: EBI bursts against the process-based burst.
 
-``ExternalBusInterface.stream_patterns`` runs each burst's three stages as
-scheduled callbacks.  :func:`reference_stream_patterns` below keeps the
-process-based form it replaced: one process per channel stage
-(``AteLink.transfer`` and ``TamChannel.occupy``), a delayed event for the
-shift stage and an ``AllOf`` join.  Both must push the same queue entries
-in the same order, so every observable of a run (tracer records, channel
-and arbiter counters, returned stats, dispatched activations and the final
-time) must be identical, under contention from plain processes and from a
-second stream.
+``ExternalBusInterface.stream_patterns`` leaps uncontended burst trains in
+closed form and runs every other burst's three stages as scheduled
+callbacks.  :func:`reference_stream_patterns` below keeps the process-based
+form both replaced: one process per channel stage (``AteLink.transfer``
+and ``TamChannel.occupy``), a delayed event for the shift stage and an
+``AllOf`` join.  Every observable of a run (tracer records, channel and
+arbiter counters, returned stats, dispatched activations and the time)
+must be identical, under contention from plain processes and from a second
+stream, at every activation of an observer process, and at a
+``run(until=...)`` stop.
 """
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dft import AteLink, ExternalBusInterface, ExternalTestTiming, TamChannel
+from repro.dft import tam as tam_module
 from repro.kernel import NS, AllOf, Clock, SimTime, Simulator, Timeout
 from repro.kernel.tracing import TransactionTracer
 
@@ -70,9 +75,15 @@ def reference_stream_patterns(ebi, initiator, address, patterns, timing,
 
 
 def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
-              reference):
+              reference, until_cycles=None):
     """Run *streams* and *contenders* on a fresh platform; every observable
-    the two burst forms must agree on."""
+    the two burst forms must agree on.
+
+    A ``"tick"`` contender touches no channel: it only wakes up and
+    snapshots the observables.  With *until_cycles* the run first stops
+    there; the result is then the pair of observables at the stop and
+    after a final ``run()``.
+    """
     sim = Simulator("burst")
     clock = Clock(sim, "clk", SimTime(10, NS))
     tracer = TransactionTracer(enabled=tracing)
@@ -85,6 +96,17 @@ def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
     ebi.enable()
     results = []
 
+    def counters():
+        return (
+            (tam.transaction_count, tam.busy_cycles_total,
+             tam.bits_transferred, tam._mutex.acquisitions,
+             tam._mutex.contentions, tam._mutex.locked),
+            (ate_link.transaction_count, ate_link.busy_cycles_total,
+             ate_link._mutex.acquisitions,
+             ate_link._mutex.contentions, ate_link._mutex.locked),
+            (ebi.patterns_streamed, ebi.bursts_streamed),
+        )
+
     def stream(index, start_cycles, patterns, timing, burst_patterns):
         yield Timeout(clock.cycles(start_cycles))
         if reference:
@@ -95,12 +117,17 @@ def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
                 f"s{index}", 0x1000, patterns, timing,
                 burst_patterns=burst_patterns)
         stats = yield from body
-        results.append((index, sim.now_fs, stats))
+        results.append((index, sim.now_fs, sim.dispatched_activations, stats))
 
     def contender(index, channel, start_cycles, hold_cycles, repeats, gap):
         yield Timeout(clock.cycles(start_cycles))
         for _ in range(repeats):
-            if channel == "tam":
+            if channel == "tick":
+                yield Timeout(clock.cycles(hold_cycles))
+                results.append((f"t{index}", sim.now_fs,
+                                sim.dispatched_activations, len(tracer),
+                                counters()))
+            elif channel == "tam":
                 yield from tam.occupy(f"c{index}", hold_cycles, kind="other",
                                       data_bits=hold_cycles)
             else:
@@ -113,20 +140,39 @@ def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
         sim.spawn(stream(index, *spec))
     for index, spec in enumerate(contenders):
         sim.spawn(contender(index, *spec))
+
+    def observables():
+        tam_counters, ate_counters, ebi_counters = counters()
+        return {
+            "records": tracer.records,
+            "results": list(results),
+            "tam": tam_counters,
+            "ate_link": ate_counters,
+            "ebi": ebi_counters,
+            "dispatched_activations": sim.dispatched_activations,
+            "now_fs": sim.now_fs,
+        }
+
+    if until_cycles is None:
+        sim.run()
+        return observables()
+    sim.run(until=clock.cycles(until_cycles))
+    stop = observables()
     sim.run()
-    return {
-        "records": tracer.records,
-        "results": results,
-        "tam": (tam.transaction_count, tam.busy_cycles_total,
-                tam.bits_transferred, tam._mutex.acquisitions,
-                tam._mutex.contentions, tam._mutex.locked),
-        "ate_link": (ate_link.transaction_count, ate_link.busy_cycles_total,
-                     ate_link._mutex.acquisitions,
-                     ate_link._mutex.contentions, ate_link._mutex.locked),
-        "ebi": (ebi.patterns_streamed, ebi.bursts_streamed),
-        "dispatched_activations": sim.dispatched_activations,
-        "now_fs": sim.now_fs,
-    }
+    return stop, observables()
+
+
+def count_holds():
+    """Patch context counting the channel holds created (general path)."""
+    created = []
+    hold_init = tam_module._Hold.__init__
+
+    def counting_init(self, *args):
+        created.append(None)
+        hold_init(self, *args)
+
+    return created, mock.patch.object(tam_module._Hold, "__init__",
+                                      counting_init)
 
 
 timings = st.builds(
@@ -186,3 +232,118 @@ def test_contended_stages_match_process_reference():
     new = run_world(**world, reference=False)
     assert new == run_world(**world, reference=True)
     assert new["tam"][4] > 0 and new["ate_link"][3] > 0
+
+
+# -- the closed-form leap ------------------------------------------------------------
+
+single_stream = st.tuples(st.integers(0, 60), st.integers(1, 40), timings,
+                          st.one_of(st.none(), st.integers(1, 12)))
+# Observers and channel users whose wake-ups fall inside the streams' bursts,
+# so foreign entries split leapt trains (or land exactly on a burst's end).
+foreign_strategy = st.lists(
+    st.tuples(st.sampled_from(["tick", "tick", "tam", "ate"]),
+              st.integers(0, 300),                     # start cycle
+              st.integers(0, 30),                      # hold cycles
+              st.integers(1, 6),                       # repeats
+              st.integers(0, 40)),                     # gap cycles
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stream=single_stream, tam_width=st.integers(1, 64),
+       ate_width=st.integers(1, 16), overhead=st.integers(0, 2),
+       tracing=st.booleans())
+def test_lone_stream_is_leapt_and_matches_reference(stream, tam_width,
+                                                    ate_width, overhead,
+                                                    tracing):
+    world = dict(streams=[stream], contenders=[], tam_width=tam_width,
+                 ate_width=ate_width, overhead=overhead, tracing=tracing)
+    holds, patch = count_holds()
+    with patch:
+        new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    # Nothing else is pending while it streams: every burst is leapt.
+    assert holds == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=streams_strategy, contenders=foreign_strategy,
+       tam_width=st.integers(1, 64), ate_width=st.integers(1, 16),
+       overhead=st.integers(0, 2), tracing=st.booleans())
+def test_foreign_entries_inside_a_train_match_reference(streams, contenders,
+                                                        tam_width, ate_width,
+                                                        overhead, tracing):
+    world = dict(streams=streams, contenders=contenders, tam_width=tam_width,
+                 ate_width=ate_width, overhead=overhead, tracing=tracing)
+    assert (run_world(**world, reference=False)
+            == run_world(**world, reference=True))
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+@settings(max_examples=100, deadline=None)
+@given(streams=streams_strategy,
+       contenders=st.one_of(st.just([]), foreign_strategy),
+       tam_width=st.integers(1, 64), ate_width=st.integers(1, 16),
+       overhead=st.integers(0, 2), until_cycles=st.integers(0, 600))
+def test_run_until_inside_a_stream_matches_reference(tracing, streams,
+                                                     contenders, tam_width,
+                                                     ate_width, overhead,
+                                                     until_cycles):
+    world = dict(streams=streams, contenders=contenders, tam_width=tam_width,
+                 ate_width=ate_width, overhead=overhead, tracing=tracing,
+                 until_cycles=until_cycles)
+    assert (run_world(**world, reference=False)
+            == run_world(**world, reference=True))
+
+
+def test_an_observer_splits_a_train():
+    """One wake-up inside a 10-burst stream: the burst it falls into runs
+    on the general path, the others are leapt."""
+    timing = ExternalTestTiming(16, 16, 64, 3)
+    world = dict(streams=[(0, 40, timing, 4)],
+                 contenders=[("tick", 0, 47, 1, 0)],
+                 tam_width=16, ate_width=4, overhead=1, tracing=True)
+    holds, patch = count_holds()
+    with patch:
+        new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    assert 0 < len(holds) < 2 * new["ebi"][1]
+
+
+def test_observer_at_a_burst_end_sees_it_unfinished():
+    """An observer waking exactly when the second 17-cycle burst ends runs
+    before that burst's last stages, so the train must stop one burst
+    earlier."""
+    timing = ExternalTestTiming(16, 16, 64, 3)
+    world = dict(streams=[(0, 40, timing, 4)],
+                 contenders=[("tick", 0, 34, 1, 0)],
+                 tam_width=16, ate_width=4, overhead=1, tracing=True)
+    new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    # It sees the first burst's records and the second's ATE record only.
+    assert new["results"][0][1] == 34 * 10 * NS
+    assert new["results"][0][3] == 3
+
+
+def test_equal_stage_times_record_ate_first():
+    """ATE and TAM stages of equal length: the ATE record comes first."""
+    timing = ExternalTestTiming(8, 0, 8, 0)
+    world = dict(streams=[(0, 12, timing, 4)], contenders=[],
+                 tam_width=16, ate_width=8, overhead=2, tracing=True)
+    new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    assert [record.channel for record in new["records"][:2]] == [
+        "ate_link", "tam"]
+    assert new["records"][0].end == new["records"][1].end
+
+
+def test_foreign_entry_in_the_lane_blocks_the_leap():
+    """An observer waking at the stream's start runs before any of its
+    bursts' stages, as on the general path."""
+    timing = ExternalTestTiming(16, 16, 64, 3)
+    world = dict(streams=[(5, 20, timing, 4)],
+                 contenders=[("tick", 0, 5, 3, 0)],
+                 tam_width=16, ate_width=4, overhead=1, tracing=True)
+    new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)

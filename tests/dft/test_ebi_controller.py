@@ -128,6 +128,15 @@ class TestEbiStreaming:
         assert compactor.response_bits_in == 10 * 800
         assert compactor.signature != 0
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_burst_size_below_one_rejected(self, sim, platform, size):
+        with pytest.raises(ValueError, match="buffer_patterns"):
+            ExternalBusInterface(sim, "ebi2", ate_link=platform["ate_link"],
+                                 tam=platform["tam"], buffer_patterns=size)
+        timing = ExternalTestTiming(800, 32, 800, 101)
+        with pytest.raises(RuntimeError, match="burst_patterns"):
+            self.stream(sim, platform, 10, timing, burst_patterns=size)
+
     def test_invalid_pattern_count(self, sim, platform):
         timing = ExternalTestTiming(800, 32, 800, 101)
         # The error is raised inside the streaming process and surfaces as the

@@ -328,12 +328,21 @@ class TestMutex:
 
     def test_callback_hand_over_costs_a_process_hand_over(self):
         """A queued callback acquirer gets the lock through the same number
-        of activations, at the same times, as a queued process."""
+        of activations, at the same times, as a queued process, and an
+        activation between the release and the take-over sees the same
+        acquisition count."""
 
         def run(callback_waiter):
             sim = Simulator("handover")
             mutex = Mutex(sim, "m")
             granted = []
+            seen = []
+
+            def observer():
+                # Wakes right after the holder's release, before the
+                # waiter has taken over.
+                yield Timeout(SimTime(10, NS))
+                seen.append(mutex.acquisitions)
 
             def holder():
                 yield from mutex.acquire()
@@ -346,6 +355,7 @@ class TestMutex:
                 mutex.release()
 
             sim.spawn(holder())
+            sim.spawn(observer())
             if callback_waiter:
                 def take():
                     granted.append(sim.now_fs)
@@ -357,7 +367,7 @@ class TestMutex:
             else:
                 sim.spawn(waiter())
             sim.run()
-            return granted, sim.dispatched_activations
+            return granted, seen, sim.dispatched_activations
 
         assert run(True) == run(False)
 

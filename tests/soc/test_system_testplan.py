@@ -6,6 +6,7 @@ import pytest
 from repro.dft.tam import TamSlaveInterface
 from repro.schedule import TestKind
 from repro.soc import (
+    GeneratedSocTlm,
     JpegSocTlm,
     SocConfiguration,
     build_core_descriptions,
@@ -75,6 +76,15 @@ class TestTestplanDefinitions:
     def test_address_map_is_disjoint(self):
         addresses = sorted(ADDRESS_MAP.values())
         assert len(set(addresses)) == len(addresses)
+
+
+@pytest.mark.parametrize("soc_class", [JpegSocTlm, GeneratedSocTlm])
+@pytest.mark.parametrize("size", [0, -4])
+def test_burst_size_below_one_is_refused_at_construction(soc_class, size):
+    # A zero burst never finishes its stream; a negative one failed deep in
+    # the kernel.  Both are refused before anything is simulated.
+    with pytest.raises(ValueError, match="must be at least 1"):
+        soc_class(SocConfiguration(burst_patterns=size))
 
 
 class TestJpegSocAssembly:
