@@ -88,6 +88,24 @@ def _best_of(repeats, run) -> tuple:
     return best, result
 
 
+def _autorange_best_of(repeats, run, floor_seconds) -> tuple:
+    """Time *run(count)* at the smallest count in 1, 2, 5, 10, 20, 50, ...
+    whose loop lasts at least *floor_seconds*, then best-of-*repeats* at
+    that count, so a fast arm is not timed for a few microseconds.
+
+    *run(count)* returns ``(wall_seconds, result)``; returns
+    ``(count, best_wall_seconds, last_result)``.
+    """
+    base = 1
+    while True:
+        for count in (base, 2 * base, 5 * base):
+            wall, _ = run(count)
+            if wall >= floor_seconds:
+                best, result = _best_of(repeats, lambda: run(count))
+                return count, best, result
+        base *= 10
+
+
 def bench_kernel(scale: float) -> dict:
     """Dispatch throughput of the scheduler.
 
@@ -388,7 +406,9 @@ def bench_schedule(scale: float) -> dict:
     from repro.schedule.scheduler import schedule_makespan_estimate
     from repro.schedule.strategies import build_strategy_schedule
 
-    builds = max(3, int(60 * scale))
+    # Each arm is autoranged to at least this long before best-of-3: a
+    # fixed build count timed the fast arms for well under a millisecond.
+    floor_seconds = 0.05 if scale < 1.0 else 0.5
     scenario = build_scenario(ScenarioSpec(
         name="bench", core_count=6, patterns_per_core=64, power_budget=3.5,
         seed=13, schedules=("sequential",)))
@@ -399,7 +419,7 @@ def bench_schedule(scale: float) -> dict:
     specs = ["sequential", "greedy", "binpack", "binpack:fit=worst",
              "anneal:steps=256,peak_weight=0.25"]
     result: dict = {
-        "workload": {"tasks": len(tasks), "builds_per_strategy": builds,
+        "workload": {"tasks": len(tasks), "min_arm_seconds": floor_seconds,
                      "power_budget": power_model.budget},
         "strategies": {},
     }
@@ -410,7 +430,7 @@ def bench_schedule(scale: float) -> dict:
     greedy_peak = power_model.schedule_peak_power(greedy, tasks)
 
     for text in specs:
-        def run_builds(text=text):
+        def run_builds(builds, text=text):
             start = time.perf_counter()
             schedule = None
             for _ in range(builds):
@@ -418,10 +438,12 @@ def bench_schedule(scale: float) -> dict:
                     text, tasks, estimates, power_model=power_model)
             return time.perf_counter() - start, schedule
 
-        wall, schedule = _best_of(REPEATS, run_builds)
+        builds, wall, schedule = _autorange_best_of(REPEATS, run_builds,
+                                                    floor_seconds)
         makespan = schedule_makespan_estimate(schedule, estimates)
         peak = power_model.schedule_peak_power(schedule, tasks)
         result["strategies"][text] = {
+            "builds": builds,
             "builds_per_second": round(builds / wall, 1),
             "phase_count": schedule.phase_count,
             "makespan_estimate": makespan,

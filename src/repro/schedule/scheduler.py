@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Mapping, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.schedule.model import TestSchedule, TestTask
 from repro.schedule.power import PowerModel
@@ -43,6 +44,47 @@ def sequential_schedule(name: str, tasks: Mapping[str, TestTask],
     return schedule
 
 
+def _conflict_sets(tasks: Mapping[str, TestTask]) -> Dict[str, FrozenSet[str]]:
+    """Per task, the names of the tasks it cannot share a phase with: those
+    whose resources intersect its own, itself included."""
+    resources = {task_name: task.resources for task_name, task in tasks.items()}
+    return {
+        task_name: frozenset(other for other, theirs in resources.items()
+                             if not own.isdisjoint(theirs))
+        for task_name, own in resources.items()
+    }
+
+
+def _phase_feasibility(tasks: Mapping[str, TestTask], power_model: PowerModel,
+                       max_concurrency: Optional[int],
+                       phase_power: Optional[Callable[[Tuple[str, ...]], float]] = None
+                       ) -> Callable[[str, Sequence[str]], bool]:
+    """The test every scheduler places tasks with: ``feasible(task_name,
+    phase)`` says whether the task can join the phase without breaking the
+    concurrency cap, a resource conflict or the power budget.
+
+    The grown phase's power is measured on ``(*phase, task_name)`` in that
+    order, by *phase_power* (default: the power model itself).
+    """
+    if max_concurrency is not None and max_concurrency < 1:
+        raise ValueError(
+            f"max_concurrency must be at least 1 (None: unlimited), "
+            f"got {max_concurrency!r}")
+    conflicts = _conflict_sets(tasks)
+    if phase_power is None:
+        phase_power = partial(power_model.phase_power, tasks=tasks)
+    budget = power_model.budget
+
+    def feasible(task_name: str, phase: Sequence[str]) -> bool:
+        if max_concurrency is not None and len(phase) >= max_concurrency:
+            return False
+        if not conflicts[task_name].isdisjoint(phase):
+            return False
+        return phase_power((*phase, task_name)) <= budget
+
+    return feasible
+
+
 def greedy_concurrent_schedule(name: str, tasks: Mapping[str, TestTask],
                                estimates: Mapping[str, int],
                                power_model: Optional[PowerModel] = None,
@@ -52,7 +94,8 @@ def greedy_concurrent_schedule(name: str, tasks: Mapping[str, TestTask],
 
     Tasks are considered in order of decreasing estimated length; each task is
     placed into the first phase where it conflicts with nobody, stays within
-    the power budget and does not exceed *max_concurrency*.  If no phase fits,
+    the power budget and does not exceed *max_concurrency* (``None``:
+    unlimited; a cap below 1 raises ``ValueError``).  If no phase fits,
     a new phase is opened.  Phases are finally ordered by decreasing length so
     the longest work starts first (matching the structure of the paper's
     schedules 3 and 4, which front-load the two long core tests).
@@ -61,23 +104,16 @@ def greedy_concurrent_schedule(name: str, tasks: Mapping[str, TestTask],
         if task_name not in estimates:
             raise KeyError(f"no estimate for task {task_name!r}")
     power_model = power_model or PowerModel()
+    feasible = _phase_feasibility(tasks, power_model, max_concurrency)
     ordered = sorted(tasks, key=lambda task_name: estimates[task_name], reverse=True)
     phases: List[List[str]] = []
 
     for task_name in ordered:
-        task = tasks[task_name]
-        placed = False
         for phase in phases:
-            if max_concurrency is not None and len(phase) >= max_concurrency:
-                continue
-            if any(task.conflicts_with(tasks[existing]) for existing in phase):
-                continue
-            if not power_model.phase_fits_budget(phase + [task_name], tasks):
-                continue
-            phase.append(task_name)
-            placed = True
-            break
-        if not placed:
+            if feasible(task_name, phase):
+                phase.append(task_name)
+                break
+        else:
             phases.append([task_name])
 
     phases.sort(
@@ -87,19 +123,6 @@ def greedy_concurrent_schedule(name: str, tasks: Mapping[str, TestTask],
     schedule = TestSchedule(name=name, phases=phases, description=description)
     schedule.validate(dict(tasks))
     return schedule
-
-
-def _phase_feasible(task_name: str, phase: Sequence[str],
-                    tasks: Mapping[str, TestTask],
-                    power_model: PowerModel,
-                    max_concurrency: Optional[int]) -> bool:
-    """Can *task_name* join *phase* without breaking any constraint?"""
-    if max_concurrency is not None and len(phase) >= max_concurrency:
-        return False
-    task = tasks[task_name]
-    if any(task.conflicts_with(tasks[existing]) for existing in phase):
-        return False
-    return power_model.phase_fits_budget(list(phase) + [task_name], tasks)
 
 
 def binpack_power_schedule(name: str, tasks: Mapping[str, TestTask],
@@ -133,6 +156,7 @@ def binpack_power_schedule(name: str, tasks: Mapping[str, TestTask],
         if task_name not in estimates:
             raise KeyError(f"no estimate for task {task_name!r}")
     power_model = power_model or PowerModel()
+    feasible = _phase_feasibility(tasks, power_model, max_concurrency)
     ordered = sorted(tasks, key=lambda task_name: estimates[task_name], reverse=True)
     phases: List[List[str]] = []
 
@@ -155,8 +179,7 @@ def binpack_power_schedule(name: str, tasks: Mapping[str, TestTask],
         candidates = [
             (chooser(phase, task_name), index)
             for index, phase in enumerate(phases)
-            if _phase_feasible(task_name, phase, tasks, power_model,
-                               max_concurrency)
+            if feasible(task_name, phase)
         ]
         if candidates:
             _, index = min(candidates)
@@ -198,6 +221,12 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
     * ``"peak_power"`` -- estimated peak power (max phase power),
     * ``"combined"`` -- both, normalized by the initial schedule's values and
       mixed with ``peak_weight`` (0: pure makespan, 1: pure peak power).
+
+    A step costs what it changes: it re-measures only the (at most two)
+    phases a move or swap touches, and phase power is memoized per call by
+    the phase's ordered task tuple.  Every cost is still reduced over all
+    phases in phase order, so the walk, and the schedule it returns, are
+    bitwise those of re-measuring every phase on every step.
     """
     if cost not in ("makespan", "peak_power", "combined"):
         raise ValueError(
@@ -214,83 +243,113 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
         initial = greedy_concurrent_schedule(
             name, tasks, estimates, power_model=power_model,
             max_concurrency=max_concurrency)
-    phases = [list(phase) for phase in initial.phases]
+    powers_by_phase: Dict[Tuple[str, ...], float] = {}
 
-    def makespan(candidate: List[List[str]]) -> int:
-        return sum(max(estimates[task_name] for task_name in phase)
-                   for phase in candidate)
+    def phase_power(phase: Tuple[str, ...]) -> float:
+        # Keyed by the ordered tuple: a float sum of the same tasks in
+        # another order may differ in the last bit.
+        try:
+            return powers_by_phase[phase]
+        except KeyError:
+            power = powers_by_phase[phase] = power_model.phase_power(phase, tasks)
+            return power
 
-    def peak(candidate: List[List[str]]) -> float:
-        return max(power_model.phase_power(phase, tasks) for phase in candidate)
+    feasible = _phase_feasibility(tasks, power_model, max_concurrency,
+                                  phase_power)
+    length_of = estimates.__getitem__
 
-    makespan_scale = float(makespan(phases)) or 1.0
-    peak_scale = peak(phases) or 1.0
+    # The walk state: the phases as tuples, and per phase (in phase order)
+    # its estimated length and its power.  A neighbor re-measures only the
+    # phases it changes; makespan and peak are then re-reduced over the
+    # whole lists in phase order, never kept as running sums, so every cost
+    # is the bitwise same float a from-scratch evaluation would give.
+    phases = [tuple(phase) for phase in initial.phases]
+    lengths = [max(map(length_of, phase)) for phase in phases]
+    powers = [phase_power(phase) for phase in phases]
+
+    makespan_scale = float(sum(lengths)) or 1.0
+    peak_scale = max(powers) or 1.0
     weight = {"makespan": 0.0, "peak_power": 1.0, "combined": peak_weight}[cost]
 
-    def cost_of(candidate: List[List[str]]) -> float:
-        return ((1.0 - weight) * makespan(candidate) / makespan_scale
-                + weight * peak(candidate) / peak_scale)
+    def cost_of(lengths: List[int], powers: List[float]) -> float:
+        return ((1.0 - weight) * sum(lengths) / makespan_scale
+                + weight * max(powers) / peak_scale)
 
     rng = random.Random(seed)
-    current_cost = cost_of(phases)
-    best = [list(phase) for phase in phases]
+    current_cost = cost_of(lengths, powers)
+    best = phases
     best_cost = current_cost
     # Temperature in relative-cost units, cooled to ~1e-3 over the walk.
     temperature = 0.05
     cooling = (1e-3 / temperature) ** (1.0 / steps) if steps else 1.0
 
-    def feasible(task_name: str, phase: Sequence[str]) -> bool:
-        return _phase_feasible(task_name, phase, tasks, power_model,
-                               max_concurrency)
-
     for _ in range(steps):
-        candidate = [list(phase) for phase in phases]
-        if len(candidate) > 1 and rng.random() < 0.5:
+        count = len(phases)
+        if count > 1 and rng.random() < 0.5:
             # Swap two tasks between two distinct phases.
-            source, target = rng.sample(range(len(candidate)), 2)
-            a = rng.randrange(len(candidate[source]))
-            b = rng.randrange(len(candidate[target]))
-            task_a, task_b = candidate[source][a], candidate[target][b]
-            rest_source = [t for t in candidate[source] if t != task_a]
-            rest_target = [t for t in candidate[target] if t != task_b]
-            if not (feasible(task_b, rest_source) and feasible(task_a, rest_target)):
+            source, target = rng.sample(range(count), 2)
+            a = rng.randrange(len(phases[source]))
+            b = rng.randrange(len(phases[target]))
+            source_phase, target_phase = phases[source], phases[target]
+            task_a, task_b = source_phase[a], target_phase[b]
+            if not (feasible(task_b, source_phase[:a] + source_phase[a + 1:])
+                    and feasible(task_a, target_phase[:b] + target_phase[b + 1:])):
                 temperature *= cooling
                 continue
-            candidate[source][a] = task_b
-            candidate[target][b] = task_a
+            changed = [
+                (source, source_phase[:a] + (task_b,) + source_phase[a + 1:]),
+                (target, target_phase[:b] + (task_a,) + target_phase[b + 1:]),
+            ]
+            emptied = None
         else:
             # Move one task to another phase, or into a brand-new phase.
-            source = rng.randrange(len(candidate))
-            task_name = candidate[source][rng.randrange(len(candidate[source]))]
-            target = rng.randrange(len(candidate) + 1)
+            source = rng.randrange(count)
+            source_phase = phases[source]
+            index = rng.randrange(len(source_phase))
+            task_name = source_phase[index]
+            target = rng.randrange(count + 1)
             if target == source:
                 temperature *= cooling
                 continue
-            if target < len(candidate) and not feasible(task_name,
-                                                        candidate[target]):
+            if target < count and not feasible(task_name, phases[target]):
                 temperature *= cooling
                 continue
-            candidate[source].remove(task_name)
-            if target == len(candidate):
-                candidate.append([task_name])
-            else:
-                candidate[target].append(task_name)
-            candidate = [phase for phase in candidate if phase]
-        new_cost = cost_of(candidate)
+            shrunk = source_phase[:index] + source_phase[index + 1:]
+            grown = phases[target] + (task_name,) if target < count else (task_name,)
+            changed = [(source, shrunk), (target, grown)] if shrunk else [(target, grown)]
+            emptied = None if shrunk else source
+        candidate, candidate_lengths, candidate_powers = (
+            phases.copy(), lengths.copy(), powers.copy())
+        for index, phase in changed:
+            length, power = max(map(length_of, phase)), phase_power(phase)
+            if index < count:
+                candidate[index] = phase
+                candidate_lengths[index] = length
+                candidate_powers[index] = power
+            else:  # a brand-new last phase
+                candidate.append(phase)
+                candidate_lengths.append(length)
+                candidate_powers.append(power)
+        if emptied is not None:
+            del candidate[emptied], candidate_lengths[emptied], \
+                candidate_powers[emptied]
+        new_cost = cost_of(candidate_lengths, candidate_powers)
         delta = new_cost - current_cost
         if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
-            phases = candidate
+            phases, lengths, powers = (
+                candidate, candidate_lengths, candidate_powers)
             current_cost = new_cost
             if new_cost < best_cost:
-                best = [list(phase) for phase in candidate]
+                best = candidate
                 best_cost = new_cost
         temperature *= cooling
 
-    best.sort(
+    best_phases = [list(phase) for phase in best]
+    best_phases.sort(
         key=lambda phase: max(estimates[task_name] for task_name in phase),
         reverse=True,
     )
-    schedule = TestSchedule(name=name, phases=best, description=description)
+    schedule = TestSchedule(name=name, phases=best_phases, description=description)
     schedule.validate(dict(tasks))
     return schedule
 

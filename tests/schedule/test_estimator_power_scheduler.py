@@ -15,7 +15,11 @@ from repro.schedule import (
     sequential_schedule,
     validate_schedule,
 )
-from repro.schedule.scheduler import compare_schedules
+from repro.schedule.scheduler import (
+    binpack_power_schedule,
+    compare_schedules,
+    local_search_schedule,
+)
 from repro.soc import build_core_descriptions, build_test_tasks
 from repro.soc.testplan import MEMORY, MEMORY_WORDS
 
@@ -159,6 +163,36 @@ class TestSchedulers:
         schedule = greedy_concurrent_schedule("greedy", paper_tasks, estimates,
                                               max_concurrency=1)
         assert schedule.is_sequential
+
+    @pytest.mark.parametrize("builder", [greedy_concurrent_schedule,
+                                         binpack_power_schedule,
+                                         local_search_schedule])
+    @pytest.mark.parametrize("max_concurrency", [0, -1])
+    def test_max_concurrency_below_one_is_rejected(self, builder,
+                                                   max_concurrency):
+        # 0 used to mean "no phase may grow" here while the strategy layer
+        # documents it as unlimited; only None means unlimited now.
+        tasks = {name: TestTask(name=name, kind=TestKind.LOGIC_BIST,
+                                core=name, pattern_count=4)
+                 for name in ("a", "b", "c")}
+        estimates = {"a": 3, "b": 2, "c": 1}
+        with pytest.raises(ValueError, match="max_concurrency"):
+            builder("s", tasks, estimates, max_concurrency=max_concurrency)
+        unlimited = builder("s", tasks, estimates, max_concurrency=None)
+        assert unlimited.phase_count == 1
+
+    @pytest.mark.parametrize("spec", ["greedy:max_concurrency=0",
+                                      "binpack:max_concurrency=0",
+                                      "anneal:max_concurrency=0"])
+    def test_strategy_max_concurrency_zero_is_unlimited(self, spec):
+        from repro.schedule.strategies import build_strategy_schedule
+
+        tasks = {name: TestTask(name=name, kind=TestKind.LOGIC_BIST,
+                                core=name, pattern_count=4)
+                 for name in ("a", "b", "c")}
+        schedule = build_strategy_schedule(spec, tasks,
+                                           {"a": 3, "b": 2, "c": 1})
+        assert schedule.phase_count == 1
 
     def test_greedy_requires_estimates_for_all_tasks(self, paper_tasks):
         with pytest.raises(KeyError):
