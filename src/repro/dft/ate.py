@@ -35,6 +35,8 @@ from repro.dft.wrapper import TestWrapper, WrapperMode
 class TestArchitecture:
     """Handles to every test infrastructure block the ATE interacts with."""
 
+    __test__ = False  # a model class, not a pytest test class
+
     tam: TamChannel
     ate_link: AteLink
     ebi: ExternalBusInterface
@@ -73,6 +75,8 @@ class StepKind(enum.Enum):
 class TestProgramStep:
     """One instruction of a virtual ATE test program."""
 
+    __test__ = False  # a model class, not a pytest test class
+
     kind: StepKind
     task: Optional[str] = None
     target: Optional[str] = None
@@ -84,6 +88,8 @@ class TestProgramStep:
 @dataclass
 class TestProgram:
     """A virtual ATE test program (ordered list of instructions)."""
+
+    __test__ = False  # a model class, not a pytest test class
 
     name: str
     steps: List[TestProgramStep] = field(default_factory=list)
@@ -289,7 +295,6 @@ class AutomatedTestEquipment(Channel):
     def _run_logic_bist(self, task: TestTask):
         architecture = self.architecture
         wrapper = architecture.wrapper_for(task.core)
-        clock = architecture.tam.clock
         yield from architecture.config_bus.configure(
             wrapper.wir_register.name,
             wrapper.wir.encode(WrapperMode.INTEST_BIST),
@@ -303,18 +308,53 @@ class AutomatedTestEquipment(Channel):
         yield from architecture.tam.write(start_payload)
 
         session = f"{task.name}@{task.core}"
+        total_cycles = task.pattern_count * wrapper.shift_cycles_per_pattern()
+        poll_cycles = max(1, round(total_cycles * self.status_poll_fraction))
+        controller_address = architecture.addresses.get(
+            "test_controller", architecture.address_of(task.core)
+        )
+        leap = self._leap_logic_bist(task, wrapper, session, poll_cycles,
+                                     controller_address)
+        if leap is None:
+            polls = yield from self._poll_logic_bist(
+                task, wrapper, session, poll_cycles, controller_address)
+        else:
+            polls, exit_fs, credit, final = leap
+            # The entries before the exit are folded with this timestamp,
+            # the rest with the exit's, where this Timeout's resumption
+            # stands for one of them.
+            sim = self.sim
+            sim.credit_activations(credit - final)
+            yield Timeout(exit_fs - sim.now_fs)
+            sim.credit_activations(final - 1)
+
+        signature_payload = TamPayload.read(
+            architecture.address_of(task.core), response_bits=64, session=session,
+        )
+        signature_payload.initiator = f"{self.name}.{task.name}"
+        yield from architecture.tam.read(signature_payload)
+        return {
+            "patterns_applied": task.pattern_count,
+            "signature": wrapper.signature,
+            "session": session,
+            "status_polls": polls,
+        }
+
+    def _poll_logic_bist(self, task: TestTask, wrapper: TestWrapper,
+                         session: str, poll_cycles: int,
+                         controller_address: int):
+        """Run the session on a BIST engine process and poll its status
+        over the TAM every *poll_cycles* until it ends (blocking; ``yield
+        from``); returns the number of polls."""
+        architecture = self.architecture
+        clock = architecture.tam.clock
         bist_process = self.sim.spawn(
             architecture.controller.run_logic_bist(
                 session, wrapper, task.pattern_count, power=task.power,
             ),
             name=f"{self.name}.{task.name}.bist",
         )
-        total_cycles = task.pattern_count * wrapper.shift_cycles_per_pattern()
-        poll_cycles = max(1, round(total_cycles * self.status_poll_fraction))
         polls = 0
-        controller_address = architecture.addresses.get(
-            "test_controller", architecture.address_of(task.core)
-        )
         while bist_process.alive:
             timer = self.sim.event(f"{self.name}.{task.name}.poll")
             timer.notify(clock.cycles_fs(poll_cycles))
@@ -329,18 +369,88 @@ class AutomatedTestEquipment(Channel):
             poll_payload.initiator = f"{self.name}.{task.name}"
             yield from architecture.tam.read(poll_payload)
             polls += 1
+        return polls
 
-        signature_payload = TamPayload.read(
-            architecture.address_of(task.core), response_bits=64, session=session,
-        )
-        signature_payload.initiator = f"{self.name}.{task.name}"
-        yield from architecture.tam.read(signature_payload)
-        return {
-            "patterns_applied": task.pattern_count,
-            "signature": wrapper.signature,
-            "session": session,
-            "status_polls": polls,
-        }
+    def _leap_logic_bist(self, task: TestTask, wrapper: TestWrapper,
+                         session: str, poll_cycles: int,
+                         controller_address: int) -> Optional[tuple]:
+        """Apply the session and its status polls in closed form, if
+        nothing else can act before :meth:`_poll_logic_bist` would return.
+
+        That loop exits when the engine ends (at ``end_fs``) or, with a poll
+        read in flight then, when that read ends.  With the TAM idle and
+        :meth:`Simulator.lookahead_fs` at or beyond the exit, the session
+        record and patterns, and every poll (accounted through
+        ``TamChannel._account`` as :meth:`TamChannel.occupy` accounts it),
+        are applied at once; a poll timer still pending at the exit is
+        pushed as the real entry it is.  A timer firing or a read ending
+        exactly at ``end_fs`` would interleave with the engine's last
+        entries, so such a session, like a contended one, is not leapt.
+
+        Returns ``None`` or ``(polls, exit_fs, credit, final)``: the
+        entries leapt, ``final`` of them at the exit.
+        """
+        architecture = self.architecture
+        tam = architecture.tam
+        controller = architecture.controller
+        sim = self.sim
+        pattern_count = task.pattern_count
+        if not (tam._mutex.idle and controller.enabled and pattern_count > 0
+                and wrapper.description.has_logic_bist):
+            return None
+        _, chunk_count, cycles_per_pattern = controller.logic_bist_chunks(
+            wrapper, pattern_count)
+        horizon_fs = sim.lookahead_fs()
+        start_fs = sim.now_fs
+        cycles_fs = tam.clock.cycles_fs
+        end_fs = start_fs + cycles_fs(pattern_count * cycles_per_pattern)
+        if end_fs == start_fs or horizon_fs < end_fs:
+            return None
+        probe = TamPayload.read(controller_address,
+                                response_bits=controller.status_poll_bits,
+                                session=session)
+        read_cycles = tam.transaction_cycles(probe)
+        if (not read_cycles
+                or tam.decode(controller_address)[0] is not controller):
+            return None
+        read_fs = cycles_fs(read_cycles)
+        poll_fs = cycles_fs(poll_cycles)
+        fires = []
+        timer_fs = start_fs + poll_fs
+        while timer_fs < end_fs:
+            fires.append(timer_fs)
+            read_end_fs = timer_fs + read_fs
+            if read_end_fs >= end_fs:
+                if read_end_fs == end_fs:
+                    return None
+                exit_fs, timer_fs = read_end_fs, None
+                break
+            timer_fs = read_end_fs + poll_fs
+        else:
+            if timer_fs == end_fs:
+                return None
+            exit_fs = end_fs
+        if exit_fs > horizon_fs:
+            return None
+
+        controller.leap_logic_bist(session, wrapper, pattern_count, start_fs,
+                                   end_fs, task.power)
+        tam._mutex.acquisitions += len(fires)
+        initiator = f"{self.name}.{task.name}"
+        kind, bits = probe.command.value, probe.total_bits
+        for fire_fs in fires:
+            tam._account(fire_fs, fire_fs + read_fs, read_cycles, initiator,
+                         kind, controller_address, bits, probe.attributes)
+        # The engine's spawn, chunks and finished notification; per poll
+        # its timer, the wake-up and the read's end.  With no read in
+        # flight the loop exits on the wake-up by the engine's end, next to
+        # its last chunk and finished notification.
+        credit = chunk_count + 2 + 3 * len(fires)
+        if timer_fs is None:
+            return len(fires), exit_fs, credit, 1
+        sim.event(f"{self.name}.{task.name}.poll").notify(
+            timer_fs - start_fs)
+        return len(fires), exit_fs, credit + 1, 3
 
     # -- external scan tests (tests 2, 3 and 5) -----------------------------------------------
     def _run_external_scan(self, task: TestTask):

@@ -14,6 +14,7 @@ from typing import Dict, Optional, Union
 from repro.kernel.channel import Channel
 from repro.kernel.event import Timeout
 from repro.kernel.module import Module
+from repro.kernel.simtime import SimTime
 from repro.kernel.simulator import Simulator
 from repro.memory.march import MarchTest, run_march_test, run_pattern_test
 from repro.dft.config_bus import ConfigurableRegister
@@ -25,6 +26,8 @@ from repro.dft.wrapper import TestWrapper
 
 class TestController(Channel):
     """Sequences on-chip BIST sessions and exposes status over the TAM."""
+
+    __test__ = False  # a model class, not a pytest test class
 
     def __init__(self, parent: Union[Simulator, Module], name: str,
                  tam: TamChannel, activity_log: Optional[ActivityLog] = None,
@@ -61,8 +64,11 @@ class TestController(Channel):
         return payload.complete(TamResponse.OK)
 
     # -- logic BIST -----------------------------------------------------------------
+    #: Chunks a logic BIST session advances in (status and power granularity).
+    LOGIC_BIST_CHUNKS = 50
+
     def run_logic_bist(self, session: str, wrapper: TestWrapper,
-                       pattern_count: int, chunks: int = 50,
+                       pattern_count: int, chunks: int = LOGIC_BIST_CHUNKS,
                        power: float = 1.0):
         """Run a logic BIST session on *wrapper* (blocking; ``yield from``).
 
@@ -70,34 +76,68 @@ class TestController(Channel):
         pattern data.  The session advances in chunks so that progress is
         visible to ATE status polls and to the power monitor.
         """
+        status = self._open_logic_bist(session, wrapper, pattern_count)
+        chunk_size, _, cycles_per_pattern = self.logic_bist_chunks(
+            wrapper, pattern_count, chunks)
+        cycles_fs = self.tam.clock.cycles_fs
+        start_fs = self.sim.now_fs
+        applied = 0
+        while applied < pattern_count:
+            chunk = min(chunk_size, pattern_count - applied)
+            yield Timeout(cycles_fs(chunk * cycles_per_pattern))
+            wrapper.apply_bist_patterns(chunk)
+            applied += chunk
+            status["patterns_done"] = applied
+        self._close_logic_bist(status, wrapper, start_fs, self.sim.now_fs,
+                               power)
+        return status
+
+    def leap_logic_bist(self, session: str, wrapper: TestWrapper,
+                        pattern_count: int, start_fs: int, end_fs: int,
+                        power: float = 1.0) -> None:
+        """Closed form of :meth:`run_logic_bist` over [*start_fs*,
+        *end_fs*], for a caller that knows nothing else acts in between.
+
+        The patterns are applied at once (the MISR folds the range as it
+        would the chunks), and the session record ends as the chunk loop
+        leaves it.
+        """
+        status = self._open_logic_bist(session, wrapper, pattern_count)
+        wrapper.apply_bist_patterns(pattern_count)
+        status["patterns_done"] = pattern_count
+        self._close_logic_bist(status, wrapper, start_fs, end_fs, power)
+
+    def logic_bist_chunks(self, wrapper: TestWrapper, pattern_count: int,
+                          chunks: int = LOGIC_BIST_CHUNKS) -> tuple:
+        """``(chunk_size, chunk_count, cycles_per_pattern)`` of a session of
+        *pattern_count* patterns; every chunk but the last is full."""
+        chunk_size = max(1, math.ceil(pattern_count / max(1, chunks)))
+        return (chunk_size, -(-pattern_count // chunk_size),
+                wrapper.shift_cycles_per_pattern(compressed=False))
+
+    def _open_logic_bist(self, session: str, wrapper: TestWrapper,
+                         pattern_count: int) -> Dict[str, object]:
         if not self.enabled:
             raise RuntimeError(f"test controller {self.name!r} is not enabled")
         if pattern_count <= 0:
             raise ValueError("pattern_count must be positive")
-        clock = self.tam.clock
-        cycles_per_pattern = wrapper.shift_cycles_per_pattern(compressed=False)
         status = {"kind": "logic_bist", "core": wrapper.description.core_name,
                   "patterns_total": pattern_count, "patterns_done": 0,
                   "done": False}
         self.sessions[session] = status
-        start_time = self.sim.now
-        chunk_size = max(1, math.ceil(pattern_count / max(1, chunks)))
-        applied = 0
-        while applied < pattern_count:
-            chunk = min(chunk_size, pattern_count - applied)
-            yield Timeout(clock.cycles_fs(chunk * cycles_per_pattern))
-            wrapper.apply_bist_patterns(chunk)
-            applied += chunk
-            status["patterns_done"] = applied
+        return status
+
+    def _close_logic_bist(self, status: Dict[str, object],
+                          wrapper: TestWrapper, start_fs: int, end_fs: int,
+                          power: float) -> None:
         status["done"] = True
         status["signature"] = wrapper.signature
-        status["cycles"] = clock.cycles_between(start_time, self.sim.now)
+        status["cycles"] = self.tam.clock.cycles_between(SimTime(start_fs),
+                                                         SimTime(end_fs))
         # Once-per-session (cold) path: record_fs handles the disabled case
         # and keeps its interval validation.
         self.activity_log.record_fs(wrapper.description.core_name,
-                                    "logic_bist", start_time.femtoseconds,
-                                    self.sim.now_fs, power)
-        return status
+                                    "logic_bist", start_fs, end_fs, power)
 
     # -- memory array BIST ------------------------------------------------------------
     def run_memory_bist(self, session: str, memory_core, march: MarchTest,

@@ -74,6 +74,8 @@ class TestWrapper(Channel):
     feeds its WIR (Figure 3).
     """
 
+    __test__ = False  # a model class, not a pytest test class
+
     def __init__(self, parent: Union[Simulator, Module], name: str,
                  description: CoreTestDescription, core=None,
                  wir_width: int = 8,

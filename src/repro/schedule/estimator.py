@@ -58,6 +58,8 @@ class PlatformParameters:
 class TestTimeEstimator:
     """Estimates per-task and per-schedule test lengths in clock cycles."""
 
+    __test__ = False  # a model class, not a pytest test class
+
     def __init__(self, descriptions: Mapping[str, CoreTestDescription],
                  platform: PlatformParameters,
                  memory_words: Mapping[str, int] = None):

@@ -12,6 +12,8 @@ from repro.memory.march import MarchTest
 class TestKind(enum.Enum):
     """The kinds of test sequences appearing in the paper's case study."""
 
+    __test__ = False  # a model class, not a pytest test class
+
     #: Logic BIST driven by a core-internal LFSR (tests 1 and 4).
     LOGIC_BIST = "logic_bist"
     #: Deterministic scan test with patterns stored in the ATE (tests 2, 5).
@@ -34,6 +36,8 @@ class TestTask:
     The task is the unit the scheduler reasons about (coarse view) and the
     unit the ATE executes on the TLM (accurate view).
     """
+
+    __test__ = False  # a model class, not a pytest test class
 
     name: str
     kind: TestKind
@@ -92,6 +96,8 @@ class TestTask:
 @dataclass
 class TestSchedule:
     """A test schedule: an ordered list of phases of concurrent tasks."""
+
+    __test__ = False  # a model class, not a pytest test class
 
     name: str
     phases: List[List[str]] = field(default_factory=list)

@@ -101,6 +101,8 @@ class SocConfiguration:
 class TestRunMetrics:
     """The Table-I row produced by simulating one test schedule."""
 
+    __test__ = False  # a model class, not a pytest test class
+
     schedule_name: str
     test_length_cycles: int
     peak_tam_utilization: float
