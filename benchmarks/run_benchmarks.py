@@ -630,7 +630,7 @@ def bench_store(scale: float) -> dict:
     Four head-to-head measurements at >=100k rows (scale 1.0):
 
     * *merge* — recombining shard documents into a persisted artifact:
-      ``merge_shard_documents`` + ``write_merged_json`` (in-memory row
+      ``merge_shard_documents`` + ``write_json`` (in-memory row
       concatenation, indented JSON dump) vs ``merge_documents_to_store``
       (plan-validated typed column chunks),
     * *pareto_ranks* — python peeling vs the vectorized dominator counting,
@@ -648,10 +648,10 @@ def bench_store(scale: float) -> dict:
     from repro.explore.adaptive import (
         ParetoFront, dominates, pareto_front_mask, pareto_ranks,
     )
+    from repro.explore.artifact import write_json
     from repro.explore.campaign import SCHEMA_VERSION, result_columns
     from repro.explore.distrib import (
         DISTRIB_SCHEMA_VERSION, merge_shard_documents, shard_span,
-        write_merged_json,
     )
     from repro.explore.report import summarize_store
     from repro.explore.store import (
@@ -681,7 +681,7 @@ def bench_store(scale: float) -> dict:
     def run_dict_merge():
         start = time.perf_counter()
         merged = merge_shard_documents(documents)
-        write_merged_json(merged, tmp / "merged_dict.json")
+        write_json(tmp / "merged_dict.json", merged)
         return time.perf_counter() - start, merged
 
     dict_wall, merged = _best_of(REPEATS, run_dict_merge)
@@ -1069,6 +1069,7 @@ def bench_coordinator(scale: float) -> dict:
     import threading
     from pathlib import Path as _Path
 
+    from repro.explore.artifact import write_json
     from repro.explore.campaign import (
         SCHEMA_VERSION as CAMPAIGN_SCHEMA_VERSION,
         CampaignJob, CampaignOutcome, CampaignRun, result_columns,
@@ -1078,7 +1079,7 @@ def bench_coordinator(scale: float) -> dict:
     )
     from repro.explore.distrib import (
         DISTRIB_SCHEMA_VERSION, ShardRun, merge_shard_documents, plan_shards,
-        shard_span, write_merged_json,
+        shard_span,
     )
     from repro.explore.scenarios import ScenarioSpec
     from repro.explore.store import IncrementalShardMerge, write_document_json
@@ -1192,8 +1193,8 @@ def bench_coordinator(scale: float) -> dict:
     stream_wall, store = _best_of(REPEATS, run_stream)
 
     write_document_json(store, tmp / "stream.json")
-    write_merged_json(merge_shard_documents(stream_documents),
-                      tmp / "merged_dict.json")
+    write_json(tmp / "merged_dict.json",
+               merge_shard_documents(stream_documents))
     bitwise = ((tmp / "stream.json").read_bytes()
                == (tmp / "merged_dict.json").read_bytes())
     if not bitwise:
@@ -1358,8 +1359,8 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
 
     ingest_wall, ingest_artifact = _best_of(REPEATS, run_wire_ingest)
 
-    write_merged_json(merge_shard_documents(ingest_documents),
-                      tmp / "ingest_dict.json")
+    write_json(tmp / "ingest_dict.json",
+               merge_shard_documents(ingest_documents))
     wire_bitwise = (ingest_artifact.read_bytes()
                     == (tmp / "ingest_dict.json").read_bytes())
     if not wire_bitwise:

@@ -53,6 +53,7 @@ from repro.explore.adaptive import (
     pareto_ranks,
     resume_search,
 )
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.campaign import (
     Campaign,
     CampaignJob,
@@ -91,8 +92,6 @@ from repro.explore.distrib import (
     shard_span,
     space_fingerprint,
     validate_shard_result,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.experiments import ScenarioResult, run_table1
 from repro.explore.report import (
@@ -125,7 +124,6 @@ from repro.explore.store import (
     store_adaptive_result,
     store_campaign_run,
     store_shard_run,
-    write_document_csv,
     write_document_json,
 )
 from repro.explore.sweeps import (
@@ -214,8 +212,7 @@ __all__ = [
     "store_shard_run",
     "tam_width_sweep",
     "validate_shard_result",
-    "write_document_csv",
+    "write_csv",
     "write_document_json",
-    "write_merged_csv",
-    "write_merged_json",
+    "write_json",
 ]

@@ -61,8 +61,6 @@ identical artifacts.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -72,6 +70,7 @@ from typing import (
 
 import numpy as np
 
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.campaign import (
     NONDETERMINISTIC_COLUMNS,
     RESULT_COLUMNS,
@@ -728,18 +727,12 @@ class AdaptiveResult:
 
     def write_csv(self, path, deterministic: bool = True) -> None:
         """Write all rounds as CSV (campaign schema + provenance columns)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=self.columns(deterministic))
-            writer.writeheader()
-            writer.writerows(self.rows(deterministic))
+        write_csv(path, self.columns(deterministic),
+                  self.iter_rows(deterministic))
 
     def write_json(self, path, deterministic: bool = True) -> None:
         """Write a versioned JSON artifact with rows, rounds and the front."""
-        with open(path, "w") as handle:
-            json.dump(self.as_document(deterministic), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
+        write_json(path, self.as_document(deterministic))
 
     def as_document(self, deterministic: bool = True) -> Dict[str, object]:
         document = {

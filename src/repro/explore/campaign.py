@@ -31,8 +31,6 @@ and versions them separately.
 
 from __future__ import annotations
 
-import csv
-import json
 import multiprocessing
 import os
 import time
@@ -40,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.scenarios import Scenario, ScenarioGrid, ScenarioSpec, build_scenario
 from repro.schedule.strategies import canonical_schedule_names, strategy_fingerprint
 from repro.soc.system import TestRunMetrics
@@ -387,18 +386,12 @@ class CampaignRun:
         """Write the result rows as CSV (header = :data:`RESULT_COLUMNS`;
         deterministic mode drops the timing/placement columns, so the same
         seed produces bitwise-identical files)."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle,
-                                    fieldnames=result_columns(deterministic))
-            writer.writeheader()
-            writer.writerows(self.rows(deterministic))
+        write_csv(path, result_columns(deterministic),
+                  self.rows(deterministic))
 
     def write_json(self, path, deterministic: bool = False) -> None:
         """Write a versioned JSON artifact with rows and run metadata."""
-        with open(path, "w") as handle:
-            json.dump(self.as_document(deterministic), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
+        write_json(path, self.as_document(deterministic))
 
     def as_document(self, deterministic: bool = False) -> Dict[str, object]:
         # Key order is part of the bitwise-identity contract: the shard

@@ -87,6 +87,7 @@ from repro.explore.adaptive import (
     resume_search,
     surrogate_screen_candidates,
 )
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.campaign import CampaignJob, campaign_from_axes, run_jobs
 from repro.explore.coordinator import (
     DEFAULT_LEASE_TIMEOUT,
@@ -101,8 +102,6 @@ from repro.explore.distrib import (
     plan_shards,
     replan_document,
     run_shard,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.experiments import run_table1
 from repro.explore.metrics import MetricsServer, StructuredLog
@@ -125,7 +124,6 @@ from repro.explore.store import (
     store_adaptive_result,
     store_campaign_run,
     store_shard_run,
-    write_document_csv,
     write_document_json,
 )
 from repro.explore.scenarios import ScenarioSpec
@@ -222,7 +220,6 @@ def _scenario_axes(args) -> dict:
 
 def _run_campaign(args) -> None:
     campaign = campaign_from_axes(_scenario_axes(args), base=_scenario_base(args))
-    deterministic = not args.timing
     if args.shard is not None:
         if args.surrogate or args.race:
             raise ValueError(
@@ -232,15 +229,7 @@ def _run_campaign(args) -> None:
         shard = plan_shards(campaign, count)[index]
         result = run_shard(shard, workers=args.workers)
         print(format_shard(result))
-        if args.store:
-            store_shard_run(result, args.store, deterministic=deterministic)
-            print(f"wrote {args.store}")
-        if args.csv:
-            result.write_csv(args.csv, deterministic=deterministic)
-            print(f"wrote {args.csv}")
-        if args.json:
-            result.write_json(args.json, deterministic=deterministic)
-            print(f"wrote {args.json}")
+        _write_outputs(args, result, store_shard_run)
         return
     if args.race and args.workers > 1:
         raise ValueError(
@@ -266,15 +255,21 @@ def _run_campaign(args) -> None:
     else:
         run = campaign.run(workers=args.workers)
     print(format_campaign(run))
+    _write_outputs(args, run, store_campaign_run)
+
+
+def _write_outputs(args, result, store_result) -> None:
+    """Write the ``--store``, ``--csv`` and ``--json`` outputs of a campaign,
+    shard or adaptive *result* (``--timing`` keeps the timing columns)."""
+    deterministic = not args.timing
     if args.store:
-        store_campaign_run(run, args.store, deterministic=deterministic)
+        store_result(result, args.store, deterministic=deterministic)
         print(f"wrote {args.store}")
-    if args.csv:
-        run.write_csv(args.csv, deterministic=deterministic)
-        print(f"wrote {args.csv}")
-    if args.json:
-        run.write_json(args.json, deterministic=deterministic)
-        print(f"wrote {args.json}")
+    for path, write in ((args.csv, result.write_csv),
+                        (args.json, result.write_json)):
+        if path:
+            write(path, deterministic=deterministic)
+            print(f"wrote {path}")
 
 
 #: ``merge --partial`` exit status when the merged artifact has gaps that a
@@ -309,22 +304,20 @@ def _run_merge(args) -> Optional[int]:
         print(format_store_summary(store))
     if args.gaps:
         if gaps:
-            write_merged_json(replan_document(merged), args.gaps)
+            write_json(args.gaps, replan_document(merged))
             print(f"wrote {args.gaps}")
         else:
             print("no gaps: complete shard set, no re-plan written",
                   file=sys.stderr)
     if args.csv:
-        if store is not None:
-            write_document_csv(store, args.csv)
-        else:
-            write_merged_csv(merged, args.csv)
+        write_csv(args.csv, merged["columns"],
+                  merged["rows"] if store is None else store.iter_rows())
         print(f"wrote {args.csv}")
     if args.json:
         if store is not None:
             write_document_json(store, args.json)
         else:
-            write_merged_json(merged, args.json)
+            write_json(args.json, merged)
         print(f"wrote {args.json}")
     if gaps:
         # All requested outputs were written (valid, marked partial); the
@@ -363,19 +356,11 @@ def _run_adaptive(args) -> None:
         result = search.run(workers=args.workers, max_rounds=args.max_rounds,
                             round_shards=shards, lead_shard=lead)
     print(format_adaptive(result))
-    deterministic = not args.timing
-    if args.store:
-        # Row table + provenance columns only: the adaptive JSON document
-        # carries search-definition keys after the rows, so the resumable
-        # checkpoint artifact stays with --json (see store_adaptive_result).
-        store_adaptive_result(result, args.store, deterministic=deterministic)
-        print(f"wrote {args.store}")
-    if args.csv:
-        result.write_csv(args.csv, deterministic=deterministic)
-        print(f"wrote {args.csv}")
-    if args.json:
-        result.write_json(args.json, deterministic=deterministic)
-        print(f"wrote {args.json}")
+    # --store keeps the row table + provenance columns only: the adaptive
+    # JSON document carries search-definition keys after the rows, so the
+    # resumable checkpoint artifact stays with --json (see
+    # store_adaptive_result).
+    _write_outputs(args, result, store_adaptive_result)
 
 
 def _run_serve(args) -> None:

@@ -71,6 +71,7 @@ from typing import (
     Tuple, Union,
 )
 
+from repro.explore.artifact import write_csv
 from repro.explore.campaign import (
     SCHEMA_VERSION,
     CampaignJob,
@@ -95,7 +96,6 @@ from repro.explore.store import (
     StoreError,
     decode_shard_block,
     encode_shard_block,
-    write_document_csv,
     write_document_json,
 )
 
@@ -778,7 +778,8 @@ class Coordinator:
         if state.json_path:
             write_document_json(state.store, state.json_path)
         if state.csv_path:
-            write_document_csv(state.store, state.csv_path)
+            write_csv(state.csv_path, state.store.columns,
+                      state.store.iter_rows())
         state.finished_at = self._now()
         self._m_campaigns_done.inc()
         wrote = [path for path in (state.json_path, state.csv_path) if path]

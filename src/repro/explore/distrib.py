@@ -44,13 +44,13 @@ CLI maps to a non-zero exit status.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.explore.artifact import write_json
 from repro.explore.campaign import (
     SCHEMA_VERSION,
     Campaign,
@@ -154,9 +154,7 @@ class CampaignShard:
         }
 
     def write_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.as_document(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+        write_json(path, self.as_document())
 
     @classmethod
     def from_document(cls, document: Mapping[str, object]) -> "CampaignShard":
@@ -241,10 +239,7 @@ class ShardRun:
         return document
 
     def write_json(self, path, deterministic: bool = True) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.as_document(deterministic), handle, indent=2,
-                      sort_keys=False)
-            handle.write("\n")
+        write_json(path, self.as_document(deterministic))
 
     def write_csv(self, path, deterministic: bool = True) -> None:
         self.run.write_csv(path, deterministic=deterministic)
@@ -576,7 +571,11 @@ def replan_document(merged: Mapping[str, object]) -> Dict[str, object]:
 def load_artifact(path) -> Dict[str, object]:
     """Load one JSON artifact (shard, campaign or adaptive) from disk."""
     with open(path) as handle:
-        document = json.load(handle)
+        try:
+            document = json.load(handle)
+        except ValueError as error:
+            raise ValueError(
+                f"{path}: not a JSON artifact: {error}") from error
     if not isinstance(document, dict):
         raise ValueError(f"{path}: artifact is not a JSON object")
     return document
@@ -586,18 +585,3 @@ def merge_artifacts(paths: Sequence, partial: bool = False) -> Dict[str, object]
     """:func:`merge_shard_documents` over artifacts read from *paths*."""
     return merge_shard_documents([load_artifact(path) for path in paths],
                                  partial=partial)
-
-
-def write_merged_json(document: Mapping[str, object], path) -> None:
-    """Write a merged document exactly like ``CampaignRun.write_json``."""
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def write_merged_csv(document: Mapping[str, object], path) -> None:
-    """Write a merged document's rows as CSV (header = its column list)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(document["columns"]))
-        writer.writeheader()
-        writer.writerows(document["rows"])

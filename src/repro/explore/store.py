@@ -21,14 +21,13 @@ storage substrate underneath those paths:
   (headers only), then re-read one shard at a time, appending its rows to
   the store.  Peak memory is one shard plus one chunk buffer, regardless of
   how many shards merge.
-* :func:`write_document_json` / :func:`write_document_csv` — stream a
-  store back out as a JSON/CSV artifact.  The JSON writer reproduces
-  ``json.dump(document, indent=2, sort_keys=False)`` byte for byte, so a
-  store-backed ``merge --store`` artifact is **bitwise identical** to
-  ``CampaignRun.write_json(deterministic=True)`` of the monolithic run —
-  the same contract :func:`~repro.explore.distrib.merge_shard_documents`
-  honours, extended to the streaming path (pinned by ``tests/explore/
-  test_store.py`` and the CI shard-smoke ``cmp`` step).
+* :func:`write_document_json` — stream a store back out as a JSON
+  artifact through :func:`repro.explore.artifact.write_json`, the writer
+  every other artifact uses, so a store-backed ``merge --store`` artifact is
+  **bitwise identical** to ``CampaignRun.write_json(deterministic=True)`` of
+  the monolithic run (pinned by ``tests/explore/test_store.py`` and the CI
+  shard-smoke ``cmp`` step).  CSV output is
+  ``write_csv(path, store.columns, store.iter_rows())``.
 
 Column dtypes are *schema-typed*, not inferred: every known result column
 (:data:`repro.explore.campaign.RESULT_COLUMNS` plus the adaptive provenance
@@ -43,9 +42,10 @@ The on-disk layout itself is versioned (``store_schema_version`` =
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import io
 import json
+import re
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -56,10 +56,10 @@ from typing import (
 
 import numpy as np
 
+from repro.explore.artifact import atomic_write, write_json
 from repro.explore.campaign import (
     RESULT_COLUMNS,
     SCHEMA_VERSION,
-    result_columns,
 )
 from repro.explore.distrib import (
     MergeError,
@@ -70,11 +70,24 @@ from repro.explore.distrib import (
 from repro.explore.metrics import DRAIN_ROW_BUCKETS
 
 #: Version of the on-disk store layout (manifest + chunk files).  Independent
-#: of the row schema (``schema_version``) the store carries.
-STORE_SCHEMA_VERSION = 1
+#: of the row schema (``schema_version``) the store carries.  Version 2 added
+#: the manifest's ``sha256`` checksum.
+STORE_SCHEMA_VERSION = 2
 
 #: Manifest file name inside a store directory.
 MANIFEST_NAME = "manifest.json"
+
+#: The only file names a manifest may list as chunks (plain names, so a
+#: manifest cannot point outside its directory).
+_CHUNK_NAME = re.compile(r"chunk-[0-9]{6,}\.npz")
+
+#: Every manifest key and the JSON type its value must have.
+_MANIFEST_TYPES = {
+    "store_schema_version": int, "schema_version": int, "columns": list,
+    "row_count": int, "chunk_rows": int, "chunks": list,
+    "chunk_row_counts": list, "document_header": dict, "metadata": dict,
+    "sha256": str,
+}
 
 #: Default rows per column chunk: large enough that per-chunk overhead
 #: (file open, npz header) amortizes, small enough that a chunk buffer stays
@@ -104,6 +117,61 @@ _KIND_DTYPES = {"int": np.dtype(np.int64), "float": np.dtype(np.float64),
 
 class StoreError(ValueError):
     """A store directory is missing, malformed or misused."""
+
+
+def _manifest_digest(manifest: Mapping[str, object]) -> str:
+    """SHA-256 of a manifest without its ``sha256`` key."""
+    return hashlib.sha256(
+        json.dumps(manifest, indent=2).encode("utf-8")).hexdigest()
+
+
+def _read_manifest(path: Path) -> Dict[str, object]:
+    """The validated manifest of the store at *path*; every defect (torn or
+    corrupted bytes, a missing key, a wrong type, a chunk name that is not a
+    plain ``chunk-N.npz``, row counts that disagree) raises StoreError."""
+    manifest_path = path / MANIFEST_NAME
+    if not manifest_path.exists():
+        raise StoreError(f"{path} is not a columnar store "
+                         f"(no {MANIFEST_NAME})")
+    try:
+        manifest = json.loads(manifest_path.read_bytes())
+    except ValueError as error:
+        raise StoreError(
+            f"{manifest_path} is not valid JSON: {error}") from error
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{manifest_path} is not a JSON object")
+    version = manifest.get("store_schema_version")
+    if version != STORE_SCHEMA_VERSION:
+        raise StoreError(
+            f"{path} has store_schema_version={version!r}, expected "
+            f"{STORE_SCHEMA_VERSION}")
+    for key, kind in _MANIFEST_TYPES.items():
+        if type(manifest.get(key)) is not kind:
+            raise StoreError(f"{manifest_path}: {key!r} is missing or not "
+                             f"a JSON {kind.__name__}")
+    if manifest.pop("sha256") != _manifest_digest(manifest):
+        raise StoreError(f"{manifest_path} does not match its checksum")
+    columns, chunks = manifest["columns"], manifest["chunks"]
+    counts = manifest["chunk_row_counts"]
+    if not columns or len(set(columns)) != len(columns) or \
+            not all(type(column) is str for column in columns):
+        raise StoreError(f"{manifest_path}: columns must be distinct strings")
+    if len(set(chunks)) != len(chunks) or not all(
+            type(name) is str and _CHUNK_NAME.fullmatch(name)
+            for name in chunks):
+        raise StoreError(f"{manifest_path}: chunks must be distinct plain "
+                         f"chunk-N.npz file names")
+    if len(counts) != len(chunks) or \
+            not all(type(count) is int and count > 0 for count in counts) \
+            or sum(counts) != manifest["row_count"]:
+        raise StoreError(f"{manifest_path}: chunk_row_counts must be one "
+                         f"positive count per chunk adding up to row_count")
+    if manifest["chunk_rows"] < 1:
+        raise StoreError(f"{manifest_path}: chunk_rows must be >= 1")
+    missing = [name for name in chunks if not (path / name).is_file()]
+    if missing:
+        raise StoreError(f"{path} lacks chunk file(s) {missing}")
+    return manifest
 
 
 def _column_array(column: str, values: Sequence[object]) -> np.ndarray:
@@ -175,6 +243,10 @@ class ColumnarStore:
         # (append_columns buffers here; _drain_segments writes them out).
         self._segments: List[Dict[str, np.ndarray]] = []
         self._segment_rows = 0
+        # Chunk names of the committed store a rewrite replaces: it stays
+        # readable until close() commits the new manifest.
+        self._replaced: frozenset = frozenset()
+        self._next_chunk = 0
 
     # -- lifecycle ----------------------------------------------------------
     @classmethod
@@ -183,55 +255,47 @@ class ColumnarStore:
                document_header: Optional[Mapping[str, object]] = None,
                metadata: Optional[Mapping[str, object]] = None,
                chunk_rows: int = DEFAULT_CHUNK_ROWS) -> "ColumnarStore":
-        """Create (or atomically replace) a store directory for writing."""
+        """Create (or atomically replace) a store directory for writing.
+
+        An existing store stays intact and readable until :meth:`close`
+        commits the new manifest; only then are the chunks it no longer
+        lists deleted.  A crash before that leaves the old store.
+        """
         if chunk_rows < 1:
             raise StoreError("chunk_rows must be >= 1")
         if not columns:
             raise StoreError("a store needs at least one column")
         path = Path(path)
-        manifest_path = path / MANIFEST_NAME
+        replaced: List[str] = []
         if path.exists():
             if not path.is_dir():
                 raise StoreError(f"{path} exists and is not a directory")
-            if manifest_path.exists():
-                # An existing store: drop its chunks so the rewrite cannot
-                # leave stale blocks behind a fresh manifest.
-                old = json.loads(manifest_path.read_text())
-                for name in old.get("chunks", []):
-                    chunk = path / name
-                    if chunk.exists():
-                        chunk.unlink()
-                manifest_path.unlink()
+            if (path / MANIFEST_NAME).exists():
+                replaced = _read_manifest(path)["chunks"]
             elif any(path.iterdir()):
                 raise StoreError(
                     f"{path} exists, is not empty and carries no "
                     f"{MANIFEST_NAME} — refusing to overwrite")
         else:
             path.mkdir(parents=True)
-        return cls(path, columns=columns, schema_version=schema_version,
-                   document_header=document_header or {},
-                   metadata=metadata or {}, chunk_rows=chunk_rows,
-                   writable=True)
+        store = cls(path, columns=columns, schema_version=schema_version,
+                    document_header=document_header or {},
+                    metadata=metadata or {}, chunk_rows=chunk_rows,
+                    writable=True)
+        store._replaced = frozenset(replaced)
+        return store
 
     @classmethod
     def open(cls, path) -> "ColumnarStore":
-        """Open an existing store directory for streaming reads."""
+        """Open an existing store directory for streaming reads; a missing
+        or malformed manifest raises :class:`StoreError`."""
         path = Path(path)
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise StoreError(f"{path} is not a columnar store "
-                             f"(no {MANIFEST_NAME})")
-        manifest = json.loads(manifest_path.read_text())
-        version = manifest.get("store_schema_version")
-        if version != STORE_SCHEMA_VERSION:
-            raise StoreError(
-                f"{path} has store_schema_version={version!r}, expected "
-                f"{STORE_SCHEMA_VERSION}")
+        manifest = _read_manifest(path)
         return cls(path, columns=manifest["columns"],
                    schema_version=manifest["schema_version"],
-                   document_header=manifest.get("document_header", {}),
-                   metadata=manifest.get("metadata", {}),
-                   chunk_rows=manifest.get("chunk_rows", DEFAULT_CHUNK_ROWS),
+                   document_header=manifest["document_header"],
+                   metadata=manifest["metadata"],
+                   chunk_rows=manifest["chunk_rows"],
                    writable=False,
                    chunks=manifest["chunks"],
                    chunk_row_counts=manifest["chunk_row_counts"],
@@ -364,10 +428,15 @@ class ColumnarStore:
 
     def _write_chunk(self, arrays: Mapping[str, np.ndarray],
                      rows: int) -> None:
-        name = f"chunk-{len(self._chunks):06d}.npz"
+        while True:
+            name = f"chunk-{self._next_chunk:06d}.npz"
+            self._next_chunk += 1
+            if name not in self._replaced:
+                break
         # Uncompressed: column blocks are already compact binary and the
         # store optimizes for append/stream throughput, not disk size.
-        np.savez(self.path / name, **arrays)
+        with atomic_write(self.path / name, binary=True) as handle:
+            np.savez(handle, **arrays)
         self._chunks.append(name)
         self._chunk_row_counts.append(rows)
         self._row_count += rows
@@ -394,9 +463,15 @@ class ColumnarStore:
             "document_header": self._document_header,
             "metadata": self._metadata,
         }
-        (self.path / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=False) + "\n")
+        manifest["sha256"] = _manifest_digest(manifest)
+        # The commit point: the manifest replace switches readers from the
+        # old chunk set to the new one at once.
+        write_json(self.path / MANIFEST_NAME, manifest)
         self._writable = False
+        listed = set(self._chunks)
+        for chunk in self.path.glob("chunk-*.npz"):
+            if chunk.name not in listed:
+                chunk.unlink()
 
     # -- reading ------------------------------------------------------------
     def _require_readable(self) -> None:
@@ -447,61 +522,40 @@ class ColumnarStore:
 
 
 # -- persisting result objects ----------------------------------------------
+def _store_document(document: Mapping[str, object], path,
+                    metadata: Mapping[str, object],
+                    chunk_rows: int) -> ColumnarStore:
+    """Persist a result document (header keys, then ``row_count`` and
+    ``rows``) as a store that :func:`write_document_json` turns back into
+    the same bytes as :func:`~repro.explore.artifact.write_json`."""
+    header = dict(document)
+    rows = header.pop("rows")
+    del header["row_count"]
+    store = ColumnarStore.create(path, header["columns"],
+                                 document_header=header, metadata=metadata,
+                                 chunk_rows=chunk_rows)
+    with store:
+        store.append_rows(rows)
+    return store
+
+
 def store_campaign_run(run, path, deterministic: bool = True,
                        chunk_rows: int = DEFAULT_CHUNK_ROWS) -> ColumnarStore:
-    """Persist a :class:`~repro.explore.campaign.CampaignRun` as a store.
-
-    The document header mirrors :meth:`CampaignRun.as_document`'s key order,
-    so :func:`write_document_json` on the result is bitwise identical to
-    :meth:`CampaignRun.write_json` with the same *deterministic* flag.
-    """
-    columns = result_columns(deterministic)
-    header: Dict[str, object] = {"schema_version": SCHEMA_VERSION,
-                                 "columns": columns}
-    if not deterministic:
-        header["workers"] = run.workers
-        header["wall_seconds"] = run.wall_seconds
-    store = ColumnarStore.create(
-        path, columns, document_header=header,
-        metadata={"kind": "campaign", "deterministic": deterministic},
-        chunk_rows=chunk_rows)
-    with store:
-        for outcome in run.outcomes:
-            store.append_row(outcome.deterministic_row() if deterministic
-                             else outcome.as_row())
-    return store
+    """Persist a :class:`~repro.explore.campaign.CampaignRun` as a store of
+    its :meth:`~CampaignRun.as_document`."""
+    return _store_document(
+        run.as_document(deterministic), path,
+        {"kind": "campaign", "deterministic": deterministic}, chunk_rows)
 
 
 def store_shard_run(result, path, deterministic: bool = True,
                     chunk_rows: int = DEFAULT_CHUNK_ROWS) -> ColumnarStore:
-    """Persist a :class:`~repro.explore.distrib.ShardRun` as a store.
-
-    The header carries the shard provenance block exactly like the shard
-    JSON artifact, so :func:`write_document_json` output is bitwise
-    identical to :meth:`ShardRun.write_json` — and therefore mergeable.
-    """
-    from repro.explore.distrib import DISTRIB_SCHEMA_VERSION
-
-    columns = result_columns(deterministic)
-    header: Dict[str, object] = {
-        "schema_version": SCHEMA_VERSION,
-        "distrib_schema_version": DISTRIB_SCHEMA_VERSION,
-        "shard": result.shard.provenance(),
-        "columns": columns,
-    }
-    if not deterministic:
-        header["workers"] = result.run.workers
-        header["wall_seconds"] = result.run.wall_seconds
-    store = ColumnarStore.create(
-        path, columns, document_header=header,
-        metadata={"kind": "shard", "deterministic": deterministic,
-                  "shard": result.shard.provenance()},
-        chunk_rows=chunk_rows)
-    with store:
-        for outcome in result.run.outcomes:
-            store.append_row(outcome.deterministic_row() if deterministic
-                             else outcome.as_row())
-    return store
+    """Persist a :class:`~repro.explore.distrib.ShardRun` as a store of its
+    (mergeable) :meth:`~ShardRun.as_document`."""
+    return _store_document(
+        result.as_document(deterministic), path,
+        {"kind": "shard", "deterministic": deterministic,
+         "shard": result.shard.provenance()}, chunk_rows)
 
 
 def store_adaptive_result(result, path, deterministic: bool = True,
@@ -515,8 +569,8 @@ def store_adaptive_result(result, path, deterministic: bool = True,
     streaming writer; the store therefore keeps the row table plus the
     search provenance in ``metadata`` and leaves the checkpoint JSON
     artifact to :meth:`AdaptiveResult.write_json`.  CSV output *is*
-    equivalent: :func:`write_document_csv` matches
-    :meth:`AdaptiveResult.write_csv` byte for byte.
+    equivalent: ``write_csv(path, store.columns, store.iter_rows())``
+    matches :meth:`AdaptiveResult.write_csv` byte for byte.
     """
     from repro.explore.adaptive import ADAPTIVE_SCHEMA_VERSION
 
@@ -602,7 +656,7 @@ def merge_artifacts_to_store(paths: Sequence, store_path,
     independent of the shard count — while the resulting store regenerates
     (:func:`write_document_json`) the exact bytes of
     :func:`~repro.explore.distrib.merge_shard_documents` +
-    ``write_merged_json``.
+    :func:`~repro.explore.artifact.write_json`.
 
     Returns ``(store, headers)`` — the headers (shard artifacts minus their
     rows) feed the CLI's merge report.  Raises
@@ -818,9 +872,10 @@ class IncrementalShardMerge:
     versions, provenance, canonical span, row counts, column agreement) and
     duplicate shard indexes are rejected — the exactly-once guarantee the
     coordinator's lease bookkeeping relies on.  After :meth:`finalize`, the
-    closed store regenerates (:func:`write_document_json` /
-    :func:`write_document_csv`) artifacts **bitwise identical** to the
-    single-host deterministic run, exactly like the offline merge paths.
+    closed store regenerates (:func:`write_document_json`,
+    :func:`~repro.explore.artifact.write_csv`) artifacts **bitwise
+    identical** to the single-host deterministic run, exactly like the
+    offline merge paths.
     """
 
     def __init__(self, store_path, *, count: int, total_jobs: int,
@@ -979,33 +1034,10 @@ class IncrementalShardMerge:
 def write_document_json(store: ColumnarStore, path) -> None:
     """Stream a store out as a JSON artifact, chunk by chunk.
 
-    Reproduces ``json.dump(store.document(), handle, indent=2,
-    sort_keys=False)`` plus the trailing newline *byte for byte* without
-    ever materializing the row list — the bitwise-identity contract of the
-    artifact writers, extended to the streaming path.
+    The bytes of ``json.dump(store.document(), handle, indent=2)`` plus a
+    newline, without ever materializing the row list.
     """
-    header = store.document_header
-    header["row_count"] = store.row_count
-    with open(path, "w") as handle:
-        handle.write("{\n")
-        for key, value in header.items():
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-            handle.write(f"  {json.dumps(key)}: {text},\n")
-        handle.write('  "rows": [')
-        first = True
-        for rows in store.iter_row_chunks():
-            for row in rows:
-                text = json.dumps(row, indent=2).replace("\n", "\n    ")
-                handle.write("\n    " if first else ",\n    ")
-                handle.write(text)
-                first = False
-        handle.write("]\n}\n" if first else "\n  ]\n}\n")
-
-
-def write_document_csv(store: ColumnarStore, path) -> None:
-    """Stream a store out as a CSV artifact (header = its column list)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=store.columns)
-        writer.writeheader()
-        for rows in store.iter_row_chunks():
-            writer.writerows(rows)
+    document = store.document_header
+    document["row_count"] = store.row_count
+    document["rows"] = store.iter_rows()
+    write_json(path, document)

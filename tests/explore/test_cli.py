@@ -150,6 +150,16 @@ class TestShardedExecution:
         assert merged_path.read_bytes() == mono_path.read_bytes()
         assert merged_csv.read_bytes() == mono_csv.read_bytes()
 
+    @pytest.mark.parametrize("store", [False, True])
+    def test_merge_of_truncated_artifact_names_the_file(self, capsys,
+                                                        tmp_path, store):
+        paths = self.shard_paths(tmp_path, capsys, count=2)
+        torn = tmp_path / "torn.json"
+        torn.write_bytes(paths[1].read_bytes()[:300])
+        extra = ["--store", str(tmp_path / "merged.store")] if store else []
+        assert main(["merge", str(paths[0]), str(torn), *extra]) == 2
+        assert f"error: {torn}: not a JSON artifact" in capsys.readouterr().err
+
 
 class TestAdaptiveResumeCli:
     def test_checkpoint_then_resume_matches_uninterrupted(self, capsys,

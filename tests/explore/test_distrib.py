@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.campaign import (
     Campaign,
     CampaignJob,
@@ -30,8 +31,6 @@ from repro.explore.distrib import (
     plan_shards,
     run_shard,
     space_fingerprint,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.scenarios import ScenarioSpec, spec_from_dict, spec_to_dict
 
@@ -217,8 +216,8 @@ class TestDifferentialMerge:
 
         merged_json = tmp_path / "merged.json"
         merged_csv = tmp_path / "merged.csv"
-        write_merged_json(merged, merged_json)
-        write_merged_csv(merged, merged_csv)
+        write_json(merged_json, merged)
+        write_csv(merged_csv, merged["columns"], merged["rows"])
         assert merged_json.read_bytes() == mono_json.read_bytes()
         assert merged_csv.read_bytes() == mono_csv.read_bytes()
 
@@ -375,7 +374,7 @@ class TestDistribAtScale:
         monolithic = campaign.run(workers=2)
         mono_path, merged_path = tmp_path / "mono.json", tmp_path / "merged.json"
         monolithic.write_json(mono_path, deterministic=True)
-        write_merged_json(merged, merged_path)
+        write_json(merged_path, merged)
         assert merged_path.read_bytes() == mono_path.read_bytes()
 
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.campaign import (
     CampaignJob,
     CampaignOutcome,
@@ -30,8 +31,6 @@ from repro.explore.distrib import (
     ShardRun,
     merge_shard_documents,
     plan_shards,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.scenarios import ScenarioSpec
 
@@ -122,8 +121,8 @@ class TestMergeRoundTripProperties:
         directory = tmp_path_factory.mktemp("merged")
         json_path = directory / "merged.json"
         csv_path = directory / "merged.csv"
-        write_merged_json(merged, json_path)
-        write_merged_csv(merged, csv_path)
+        write_json(json_path, merged)
+        write_csv(csv_path, merged["columns"], merged["rows"])
         assert json.loads(json_path.read_text()) == merged
         header = csv_path.read_text().splitlines()[0]
         assert header.split(",") == list(DETERMINISTIC_COLUMNS)

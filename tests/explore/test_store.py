@@ -2,19 +2,24 @@
 merge and the bitwise-identity contract of the streaming artifact writers.
 
 The load-bearing property throughout: everything a store regenerates
-(``write_document_json`` / ``write_document_csv``) must be *byte for byte*
+(``write_document_json`` / ``write_csv``) must be *byte for byte*
 identical to what the dict-of-lists writers produce for the same rows —
 that is what lets ``merge --store`` artifacts interoperate with every
 existing consumer.
 """
 
+import hashlib
+import itertools
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.explore.artifact import write_csv, write_json
 from repro.explore.campaign import (
     SCHEMA_VERSION,
     campaign_from_axes,
@@ -26,8 +31,6 @@ from repro.explore.distrib import (
     merge_shard_documents,
     plan_shards,
     run_shard,
-    write_merged_csv,
-    write_merged_json,
 )
 from repro.explore.report import format_store_summary, summarize_store
 from repro.explore.scenarios import ScenarioSpec
@@ -40,7 +43,6 @@ from repro.explore.store import (
     merge_documents_to_store,
     store_campaign_run,
     store_shard_run,
-    write_document_csv,
     write_document_json,
 )
 
@@ -226,6 +228,143 @@ class TestColumnarStore:
         assert store.chunk_count == 1
 
 
+# -- crash safety and manifest validation ------------------------------------
+
+def write_store(path, rows, chunk_rows=2):
+    with ColumnarStore.create(
+            path, TYPED_COLUMNS, chunk_rows=chunk_rows,
+            document_header={"schema_version": 1, "note": "caf\u00e9"},
+            metadata={"kind": "test", "ratio": 1.5}) as store:
+        store.append_rows(rows)
+
+
+def store_contents(path):
+    store = ColumnarStore.open(path)
+    return (store.columns, store.schema_version, store.document_header,
+            store.metadata, store.rows())
+
+
+def rewrite_manifest(path, mutate):
+    """Apply *mutate* to the manifest and store it with a valid checksum."""
+    manifest = json.loads((path / "manifest.json").read_text())
+    del manifest["sha256"]
+    mutate(manifest)
+    manifest["sha256"] = hashlib.sha256(
+        json.dumps(manifest, indent=2).encode()).hexdigest()
+    (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+#: (patched function, failing call): a rewrite of 7 rows at chunk_rows=2
+#: makes 4 np.savez calls and 5 os.replace calls (4 chunks, the manifest).
+REWRITE_FAULTS = [(np, "savez", call) for call in range(1, 5)] \
+    + [(os, "replace", call) for call in range(1, 6)]
+
+
+class TestCrashSafeStore:
+    @pytest.mark.parametrize("owner, name, call", REWRITE_FAULTS)
+    def test_failed_rewrite_keeps_the_old_store(self, tmp_path, monkeypatch,
+                                                owner, name, call):
+        path = tmp_path / "s"
+        old_rows = [typed_row(i) for i in range(5)]
+        new_rows = [typed_row(i) for i in range(10, 17)]
+        write_store(path, old_rows)
+        original, calls = getattr(owner, name), itertools.count(1)
+
+        def flaky(*args, **kwargs):
+            if next(calls) == call:
+                raise OSError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, flaky)
+        with pytest.raises(OSError, match="injected"):
+            write_store(path, new_rows)
+        monkeypatch.undo()
+        assert ColumnarStore.open(path).rows() == old_rows
+
+        write_store(path, new_rows)
+        assert ColumnarStore.open(path).rows() == new_rows
+        listed = json.loads((path / "manifest.json").read_text())["chunks"]
+        assert sorted(os.listdir(path)) == sorted(["manifest.json", *listed])
+
+    @pytest.mark.parametrize("mutate", [
+        lambda m: m.update(chunks=["../../../etc/hostname"]),
+        lambda m: m.update(chunks=["../" + name for name in m["chunks"]]),
+        lambda m: m.update(chunks=["chunk-000000.npz"] * 3),
+        lambda m: m.update(chunks=m["chunks"][:2] + ["sub/chunk-000002.npz"]),
+        lambda m: m.update(chunk_row_counts=[2, 2, 2]),
+        lambda m: m.update(chunk_row_counts=[2, 3]),
+        lambda m: m.update(row_count=True),
+        lambda m: m.update(columns=[]),
+        lambda m: m.update(columns=["seed", 3]),
+        lambda m: m.update(metadata=[]),
+        lambda m: m.update(chunk_rows=0),
+    ])
+    def test_open_rejects_crafted_manifests(self, tmp_path, mutate):
+        path = tmp_path / "s"
+        write_store(path, [typed_row(i) for i in range(5)])
+        # Real chunk files outside the store, for a crafted "../" name to
+        # find: only the name check may refuse it.
+        for chunk in path.glob("chunk-*.npz"):
+            shutil.copy(chunk, tmp_path / chunk.name)
+        rewrite_manifest(path, mutate)
+        with pytest.raises(StoreError):
+            ColumnarStore.open(path)
+        with pytest.raises(StoreError):
+            ColumnarStore.create(path, TYPED_COLUMNS)
+
+    def test_open_rejects_missing_chunk_and_stale_checksum(self, tmp_path):
+        path = tmp_path / "s"
+        write_store(path, [typed_row(i) for i in range(5)])
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["metadata"]["kind"] = "tampered"
+        (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        with pytest.raises(StoreError, match="checksum"):
+            ColumnarStore.open(path)
+        path = tmp_path / "t"
+        write_store(path, [typed_row(i) for i in range(5)])
+        (path / json.loads((path / "manifest.json").read_text())
+         ["chunks"][1]).unlink()
+        with pytest.raises(StoreError, match="lacks chunk"):
+            ColumnarStore.open(path)
+
+    # A fresh store per example (the previous one is deleted first), so one
+    # tmp_path across hypothesis examples is safe.
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(),
+           kind=st.sampled_from(["truncate", "flip", "drop", "version"]))
+    def test_corrupt_manifest_raises_store_error_or_reads_intact(
+            self, tmp_path, data, kind):
+        path = tmp_path / "s"
+        shutil.rmtree(path, ignore_errors=True)
+        write_store(path, [typed_row(i) for i in range(5)])
+        expected = store_contents(path)
+        good = (path / "manifest.json").read_bytes()
+        if kind == "truncate":
+            bad = good[:data.draw(st.integers(0, len(good) - 1))]
+        elif kind == "flip":
+            at = data.draw(st.integers(0, len(good) - 1))
+            byte = data.draw(st.integers(0, 255).filter(
+                lambda value: value != good[at]))
+            bad = good[:at] + bytes([byte]) + good[at + 1:]
+        else:
+            manifest = json.loads(good)
+            if kind == "drop":
+                del manifest[data.draw(st.sampled_from(sorted(manifest)))]
+            else:
+                manifest["store_schema_version"] = data.draw(
+                    st.integers().filter(
+                        lambda value: value != STORE_SCHEMA_VERSION)
+                    | st.none() | st.text(max_size=3) | st.just("2"))
+            bad = json.dumps(manifest, indent=2).encode()
+        (path / "manifest.json").write_bytes(bad)
+        try:
+            contents = store_contents(path)
+        except StoreError:
+            return
+        assert contents == expected
+
+
 # -- hypothesis: arbitrary rows round-trip through disk -----------------------
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -283,7 +422,7 @@ class TestResultObjectStores:
 
         store = store_campaign_run(run, tmp_path / "run.store", chunk_rows=3)
         write_document_json(store, tmp_path / "store.json")
-        write_document_csv(store, tmp_path / "store.csv")
+        write_csv(tmp_path / "store.csv", store.columns, store.iter_rows())
 
         assert (tmp_path / "store.json").read_bytes() \
             == (tmp_path / "direct.json").read_bytes()
@@ -330,13 +469,13 @@ class TestStreamingMerge:
     def test_merge_artifacts_matches_dict_merge_bitwise(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
         merged = merge_shard_documents(documents)
-        write_merged_json(merged, tmp_path / "dict.json")
-        write_merged_csv(merged, tmp_path / "dict.csv")
+        write_json(tmp_path / "dict.json", merged)
+        write_csv(tmp_path / "dict.csv", merged["columns"], merged["rows"])
 
         store, headers = merge_artifacts_to_store(
             paths, tmp_path / "merged.store", chunk_rows=4)
         write_document_json(store, tmp_path / "store.json")
-        write_document_csv(store, tmp_path / "store.csv")
+        write_csv(tmp_path / "store.csv", store.columns, store.iter_rows())
 
         assert (tmp_path / "store.json").read_bytes() \
             == (tmp_path / "dict.json").read_bytes()
@@ -367,7 +506,7 @@ class TestStreamingMerge:
     def test_partial_merge_matches_dict_merge_bitwise(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
         merged = merge_shard_documents(documents[:2], partial=True)
-        write_merged_json(merged, tmp_path / "dict.json")
+        write_json(tmp_path / "dict.json", merged)
 
         store, _ = merge_artifacts_to_store(
             paths[:2], tmp_path / "merged.store", partial=True)
@@ -394,7 +533,7 @@ def test_large_streaming_merge_is_bitwise_identical(tmp_path):
     streaming merge regenerate the dict-path JSON byte for byte."""
     documents = fake_shard_documents(20_000, 7)
     merged = merge_shard_documents(documents)
-    write_merged_json(merged, tmp_path / "dict.json")
+    write_json(tmp_path / "dict.json", merged)
     store = merge_documents_to_store(documents, tmp_path / "merged.store")
     write_document_json(store, tmp_path / "store.json")
     assert (tmp_path / "store.json").read_bytes() \
