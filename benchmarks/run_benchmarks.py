@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import platform
 import subprocess
@@ -88,22 +89,29 @@ def _best_of(repeats, run) -> tuple:
     return best, result
 
 
-def _autorange_best_of(repeats, run, floor_seconds) -> tuple:
-    """Time *run(count)* at the smallest count in 1, 2, 5, 10, 20, 50, ...
-    whose loop lasts at least *floor_seconds*, then best-of-*repeats* at
-    that count, so a fast arm is not timed for a few microseconds.
-
-    *run(count)* returns ``(wall_seconds, result)``; returns
-    ``(count, best_wall_seconds, last_result)``.
-    """
+def _autorange_count(run, floor_seconds) -> int:
+    """The smallest count in 1, 2, 5, 10, 20, 50, ... whose *run(count)*
+    (returning ``(wall_seconds, result)``) lasts at least *floor_seconds*."""
     base = 1
     while True:
         for count in (base, 2 * base, 5 * base):
             wall, _ = run(count)
             if wall >= floor_seconds:
-                best, result = _best_of(repeats, lambda: run(count))
-                return count, best, result
+                return count
         base *= 10
+
+
+def _autorange_best_of(repeats, run, floor_seconds) -> tuple:
+    """Time *run(count)* at the :func:`_autorange_count` count, then
+    best-of-*repeats* at that count, so a fast arm is not timed for a few
+    microseconds.
+
+    *run(count)* returns ``(wall_seconds, result)``; returns
+    ``(count, best_wall_seconds, last_result)``.
+    """
+    count = _autorange_count(run, floor_seconds)
+    best, result = _best_of(repeats, lambda: run(count))
+    return count, best, result
 
 
 def bench_kernel(scale: float) -> dict:
@@ -911,18 +919,21 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
     # vs one vectorized pass over the same N task rows.  The batch is built
     # outside the timed region on both sides — the comparison isolates the
     # arithmetic, which is what repeated scoring (budget ladders, sweeps)
-    # actually re-runs.
-    def run_scalar_eval():
-        start = time.perf_counter()
-        estimates = {}
-        for spec in specs:
-            scenario = cached_scenario(spec)
-            per_task = scenario.estimator.estimate_all(scenario.tasks)
-            for name, cycles in per_task.items():
-                estimates[(spec.name, name)] = cycles
-        return time.perf_counter() - start, estimates
+    # actually re-runs.  One pass of either arm takes ~100 us, so each is
+    # repeated to at least floor_seconds, and the two arms alternate in one
+    # loop so both see the same host state.
+    floor_seconds = 0.05 if quick else 0.5
 
-    scalar_wall, scalar_estimates = _best_of(REPEATS, run_scalar_eval)
+    def run_scalar_eval(passes):
+        start = time.perf_counter()
+        for _ in range(passes):
+            estimates = {}
+            for spec in specs:
+                scenario = cached_scenario(spec)
+                per_task = scenario.estimator.estimate_all(scenario.tasks)
+                for name, cycles in per_task.items():
+                    estimates[(spec.name, name)] = cycles
+        return time.perf_counter() - start, estimates
 
     batch = BatchEstimator()
     batch_rows = {}
@@ -931,13 +942,21 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
         batch_rows[spec.name] = batch.add_estimator_tasks(scenario.estimator,
                                                           scenario.tasks)
 
-    def run_batch_eval():
-        batch._cycles = None  # force a fresh vectorized pass
+    def run_batch_eval(passes):
         start = time.perf_counter()
-        cycles = batch.task_cycles()
+        for _ in range(passes):
+            batch._cycles = None  # force a fresh vectorized pass
+            cycles = batch.task_cycles()
         return time.perf_counter() - start, cycles
 
-    batch_wall, batch_cycles = _best_of(REPEATS, run_batch_eval)
+    scalar_passes = _autorange_count(run_scalar_eval, floor_seconds)
+    batch_passes = _autorange_count(run_batch_eval, floor_seconds)
+    scalar_wall = batch_wall = math.inf
+    for _ in range(REPEATS):
+        wall, scalar_estimates = run_scalar_eval(scalar_passes)
+        scalar_wall = min(scalar_wall, wall / scalar_passes)
+        wall, batch_cycles = run_batch_eval(batch_passes)
+        batch_wall = min(batch_wall, wall / batch_passes)
     batch_estimates = {
         (spec_name, task_name): int(batch_cycles[row])
         for spec_name, rows in batch_rows.items()

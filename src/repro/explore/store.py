@@ -47,6 +47,7 @@ import io
 import json
 import re
 import struct
+import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,6 +81,12 @@ MANIFEST_NAME = "manifest.json"
 #: The only file names a manifest may list as chunks (plain names, so a
 #: manifest cannot point outside its directory).
 _CHUNK_NAME = re.compile(r"chunk-[0-9]{6,}\.npz")
+
+#: The files a first write leaves when it crashes before its manifest
+#: commits: chunks, and the temp files of :func:`atomic_write`.
+_FIRST_WRITE_DEBRIS = re.compile(
+    r"chunk-[0-9]{6,}\.npz"
+    r"|\.(?:chunk-[0-9]{6,}\.npz|manifest\.json)\.[0-9a-f]{12}\.tmp")
 
 #: Every manifest key and the JSON type its value must have.
 _MANIFEST_TYPES = {
@@ -259,7 +266,10 @@ class ColumnarStore:
 
         An existing store stays intact and readable until :meth:`close`
         commits the new manifest; only then are the chunks it no longer
-        lists deleted.  A crash before that leaves the old store.
+        lists deleted.  A crash before that leaves the old store.  A
+        directory without a manifest is refused unless it holds only what
+        a crashed first write leaves (chunks and temp files), which is
+        deleted.
         """
         if chunk_rows < 1:
             raise StoreError("chunk_rows must be >= 1")
@@ -272,10 +282,16 @@ class ColumnarStore:
                 raise StoreError(f"{path} exists and is not a directory")
             if (path / MANIFEST_NAME).exists():
                 replaced = _read_manifest(path)["chunks"]
-            elif any(path.iterdir()):
-                raise StoreError(
-                    f"{path} exists, is not empty and carries no "
-                    f"{MANIFEST_NAME} — refusing to overwrite")
+            else:
+                entries = list(path.iterdir())
+                if not all(entry.is_file()
+                           and _FIRST_WRITE_DEBRIS.fullmatch(entry.name)
+                           for entry in entries):
+                    raise StoreError(
+                        f"{path} exists, is not empty and carries no "
+                        f"{MANIFEST_NAME} — refusing to overwrite")
+                for entry in entries:
+                    entry.unlink()
         else:
             path.mkdir(parents=True)
         store = cls(path, columns=columns, schema_version=schema_version,
@@ -480,11 +496,25 @@ class ColumnarStore:
                 f"{self.path} is still open for writing — close() it first")
 
     def iter_column_chunks(self) -> Iterator[Dict[str, np.ndarray]]:
-        """Yield one ``column -> array`` mapping per chunk, in row order."""
+        """Yield one ``column -> array`` mapping per chunk, in row order; a
+        chunk file that does not read back as the manifest's columns and
+        row count raises :class:`StoreError`."""
         self._require_readable()
-        for name in self._chunks:
-            with np.load(self.path / name) as data:
-                yield {column: data[column] for column in self._columns}
+        for name, rows in zip(self._chunks, self._chunk_row_counts):
+            chunk_path = self.path / name
+            try:
+                with np.load(chunk_path) as data:
+                    chunk = {column: data[column] for column in self._columns}
+            # What numpy and zipfile raise for damaged bytes.
+            except (zipfile.BadZipFile, zlib.error, OSError, ValueError,
+                    KeyError, EOFError, RuntimeError,
+                    NotImplementedError) as error:
+                raise StoreError(f"{chunk_path}: unreadable chunk "
+                                 f"({type(error).__name__}: {error})") from error
+            if any(array.shape != (rows,) for array in chunk.values()):
+                raise StoreError(f"{chunk_path}: columns do not hold the "
+                                 f"{rows} rows the manifest lists")
+            yield chunk
 
     def iter_row_chunks(self) -> Iterator[List[Dict[str, object]]]:
         """Yield one list of dict rows per chunk (native Python scalars)."""

@@ -275,7 +275,14 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
         return ((1.0 - weight) * sum(lengths) / makespan_scale
                 + weight * max(powers) / peak_scale)
 
+    # The walk draws from ``random.Random(seed)`` without the stdlib's
+    # Python frames.  Each ``while (r := getrandbits(n.bit_length())) >= n``
+    # below is the loop ``rng.randrange(n)`` runs
+    # (``_randbelow_with_getrandbits``), so it returns the same value and
+    # consumes the same ``getrandbits`` stream on every supported Python.
     rng = random.Random(seed)
+    draw = rng.random
+    getrandbits = rng.getrandbits
     current_cost = cost_of(lengths, powers)
     best = phases
     best_cost = current_cost
@@ -285,12 +292,34 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
 
     for _ in range(steps):
         count = len(phases)
-        if count > 1 and rng.random() < 0.5:
-            # Swap two tasks between two distinct phases.
-            source, target = rng.sample(range(count), 2)
-            a = rng.randrange(len(phases[source]))
-            b = rng.randrange(len(phases[target]))
-            source_phase, target_phase = phases[source], phases[target]
+        swap = count > 1 and draw() < 0.5
+        # Both kinds of step draw their source phase first: a swap as the
+        # first item of its sample, a move as its ``randrange(count)``.
+        bits = count.bit_length()
+        while (source := getrandbits(bits)) >= count:
+            pass
+        source_phase = phases[source]
+        size = len(source_phase)
+        if swap:
+            # Swap two tasks between two distinct phases.  ``source`` and
+            # ``target`` are the draws of ``rng.sample(range(count), 2)``:
+            # its pool method up to 21 phases, its set method above.
+            if count <= 21:
+                bits = (count - 1).bit_length()
+                while (target := getrandbits(bits)) >= count - 1:
+                    pass
+                if target == source:
+                    target = count - 1
+            else:
+                while (target := getrandbits(bits)) >= count or target == source:
+                    pass
+            target_phase = phases[target]
+            bits = size.bit_length()
+            while (a := getrandbits(bits)) >= size:
+                pass
+            bits = len(target_phase).bit_length()
+            while (b := getrandbits(bits)) >= len(target_phase):
+                pass
             task_a, task_b = source_phase[a], target_phase[b]
             if not (feasible(task_b, source_phase[:a] + source_phase[a + 1:])
                     and feasible(task_a, target_phase[:b] + target_phase[b + 1:])):
@@ -303,11 +332,13 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
             emptied = None
         else:
             # Move one task to another phase, or into a brand-new phase.
-            source = rng.randrange(count)
-            source_phase = phases[source]
-            index = rng.randrange(len(source_phase))
+            bits = size.bit_length()
+            while (index := getrandbits(bits)) >= size:
+                pass
             task_name = source_phase[index]
-            target = rng.randrange(count + 1)
+            bits = (count + 1).bit_length()
+            while (target := getrandbits(bits)) >= count + 1:
+                pass
             if target == source:
                 temperature *= cooling
                 continue
@@ -335,7 +366,7 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
                 candidate_powers[emptied]
         new_cost = cost_of(candidate_lengths, candidate_powers)
         delta = new_cost - current_cost
-        if delta <= 0 or rng.random() < math.exp(-delta / max(temperature, 1e-9)):
+        if delta <= 0 or draw() < math.exp(-delta / max(temperature, 1e-9)):
             phases, lengths, powers = (
                 candidate, candidate_lengths, candidate_powers)
             current_cost = new_cost

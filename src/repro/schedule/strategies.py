@@ -45,6 +45,7 @@ Registered strategies (the built-in five):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Type
 
@@ -221,6 +222,9 @@ def register_strategy(strategy: SchedulerStrategy) -> SchedulerStrategy:
     if strategy.name in _REGISTRY:
         raise ValueError(f"strategy {strategy.name!r} is already registered")
     _REGISTRY[strategy.name] = strategy
+    # A name memoized as "not a strategy" may name this one now.
+    ScheduleStrategySpec.parse.cache_clear()
+    canonical_schedule_name.cache_clear()
     return strategy
 
 
@@ -277,6 +281,9 @@ def _parse_value(text: str, target: type, key: str, strategy: str) -> object:
             f"{target.__name__}, got {text!r}") from error
 
 
+#: How many distinct schedule names the parse memos keep.
+_PARSE_MEMO_SIZE = 1024
+
 #: Field types resolvable from the annotation strings used in this module.
 _FIELD_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
 
@@ -307,6 +314,7 @@ class ScheduleStrategySpec:
         return params
 
     @classmethod
+    @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
     def parse(cls, text: str) -> Optional["ScheduleStrategySpec"]:
         """Parse ``NAME[:key=val,...]``.
 
@@ -314,6 +322,9 @@ class ScheduleStrategySpec:
         (the text then refers to a pre-built schedule, e.g. the paper's
         hand-written ``schedule_1``); raises :class:`ValueError` when the
         base name *is* registered but the parameter list is malformed.
+        Results are memoized by text (a spec is frozen, so every caller may
+        share it); a parse that raises is not, and
+        :func:`register_strategy` forgets them all.
         """
         base, separator, params_text = text.partition(":")
         if base not in _REGISTRY:
@@ -356,13 +367,15 @@ class ScheduleStrategySpec:
             tasks, estimates, power_model=power_model, params=self.params)
 
 
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def canonical_schedule_name(text: str) -> str:
     """Canonicalize a schedule name.
 
     Strategy spec strings are normalized (defaults dropped, declaration
     order); anything else — the name of a pre-built schedule — passes
     through unchanged.  Raises :class:`ValueError` for a malformed spec
-    string of a registered strategy.
+    string of a registered strategy.  Memoized by text, like
+    :meth:`ScheduleStrategySpec.parse`.
     """
     spec = ScheduleStrategySpec.parse(text)
     return text if spec is None else spec.canonical

@@ -327,6 +327,75 @@ class TestCrashSafeStore:
         with pytest.raises(StoreError, match="lacks chunk"):
             ColumnarStore.open(path)
 
+    def test_crashed_first_write_does_not_block_the_rerun(self, tmp_path,
+                                                          monkeypatch):
+        rows = [typed_row(i) for i in range(3)]
+        write_store(tmp_path / "clean", rows, chunk_rows=1)
+        path = tmp_path / "s"
+        original, calls = np.savez, itertools.count(1)
+
+        def flaky(*args, **kwargs):
+            if next(calls) == 2:
+                raise OSError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "savez", flaky)
+        with pytest.raises(OSError, match="injected"):
+            write_store(path, rows, chunk_rows=1)
+        monkeypatch.undo()
+        assert sorted(os.listdir(path)) == ["chunk-000000.npz"]
+        # A kill inside the atomic writer leaves its temp file too.
+        (path / ".chunk-000001.npz.0123456789ab.tmp").write_bytes(b"torn")
+        write_store(path, rows, chunk_rows=1)
+        assert sorted(os.listdir(path)) == sorted(os.listdir(tmp_path / "clean"))
+        for name in os.listdir(path):
+            assert (path / name).read_bytes() == \
+                (tmp_path / "clean" / name).read_bytes()
+
+    @pytest.mark.parametrize("foreign", ["notes.txt", "chunk-1.npz",
+                                         ".manifest.json.tmp", "chunk-000009"])
+    def test_unfinished_first_write_with_foreign_files_is_refused(
+            self, tmp_path, foreign):
+        path = tmp_path / "s"
+        path.mkdir()
+        (path / "chunk-000000.npz").write_bytes(b"left over")
+        (path / foreign).write_bytes(b"data")
+        with pytest.raises(StoreError, match="refusing to overwrite"):
+            ColumnarStore.create(path, TYPED_COLUMNS)
+        assert (path / foreign).read_bytes() == b"data"
+
+    def test_chunk_with_other_row_count_raises_store_error(self, tmp_path):
+        path = tmp_path / "s"
+        write_store(path, [typed_row(i) for i in range(3)])
+        first, second = sorted(path.glob("chunk-*.npz"))
+        shutil.copy(second, first)  # 1 row where the manifest lists 2
+        store = ColumnarStore.open(path)
+        with pytest.raises(StoreError, match="rows the manifest lists"):
+            store.rows()
+        with pytest.raises(StoreError, match="rows the manifest lists"):
+            store.column("seed")
+
+    @pytest.mark.slow
+    def test_every_bit_flip_of_a_chunk_raises_store_error_or_reads_intact(
+            self, tmp_path):
+        path = tmp_path / "s"
+        rows = [typed_row(i) for i in range(3)]
+        write_store(path, rows, chunk_rows=3)
+        chunk, = path.glob("chunk-*.npz")
+        good = chunk.read_bytes()
+        store = ColumnarStore.open(path)
+        refused = 0
+        for bit in range(len(good) * 8):
+            bad = bytearray(good)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            chunk.write_bytes(bytes(bad))
+            try:
+                assert store.rows() == rows
+            except StoreError:
+                refused += 1
+        # Most flips land in zip headers, npy headers or CRC-checked data.
+        assert refused > len(good) * 4
+
     # A fresh store per example (the previous one is deleted first), so one
     # tmp_path across hypothesis examples is safe.
     @settings(max_examples=150, deadline=None,

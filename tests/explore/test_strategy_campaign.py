@@ -105,6 +105,26 @@ class TestStrategySchedulesInScenarios:
         assert [s.name for s in scenario.selected_schedules()] == \
             ["schedule_1", "binpack"]
 
+    def test_schedules_of_one_scenario_are_independent_objects(self):
+        # greedy, the anneal's start and the portfolio's greedy member are
+        # one recipe: changing one schedule must leave the others intact.
+        names = ("greedy", "anneal:steps=64,seed=3",
+                 "portfolio:members=greedy|binpack")
+        spec = strategy_spec(schedules=names)
+        for mutated in names:
+            scenario = build_scenario(spec)
+            target = scenario.schedule_for(mutated)
+            target.phases[0].append("intruder")
+            target.phases.append(["intruder"])
+            target.description = "changed"
+            fresh = build_scenario(spec)
+            for name in names:
+                if name != mutated:
+                    kept = scenario.schedule_for(name)
+                    assert kept.phases == fresh.schedule_for(name).phases
+                    assert kept.description == \
+                        fresh.schedule_for(name).description
+
     def test_unknown_schedule_still_raises(self):
         scenario = build_scenario(strategy_spec(schedules=("sequential",)))
         with pytest.raises(KeyError, match="nope"):

@@ -155,6 +155,45 @@ class TestCanonicalSpecStrings:
         assert strategy_fingerprint("greedy:bogus") == ("", "")
 
 
+class TestParseMemo:
+    @pytest.fixture
+    def unregistered(self):
+        from repro.schedule import strategies
+
+        yield "memo_probe"
+        strategies._REGISTRY.pop("memo_probe", None)
+        ScheduleStrategySpec.parse.cache_clear()
+        canonical_schedule_name.cache_clear()
+
+    def test_registering_a_name_revokes_its_memoized_parse(self, unregistered,
+                                                           tasks, estimates):
+        from dataclasses import dataclass
+
+        @dataclass(frozen=True)
+        class ProbeParams(StrategyParams):
+            level: int = 0
+
+        text = f"{unregistered}:level=0"
+        assert ScheduleStrategySpec.parse(unregistered) is None
+        assert canonical_schedule_name(unregistered) == unregistered
+        with pytest.raises(ValueError, match="unknown scheduler strategy"):
+            canonical_schedule_name(text)
+        register_strategy(SchedulerStrategy(
+            name=unregistered, params_type=ProbeParams,
+            builder=get_strategy("greedy").builder))
+        assert ScheduleStrategySpec.parse(unregistered) == \
+            ScheduleStrategySpec(strategy=unregistered, params=ProbeParams())
+        assert canonical_schedule_name(text) == unregistered
+        assert strategy_fingerprint(text) == (unregistered, "")
+
+    def test_a_parse_that_raises_is_not_memoized(self):
+        memoized = ScheduleStrategySpec.parse.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no parameter"):
+                ScheduleStrategySpec.parse("greedy:bogus=1")
+        assert ScheduleStrategySpec.parse.cache_info().currsize == memoized
+
+
 class TestBuildThroughRegistry:
     def test_schedule_named_by_canonical_string(self, tasks, estimates):
         schedule = build_strategy_schedule("binpack:fit=best", tasks, estimates)
