@@ -1068,21 +1068,23 @@ def bench_coordinator(scale: float) -> dict:
     isolate the coordination layer:
 
     * *queue* — lease/complete operation throughput of an in-process
-      :class:`Coordinator` draining a many-span campaign (grant, validate,
-      ingest; the headline ``lease_ops_per_second``),
+      :class:`Coordinator` draining a many-span campaign of pre-encoded
+      shard blocks (grant, decode, validate, ingest; the headline
+      ``lease_ops_per_second``),
     * *steal* — the lazy-expiry scan: every span leased to a straggler, the
       injected clock jumps past the lease timeout, and one :meth:`tick`
       re-queues the lot (steals/second bounds how fast a dead fleet's work
       comes back),
-    * *stream* — rows/second through :class:`IncrementalShardMerge` fed in
-      scrambled completion order, with the regenerated JSON compared
+    * *stream* — rows/second through :class:`IncrementalShardMerge` fed
+      pre-encoded shard blocks in scrambled completion order (decode,
+      validate, ingest, finalize), with the regenerated JSON compared
       byte-for-byte against the dict-path artifact (``bitwise_identical``),
     * *wire* — the same drain and a bulk-ingest campaign over real localhost
       sockets with the client in a subprocess (a real worker process): one
-      framed session, ``prefetch`` span batching, pipelined completion
-      flights, binary columnar payloads for bulk spans, with the campaign
-      artifact compared byte-for-byte against the dict-path merge
-      (``wire.bitwise_identical``).
+      framed session, ``prefetch`` span batching, pipelined flights of
+      completion block frames (encoded in the timed loop, as a worker
+      does), with the campaign artifact compared byte-for-byte against the
+      dict-path merge (``wire.bitwise_identical``).
     """
     import tempfile
     import threading
@@ -1101,7 +1103,9 @@ def bench_coordinator(scale: float) -> dict:
         shard_span,
     )
     from repro.explore.scenarios import ScenarioSpec
-    from repro.explore.store import IncrementalShardMerge, write_document_json
+    from repro.explore.store import (
+        IncrementalShardMerge, encode_shard_block, write_document_json,
+    )
 
     jobs = []
     for index in range(max(96, int(2400 * scale))):
@@ -1118,15 +1122,18 @@ def bench_coordinator(scale: float) -> dict:
             peak_power=2.0, avg_power=1.0, simulated_activations=100 + salt,
         )
 
-    # Pre-build the completion document for every span from the same
-    # plan_shards() call the coordinator makes, so the timed loop measures
-    # grant + validation + ingestion, not document construction.
+    # Pre-build the completion document and block for every span from the
+    # same plan_shards() call the coordinator makes, so the timed loop
+    # measures grant + decode + validation + ingestion, not document
+    # construction or encoding.
     documents = {}
     for shard in plan_shards(jobs, spans):
         run = CampaignRun(outcomes=[outcome(job, shard.start + i)
                                     for i, job in enumerate(shard.jobs)])
         documents[shard.index] = json.loads(json.dumps(
             ShardRun(shard, run).as_document()))
+    blocks = {index: encode_shard_block(document)
+              for index, document in documents.items()}
 
     # -- queue: grant/complete a full campaign through the span queue
     def run_drain():
@@ -1140,8 +1147,7 @@ def bench_coordinator(scale: float) -> dict:
             if granted is None:
                 break
             lease, shard = granted
-            coordinator.complete_lease(lease.lease_id,
-                                       documents[shard.index])
+            coordinator.complete_lease(lease.lease_id, blocks[shard.index])
             drained += 1
         wall = time.perf_counter() - start
         coordinator.close()
@@ -1196,6 +1202,8 @@ def bench_coordinator(scale: float) -> dict:
     # Scrambled completion order (stride permutation): shard 0 does not
     # arrive first, so the in-order drain has to buffer and catch up.
     order = [(index * 5) % stream_shards for index in range(stream_shards)]
+    stream_blocks = [encode_shard_block(document)
+                     for document in stream_documents]
 
     tmp = _Path(tempfile.mkdtemp(prefix="bench_coordinator_"))
 
@@ -1205,7 +1213,7 @@ def bench_coordinator(scale: float) -> dict:
             tmp / "stream.store", count=stream_shards, total_jobs=total,
             fingerprint="0" * 64, columns=columns)
         for index in order:
-            merge.add_shard_document(stream_documents[index])
+            merge.add_shard_block(stream_blocks[index])
         store = merge.finalize()
         return time.perf_counter() - start, store
 
@@ -1241,29 +1249,35 @@ def bench_coordinator(scale: float) -> dict:
     # n) that the pipelined session exists to exploit.  The child times
     # itself and reports the walls on stdout.
     wire_client_script = r"""
-import json, sys, time
+import itertools, json, sys, time
 port, docs_path, prefetch, mode = (
     int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), sys.argv[4])
-from repro.explore.coordinator import CoordinatorSession
+from repro.explore.coordinator import (
+    CoordinatorSession, encode_completion_frame, encode_json_frame)
 with open(docs_path, "r", encoding="utf-8") as handle:
     documents = {int(key): value for key, value in json.load(handle).items()}
 drained = 0
 completion = 0.0
+
+
+def frame_of(entry):
+    return encode_completion_frame(int(entry["lease"]["lease_id"]),
+                                   documents[entry["shard"]["shard"]["index"]])
+
+
 client = CoordinatorSession(port=port)
 start = time.perf_counter()
 if mode == "drain":
     # Fully pipelined drain: each flight carries the current batch's
-    # completions plus the next lease request, so grant latency is hidden
-    # behind completion processing.
+    # completion block frames plus the next lease request, so grant latency
+    # is hidden behind completion processing.  Frames are encoded lazily,
+    # interleaved with the sends.
+    lease = encode_json_frame({"op": "lease", "worker": "bench",
+                               "count": prefetch})
     pending = client.request_leases("bench", prefetch).get("leases") or []
     while pending:
-        requests = [{"op": "complete",
-                     "lease_id": int(entry["lease"]["lease_id"]),
-                     "document": documents[entry["shard"]["shard"]["index"]]}
-                    for entry in pending]
-        requests.append({"op": "lease", "worker": "bench",
-                         "count": prefetch})
-        responses = client.call_many(requests)
+        responses = client.exchange(itertools.chain(
+            (frame_of(entry) for entry in pending), [lease]))
         drained += sum(1 for response in responses[:-1]
                        if response.get("accepted"))
         pending = responses[-1].get("leases") or []
@@ -1273,11 +1287,9 @@ else:
         leases = client.request_leases("bench", prefetch).get("leases") or []
         if not leases:
             break
-        pairs = [(int(entry["lease"]["lease_id"]),
-                  documents[entry["shard"]["shard"]["index"]])
-                 for entry in leases]
         began = time.perf_counter()
-        drained += sum(client.complete_many(pairs))
+        responses = client.exchange(frame_of(entry) for entry in leases)
+        drained += sum(1 for response in responses if response["accepted"])
         completion += time.perf_counter() - began
 wall = time.perf_counter() - start
 client.close()
@@ -1349,10 +1361,11 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
 
     def run_wire_ingest():
         """Ship ``total`` rows through ``stream_shards`` completions over
-        the socket from a subprocess worker.  The session pipelines binary
-        columnar blocks (encode cost deliberately inside the timed loop —
-        workers pay it too).  The reported wall covers only the completion calls —
-        the lease-grant path has its own measurement above — and the JSON
+        the socket from a subprocess worker.  The session pipelines
+        completion block frames (encode cost deliberately inside the timed
+        loop — workers pay it too).  The reported wall covers only the
+        completion calls — the lease-grant path has its own measurement
+        above — and the JSON
         artifact is written from the finalized store after the clock stops,
         mirroring the in-process *stream* measurement."""
         coordinator = Coordinator(lease_timeout=300.0, clock=_ManualClock())
@@ -1448,6 +1461,7 @@ def bench_metrics(scale: float) -> dict:
     from repro.explore.distrib import ShardRun, plan_shards
     from repro.explore.metrics import MetricsServer, StructuredLog
     from repro.explore.scenarios import ScenarioSpec
+    from repro.explore.store import encode_shard_block
 
     jobs = []
     for index in range(max(96, int(2400 * scale))):
@@ -1464,12 +1478,12 @@ def bench_metrics(scale: float) -> dict:
             peak_power=2.0, avg_power=1.0, simulated_activations=100 + salt,
         )
 
-    documents = {}
+    blocks = {}
     for shard in plan_shards(jobs, spans):
         run = CampaignRun(outcomes=[outcome(job, shard.start + i)
                                     for i, job in enumerate(shard.jobs)])
-        documents[shard.index] = json.loads(json.dumps(
-            ShardRun(shard, run).as_document()))
+        blocks[shard.index] = encode_shard_block(json.loads(json.dumps(
+            ShardRun(shard, run).as_document())))
 
     tmp = _Path(tempfile.mkdtemp(prefix="bench_metrics_"))
     repeats = 5  # the 5% boolean needs tighter best-of than the default 3
@@ -1490,8 +1504,7 @@ def bench_metrics(scale: float) -> dict:
             if granted is None:
                 break
             lease, shard = granted
-            coordinator.complete_lease(lease.lease_id,
-                                       documents[shard.index])
+            coordinator.complete_lease(lease.lease_id, blocks[shard.index])
             drained += 1
         wall = time.perf_counter() - start
         spans_total = coordinator.metrics.value(
@@ -1526,7 +1539,7 @@ def bench_metrics(scale: float) -> dict:
         if granted is None:
             break
         lease, shard = granted
-        coordinator.complete_lease(lease.lease_id, documents[shard.index])
+        coordinator.complete_lease(lease.lease_id, blocks[shard.index])
     server = MetricsServer(coordinator.metrics)
     server.start()
     url = f"http://127.0.0.1:{server.port}/metrics"

@@ -22,9 +22,9 @@ gap by hand.  This module is the missing control plane, ROADMAP item 1:
   TCP transport for the state machine: persistent length-prefixed framed
   sessions (one socket per worker for its whole lifetime), batched ops
   (multi-span lease prefetch, one coalesced heartbeat frame for every held
-  lease) and *binary columnar completion payloads*
-  (:func:`~repro.explore.store.encode_shard_block`), so a completed span
-  streams from worker to :class:`~repro.explore.store.ColumnarStore`
+  lease) and one completion format, the *binary columnar shard block*
+  (:func:`~repro.explore.store.encode_shard_block`), so every completed
+  span streams from worker to :class:`~repro.explore.store.ColumnarStore`
   without ever round-tripping through per-row dicts or JSON.  The op table
   lives in one place, :meth:`Coordinator.dispatch`; the socket handler and
   the in-process test session (:class:`repro.explore.worker.
@@ -68,7 +68,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     BinaryIO, Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
-    Tuple, Union,
+    Tuple,
 )
 
 from repro.explore.artifact import write_csv
@@ -92,9 +92,6 @@ from repro.explore.metrics import (
 from repro.explore.store import (
     ColumnarStore,
     IncrementalShardMerge,
-    ShardBlock,
-    StoreError,
-    decode_shard_block,
     encode_shard_block,
     write_document_json,
 )
@@ -104,8 +101,9 @@ from repro.explore.store import (
 #: documents); v3 is the framed-session transport (persistent sessions,
 #: batched ops, binary completion payloads, ``protocol_errors`` counter);
 #: v4 dropped the JSON Lines transport and the single-span ``lease`` /
-#: single-id ``heartbeat`` op forms.
-COORDINATOR_SCHEMA_VERSION = 4
+#: single-id ``heartbeat`` op forms; v5 dropped the JSON ``complete`` op, so
+#: every completion is a block frame.
+COORDINATOR_SCHEMA_VERSION = 5
 
 #: Default seconds a lease may go without a heartbeat before it is stolen.
 DEFAULT_LEASE_TIMEOUT = 60.0
@@ -164,6 +162,14 @@ def encode_block_frame(meta: Mapping[str, object], block: bytes) -> bytes:
     return encode_frame(FRAME_KIND_BLOCK,
                         struct.pack(">I", len(meta_bytes)) + meta_bytes
                         + block)
+
+
+def encode_completion_frame(lease_id: int,
+                            document: Mapping[str, object]) -> bytes:
+    """The completion frame of one span: its result *document* encoded as a
+    shard block behind a ``{"op": "complete", "lease_id": L}`` meta."""
+    return encode_block_frame({"op": "complete", "lease_id": int(lease_id)},
+                              encode_shard_block(document))
 
 
 def decode_block_payload(payload: bytes) -> Tuple[Dict[str, object], bytes]:
@@ -677,50 +683,21 @@ class Coordinator:
             self._m_protocol_errors.inc()
             self._emit("protocol-error", error=message)
 
-    def complete_lease(self, lease_id: int,
-                       document: Mapping[str, object]) -> bool:
-        """Ingest a completed span; returns False for stale completions.
+    def complete_lease(self, lease_id: int, block: bytes) -> bool:
+        """Ingest a completed span's shard block; returns False for stale
+        completions.
 
-        Validation happens *before* any bookkeeping: a document that fails
-        provenance/span/row checks raises
-        :class:`~repro.explore.distrib.MergeError` and changes nothing, so a
-        misbehaving worker cannot poison a campaign.  A valid completion for
-        a span that someone else already completed (a steal raced the
+        *block* is an :func:`~repro.explore.store.encode_shard_block`
+        payload; its decoded column arrays are validated and merged without
+        ever materializing per-row dicts.  Validation happens *before* any
+        bookkeeping: a block that does not decode or fails provenance/span/
+        row checks raises :class:`~repro.explore.distrib.MergeError`, is
+        counted and logged, and changes nothing — the lease stays live, so
+        a misbehaving worker cannot poison a campaign.  A valid completion
+        for a span that someone else already completed (a steal raced the
         original worker, or a duplicate send) is acknowledged as stale and
         dropped — rows are merged exactly once.
         """
-        def ingest(state: _CampaignState) -> Tuple[int, int]:
-            return (state.merge.add_shard_document(document),
-                    int(document["row_count"]))
-        return self._complete(lease_id, ingest)
-
-    def complete_lease_block(self, lease_id: int,
-                             block: Union[ShardBlock, bytes, bytearray,
-                                          memoryview]) -> bool:
-        """:meth:`complete_lease` over a binary columnar shard payload.
-
-        The protocol-v2 completion path: *block* is an
-        :func:`~repro.explore.store.encode_shard_block` payload (or an
-        already-decoded :class:`~repro.explore.store.ShardBlock`); its
-        decoded column arrays are validated and merged without ever
-        materializing per-row dicts.  Decode failures are treated exactly
-        like invalid documents — counted, logged, raised as
-        :class:`~repro.explore.distrib.MergeError`, and the lease stays
-        live.
-        """
-        def ingest(state: _CampaignState) -> Tuple[int, int]:
-            decoded = block
-            if isinstance(decoded, (bytes, bytearray, memoryview)):
-                try:
-                    decoded = decode_shard_block(decoded)
-                except StoreError as error:
-                    raise MergeError(str(error))
-            return state.merge.add_shard_block(decoded), decoded.row_count
-        return self._complete(lease_id, ingest)
-
-    def _complete(self, lease_id: int,
-                  ingest: Callable[["_CampaignState"], Tuple[int, int]]
-                  ) -> bool:
         self.tick()
         lease = self._leases.get(lease_id)
         if lease is None:
@@ -735,9 +712,9 @@ class Coordinator:
                        worker=lease.worker)
             return False
         # Validate against the planned shard before touching any state; a
-        # bad artifact must not consume the span.
+        # bad block must not consume the span.
         try:
-            index, rows = ingest(state)
+            index = state.merge.add_shard_block(block)
         except MergeError as error:
             self._m_invalid.inc()
             self._emit("invalid-document", campaign=lease.campaign_id,
@@ -759,6 +736,7 @@ class Coordinator:
         if index in state.pending:
             state.pending.remove(index)
             heapq.heapify(state.pending)
+        rows = len(state.shards[index].jobs)
         state.row_count += rows
         latency = now - lease.granted_at
         self._m_spans.inc()
@@ -834,9 +812,6 @@ class Coordinator:
                 return {"ok": True,
                         "live": {str(lease_id): alive
                                  for lease_id, alive in live.items()}}
-            if op == "complete":
-                return {"ok": True, "accepted": self.complete_lease(
-                    int(request["lease_id"]), request["document"])}
             if op == "submit":
                 campaign_id = self.submit_job_documents(
                     request["jobs"], int(request["shards"]),
@@ -857,12 +832,13 @@ class Coordinator:
 
     def dispatch_block(self, meta: Mapping[str, object],
                        block: bytes) -> Dict[str, object]:
-        """A completion frame: lease id from the meta, rows from the block."""
+        """A completion frame: lease id from the meta, rows from the block
+        (the only way a span completes over the wire)."""
         if meta.get("op") != "complete":
             raise FrameError(f"unexpected op {meta.get('op')!r} in a "
                              f"completion frame")
         with self._lock:
-            return {"ok": True, "accepted": self.complete_lease_block(
+            return {"ok": True, "accepted": self.complete_lease(
                 int(meta["lease_id"]), block)}
 
     # -- observability ------------------------------------------------------
@@ -922,7 +898,9 @@ class Coordinator:
 # over one persistent socket — lease, heartbeat and complete ops for a
 # worker's whole lifetime are pipelined on a single connection.  Frame
 # kinds: 0x4A = JSON op payload, 0x43 = completion (u32 meta length + meta
-# JSON + binary columnar shard block).  Responses are always JSON frames.
+# JSON + binary columnar shard block).  A completion travels only as a
+# 0x43 frame, whatever its row count; there is no JSON "complete" op.
+# Responses are always JSON frames.
 #
 # Ops (Coordinator.dispatch / dispatch_block):
 #
@@ -933,8 +911,6 @@ class Coordinator:
 #                                       | {"ok": true, "shutdown": true}
 #   {"op": "heartbeat", "lease_ids":
 #    [..], "worker": W, "rtt": {..}}   -> {"ok": true, "live": {id: bool}}
-#   {"op": "complete", "lease_id": L,
-#    "document": shard_result}         -> {"ok": true, "accepted": bool}
 #   (0x43 frame, meta {"op": "complete",
 #    "lease_id": L} + block bytes)     -> {"ok": true, "accepted": bool}
 #   {"op": "submit", "jobs": [..],
@@ -1063,22 +1039,15 @@ class CoordinatorServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
-#: Smallest span (in result rows) that a session ships as a binary shard
-#: block.  The block codec costs about 2–3 ms per span to encode, decode
-#: and ingest (mostly one ``.npy`` header parse per column), against
-#: 0.1–0.6 ms for a JSON completion, so smaller spans ride in ordinary JSON
-#: op frames instead.
-SESSION_BLOCK_MIN_ROWS = 128
-
-
 class CoordinatorSession:
     """Persistent client: framed ops pipelined over one socket.
 
     Opens a single connection (lazily, on first use), announces itself with
     the ``RXP2`` preamble, and then exchanges length-prefixed frames for the
-    session's whole lifetime — no per-op connection setup.  Completions of
-    at least :data:`SESSION_BLOCK_MIN_ROWS` rows travel as binary columnar
-    shard blocks; smaller ones go as JSON op frames.  An internal lock
+    session's whole lifetime — no per-op connection setup.  Ops travel as
+    JSON frames; every completion, of one row or a million, travels as a
+    binary columnar shard block frame (:func:`encode_completion_frame`).
+    :meth:`exchange` pipelines any mix of the two.  An internal lock
     serializes round trips, so a worker's heartbeat thread can share the
     session with its execution loop.  Any transport fault closes the socket
     and raises :class:`ConnectionError`; the next call transparently
@@ -1136,16 +1105,15 @@ class CoordinatorSession:
         self.close()
 
     # -- framed round trips --------------------------------------------------
-    def _round_trip(self, frame: bytes) -> Dict[str, object]:
-        return self._exchange([frame])[0]
-
-    def _exchange(self, frames: Iterable[bytes]) -> List[Dict[str, object]]:
+    def exchange(self, frames: Iterable[bytes]) -> List[Dict[str, object]]:
         """Pipelined frame exchange: every request frame is written before
         the first response is awaited (frames from a lazy iterable are
         encoded just-in-time, interleaved with the sends).  The server
         answers frames strictly in order, so with *n* requests in flight
         the per-op cost collapses from ``client + wire + server`` to
-        whichever side is slowest.
+        whichever side is slowest — e.g. a batch's completion frames plus
+        the next lease request in one flight hides the grant latency.
+        Returns the parsed responses in request order.
         """
         with self._lock:
             try:
@@ -1202,17 +1170,7 @@ class CoordinatorSession:
         return response
 
     def call(self, request: Mapping[str, object]) -> Dict[str, object]:
-        return self._round_trip(encode_json_frame(request))
-
-    def call_many(self, requests: Sequence[Mapping[str, object]]
-                  ) -> List[Dict[str, object]]:
-        """Pipelined JSON ops: every request is written before the first
-        response is read, responses return in request order.  Lets a caller
-        fold the *next* lease batch into the same flight as the current
-        batch's completions, hiding the grant latency entirely.
-        """
-        return self._exchange(encode_json_frame(request)
-                              for request in list(requests))
+        return self.exchange([encode_json_frame(request)])[0]
 
     # -- worker plane -------------------------------------------------------
     def request_leases(self, worker: str, count: int) -> Dict[str, object]:
@@ -1233,35 +1191,10 @@ class CoordinatorSession:
         return {int(lease_id): bool(alive)
                 for lease_id, alive in live.items()}
 
-    @staticmethod
-    def _completion_frame(lease_id: int,
-                          document: Mapping[str, object]) -> bytes:
-        rows = document.get("rows")
-        if isinstance(rows, list) and len(rows) >= SESSION_BLOCK_MIN_ROWS:
-            return encode_block_frame({"op": "complete",
-                                       "lease_id": int(lease_id)},
-                                      encode_shard_block(document))
-        return encode_json_frame({"op": "complete", "lease_id": lease_id,
-                                  "document": document})
-
     def complete(self, lease_id: int,
                  document: Mapping[str, object]) -> bool:
-        return bool(self._round_trip(
-            self._completion_frame(lease_id, document))["accepted"])
-
-    def complete_many(self, completions: Sequence[
-            Tuple[int, Mapping[str, object]]]) -> List[bool]:
-        """Complete many leases in one pipelined flight.
-
-        All completion frames are written back-to-back and the responses
-        collected afterwards, so the client encodes span *n+1* while the
-        coordinator is still validating and ingesting span *n*.  Returns
-        the per-lease ``accepted`` flags in input order.
-        """
-        frames = (self._completion_frame(lease_id, document)
-                  for lease_id, document in list(completions))
-        return [bool(response["accepted"])
-                for response in self._exchange(frames)]
+        return bool(self.exchange([encode_completion_frame(
+            lease_id, document)])[0]["accepted"])
 
     # -- control plane ------------------------------------------------------
     def submit(self, job_documents: Sequence[Mapping[str, object]],

@@ -435,24 +435,21 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
 def validate_shard_result(document: Mapping[str, object], *,
                           count: int, total_jobs: int, fingerprint: str,
                           columns: Optional[Sequence[str]] = None,
-                          actual_rows: Optional[int] = None) -> int:
-    """Validate a single shard *result* document against a known plan.
+                          actual_rows: int) -> int:
+    """Validate a single shard result's row-less header against a plan.
 
-    The per-document half of :func:`plan_merge`, for callers that receive
-    shard artifacts one at a time instead of as a complete set — the live
-    coordinator's completion path and the incremental streaming merge
-    (:class:`repro.explore.store.IncrementalShardMerge`).  Checks schema and
-    envelope versions, the provenance block (shard count, total job count,
-    scenario-space fingerprint), the canonical ``i·M/N`` span, the declared
-    and actual row counts, and — when *columns* is given — the column list.
-    Returns the shard index; raises :class:`MergeError` on any mismatch, so
-    a worker returning a doctored, truncated or foreign-campaign artifact is
-    rejected before any of its rows land anywhere.
-
-    ``actual_rows`` validates the *columnar* form (a decoded
-    :class:`~repro.explore.store.ShardBlock`): the caller passes the decoded
-    array length and the document is a row-less header — no per-row dicts
-    are materialized just to count them.
+    The per-shard half of :func:`plan_merge`, for callers that receive
+    shard results one at a time instead of as a complete set — the
+    incremental streaming merge behind the live coordinator
+    (:class:`repro.explore.store.IncrementalShardMerge`), which passes a
+    decoded :class:`~repro.explore.store.ShardBlock`'s header and its array
+    length as *actual_rows*.  Checks schema and envelope versions, the
+    provenance block (shard count, total job count, scenario-space
+    fingerprint), the canonical ``i·M/N`` span, the declared and actual row
+    counts, and — when *columns* is given — the column list.  Returns the
+    shard index; raises :class:`MergeError` on any mismatch, so a worker
+    returning a doctored, truncated or foreign-campaign result is rejected
+    before any of its rows land anywhere.
     """
     what = "shard result"
     if not isinstance(document, Mapping):
@@ -482,13 +479,7 @@ def validate_shard_result(document: Mapping[str, object], *,
         raise MergeError(
             f"shard {index} declares the span [{shard['start']}, "
             f"{shard['stop']}), expected [{expected_start}, {expected_stop})")
-    if actual_rows is None:
-        rows = document.get("rows")
-        if not isinstance(rows, list):
-            raise MergeError(f"{what} carries no result rows")
-        actual = len(rows)
-    else:
-        actual = int(actual_rows)
+    actual = int(actual_rows)
     if actual != expected_stop - expected_start or \
             document.get("row_count") != actual:
         raise MergeError(f"shard {index} carries {actual} row(s) for the "

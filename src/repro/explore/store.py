@@ -1,40 +1,34 @@
-"""Appendable columnar result store with streaming artifact writers.
+"""Appendable columnar result store, streaming merges and the shard block.
 
-The campaign/adaptive/merge paths of :mod:`repro.explore` historically
-materialized every result row as a Python dict (``merge_shard_documents``
-concatenates complete ``rows`` lists in memory) — the ROADMAP names that the
-bottleneck on the way to millions-of-rows campaigns.  This module is the
-storage substrate underneath those paths:
-
-* :class:`ColumnarStore` — a directory of typed numpy column blocks
+* :class:`ColumnarStore` — a directory of typed numpy column chunks
   (``chunk-NNNNNN.npz``, one array per column) plus a ``manifest.json``
-  carrying the result schema (``schema_version`` +
-  :func:`~repro.explore.campaign.result_columns` column list), free-form
-  provenance ``metadata`` and the *document header* — the exact key prefix of
-  the JSON artifact the rows belong to.  Rows are appended in bounded
-  buffers and flushed as typed chunks; readers stream chunk by chunk, so
-  neither writing nor reading ever holds the full row set.
+  carrying the result schema, free-form provenance ``metadata``, the
+  *document header* (the exact key prefix of the JSON artifact the rows
+  belong to) and each chunk's row count and SHA-256.  Writers append in
+  bounded buffers, readers stream chunk by chunk.
 * :func:`store_campaign_run` / :func:`store_shard_run` /
   :func:`store_adaptive_result` — persist the existing result objects.
 * :func:`merge_artifacts_to_store` — the streaming shard merge: validate
-  every artifact through :func:`repro.explore.distrib.plan_merge` first
-  (headers only), then re-read one shard at a time, appending its rows to
-  the store.  Peak memory is one shard plus one chunk buffer, regardless of
-  how many shards merge.
-* :func:`write_document_json` — stream a store back out as a JSON
-  artifact through :func:`repro.explore.artifact.write_json`, the writer
-  every other artifact uses, so a store-backed ``merge --store`` artifact is
-  **bitwise identical** to ``CampaignRun.write_json(deterministic=True)`` of
-  the monolithic run (pinned by ``tests/explore/test_store.py`` and the CI
-  shard-smoke ``cmp`` step).  CSV output is
+  every artifact's header through :func:`repro.explore.distrib.plan_merge`,
+  then re-read one shard at a time into the store.
+* :func:`encode_shard_block` / :func:`decode_shard_block` — the one format
+  a completed span travels in from worker to coordinator: a CRC-guarded
+  JSON header with a per-column ``(dtype, byte length)`` layout, then each
+  column's raw buffer.  :class:`IncrementalShardMerge` ingests blocks in
+  completion order into a store kept in canonical shard order.
+* :func:`write_document_json` — stream a store back out through
+  :func:`repro.explore.artifact.write_json`, **bitwise identical** to
+  ``CampaignRun.write_json(deterministic=True)`` of the monolithic run
+  (pinned by ``tests/explore/test_store.py`` and the CI shard-smoke
+  ``cmp`` step).  CSV output is
   ``write_csv(path, store.columns, store.iter_rows())``.
 
 Column dtypes are *schema-typed*, not inferred: every known result column
 (:data:`repro.explore.campaign.RESULT_COLUMNS` plus the adaptive provenance
 columns) has a declared int64/float64/bool/str kind, so values survive the
-npz round trip with their JSON types intact (an int column never comes back
-``1.0``).  Unknown columns fall back to numpy's inference and are rejected
-when it produces an ``object`` array.
+npz and block round trips with their JSON types intact (an int column never
+comes back ``1.0``).  Unknown columns fall back to numpy's inference and
+are rejected when it produces an ``object`` array.
 
 The on-disk layout itself is versioned (``store_schema_version`` =
 :data:`STORE_SCHEMA_VERSION`) independently of the row schema it carries.
@@ -42,6 +36,7 @@ The on-disk layout itself is versioned (``store_schema_version`` =
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -72,8 +67,9 @@ from repro.explore.metrics import DRAIN_ROW_BUCKETS
 
 #: Version of the on-disk store layout (manifest + chunk files).  Independent
 #: of the row schema (``schema_version``) the store carries.  Version 2 added
-#: the manifest's ``sha256`` checksum.
-STORE_SCHEMA_VERSION = 2
+#: the manifest's ``sha256`` checksum, version 3 the per-chunk
+#: ``chunk_sha256`` digests.
+STORE_SCHEMA_VERSION = 3
 
 #: Manifest file name inside a store directory.
 MANIFEST_NAME = "manifest.json"
@@ -92,9 +88,11 @@ _FIRST_WRITE_DEBRIS = re.compile(
 _MANIFEST_TYPES = {
     "store_schema_version": int, "schema_version": int, "columns": list,
     "row_count": int, "chunk_rows": int, "chunks": list,
-    "chunk_row_counts": list, "document_header": dict, "metadata": dict,
-    "sha256": str,
+    "chunk_row_counts": list, "chunk_sha256": list, "document_header": dict,
+    "metadata": dict, "sha256": str,
 }
+
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 #: Default rows per column chunk: large enough that per-chunk overhead
 #: (file open, npz header) amortizes, small enough that a chunk buffer stays
@@ -135,7 +133,8 @@ def _manifest_digest(manifest: Mapping[str, object]) -> str:
 def _read_manifest(path: Path) -> Dict[str, object]:
     """The validated manifest of the store at *path*; every defect (torn or
     corrupted bytes, a missing key, a wrong type, a chunk name that is not a
-    plain ``chunk-N.npz``, row counts that disagree) raises StoreError."""
+    plain ``chunk-N.npz``, row counts or digests that do not cover the
+    chunks) raises StoreError."""
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
         raise StoreError(f"{path} is not a columnar store "
@@ -173,6 +172,11 @@ def _read_manifest(path: Path) -> Dict[str, object]:
             or sum(counts) != manifest["row_count"]:
         raise StoreError(f"{manifest_path}: chunk_row_counts must be one "
                          f"positive count per chunk adding up to row_count")
+    if len(manifest["chunk_sha256"]) != len(chunks) or not all(
+            type(digest) is str and _SHA256_HEX.fullmatch(digest)
+            for digest in manifest["chunk_sha256"]):
+        raise StoreError(f"{manifest_path}: chunk_sha256 must be one "
+                         f"SHA-256 hex digest per chunk")
     if manifest["chunk_rows"] < 1:
         raise StoreError(f"{manifest_path}: chunk_rows must be >= 1")
     missing = [name for name in chunks if not (path / name).is_file()]
@@ -208,6 +212,10 @@ def _column_array(column: str, values: Sequence[object]) -> np.ndarray:
     if array.dtype.kind == "U":
         return array
     if array.dtype.kind in "iu":
+        if array.dtype.kind == "u" and array.size and \
+                array.max() > np.iinfo(np.int64).max:
+            raise StoreError(f"column {column!r} holds a value its int dtype "
+                             f"cannot represent")
         return array.astype(np.int64)
     if array.dtype.kind == "f":
         return array.astype(np.float64)
@@ -234,6 +242,7 @@ class ColumnarStore:
                  writable: bool,
                  chunks: Optional[List[str]] = None,
                  chunk_row_counts: Optional[List[int]] = None,
+                 chunk_sha256: Optional[List[str]] = None,
                  row_count: int = 0):
         self.path = Path(path)
         self._columns: Tuple[str, ...] = tuple(columns)
@@ -244,6 +253,7 @@ class ColumnarStore:
         self._writable = writable
         self._chunks: List[str] = list(chunks or [])
         self._chunk_row_counts: List[int] = list(chunk_row_counts or [])
+        self._chunk_sha256: List[str] = list(chunk_sha256 or [])
         self._row_count = int(row_count)
         self._buffer: List[List[object]] = [[] for _ in self._columns]
         # Typed column blocks awaiting coalescing into full-size chunks
@@ -315,6 +325,7 @@ class ColumnarStore:
                    writable=False,
                    chunks=manifest["chunks"],
                    chunk_row_counts=manifest["chunk_row_counts"],
+                   chunk_sha256=manifest["chunk_sha256"],
                    row_count=manifest["row_count"])
 
     def __enter__(self) -> "ColumnarStore":
@@ -451,9 +462,13 @@ class ColumnarStore:
                 break
         # Uncompressed: column blocks are already compact binary and the
         # store optimizes for append/stream throughput, not disk size.
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        data = buffer.getvalue()
         with atomic_write(self.path / name, binary=True) as handle:
-            np.savez(handle, **arrays)
+            handle.write(data)
         self._chunks.append(name)
+        self._chunk_sha256.append(hashlib.sha256(data).hexdigest())
         self._chunk_row_counts.append(rows)
         self._row_count += rows
 
@@ -476,6 +491,7 @@ class ColumnarStore:
             "chunk_rows": self._chunk_rows,
             "chunks": list(self._chunks),
             "chunk_row_counts": list(self._chunk_row_counts),
+            "chunk_sha256": list(self._chunk_sha256),
             "document_header": self._document_header,
             "metadata": self._metadata,
         }
@@ -497,13 +513,24 @@ class ColumnarStore:
 
     def iter_column_chunks(self) -> Iterator[Dict[str, np.ndarray]]:
         """Yield one ``column -> array`` mapping per chunk, in row order; a
-        chunk file that does not read back as the manifest's columns and
-        row count raises :class:`StoreError`."""
+        chunk file whose bytes do not match the manifest's digest, or that
+        does not read back as its columns and row count, raises
+        :class:`StoreError`."""
         self._require_readable()
-        for name, rows in zip(self._chunks, self._chunk_row_counts):
+        for name, rows, digest in zip(self._chunks, self._chunk_row_counts,
+                                      self._chunk_sha256):
             chunk_path = self.path / name
             try:
-                with np.load(chunk_path) as data:
+                raw = chunk_path.read_bytes()
+            except OSError as error:
+                raise StoreError(f"{chunk_path}: unreadable chunk "
+                                 f"({error})") from error
+            if hashlib.sha256(raw).hexdigest() != digest:
+                raise StoreError(f"{chunk_path} is not the chunk of {rows} "
+                                 f"rows the manifest lists (SHA-256 "
+                                 f"mismatch)")
+            try:
+                with np.load(io.BytesIO(raw)) as data:
                     chunk = {column: data[column] for column in self._columns}
             # What numpy and zipfile raise for damaged bytes.
             except (zipfile.BadZipFile, zlib.error, OSError, ValueError,
@@ -718,8 +745,20 @@ def merge_artifacts_to_store(paths: Sequence, store_path,
 
 
 # -- binary columnar shard payloads ------------------------------------------
-#: Magic prefix of an encoded shard block (repro shard block, layout 1).
-SHARD_BLOCK_MAGIC = b"RSB1"
+#: Magic prefix of an encoded shard block (layout 2: raw column buffers).
+#: Layout 1 (``RSB1``, one ``.npy`` file per column) is refused.
+SHARD_BLOCK_MAGIC = b"RSB2"
+
+#: Fixed prefix of a block: magic, u32 header length, u32 layout length,
+#: u32 CRC-32 of the rest.
+_BLOCK_PREFIX = struct.Struct(">4sIII")
+
+#: The only column dtypes a block may declare: object and void dtypes never
+#: reach ``np.frombuffer``.
+_BLOCK_DTYPE = re.compile(r"<i8|<f8|\|b1|<U[1-9][0-9]{0,6}")
+
+#: The dtype prefix of each declared column kind.
+_KIND_DTYPE_CODES = {"int": "<i8", "float": "<f8", "bool": "|b1", "str": "<U"}
 
 
 @dataclass(frozen=True)
@@ -730,9 +769,8 @@ class ShardBlock:
     the document minus its ``rows`` list (schema/envelope versions, shard
     provenance, column list, declared ``row_count``), ``columns`` maps each
     declared column to a typed numpy array.  Produced by
-    :func:`decode_shard_block`; ingested by
-    :meth:`IncrementalShardMerge.add_shard_block` without ever
-    materializing per-row dicts.
+    :func:`decode_shard_block`; the arrays are read-only views of the
+    payload.
     """
 
     header: Dict[str, object]
@@ -758,20 +796,36 @@ class ShardBlock:
         return document
 
 
+def _round_trips(array: np.ndarray, values: Sequence[object]) -> bool:
+    """Whether ``array.tolist()`` gives back *values* as the same JSON.
+
+    A typed check instead of serializing both sides: every value must have
+    the Python type of the array's kind (``bool`` is not an ``int``, an
+    ``int`` is not a ``float``: the dtype would coerce them), and no string
+    may end in NUL (numpy's fixed-width unicode drops trailing NULs).
+    """
+    types = set(map(type, values))
+    kind = array.dtype.kind
+    if kind == "i":
+        return types <= {int}
+    if kind == "b":
+        return types <= {bool}
+    base = float if kind == "f" else str
+    if not all(issubclass(value_type, base) for value_type in types):
+        return False
+    return base is float or "\x00" not in "".join(values) or \
+        not any(value.endswith("\x00") for value in values)
+
+
 def encode_shard_block(document: Mapping[str, object]) -> bytes:
     """Encode a shard result document as a binary columnar payload.
 
-    Layout: ``b"RSB1"`` magic, a big-endian u32 header length, a u32
-    CRC-32 covering everything after itself, the row-less document header
-    as compact JSON (carrying the same schema/fingerprint/provenance block
-    the JSON artifact does), then one length-prefixed raw ``.npy`` array
-    per column in header-column order, typed through the store's schema
-    dtypes.  Raw npy framing instead of an npz archive keeps the per-block
-    fixed cost at memcpy level (no zip machinery); the explicit checksum
-    keeps bit-flip detection.  This is the protocol-v2 completion payload:
-    a worker encodes once, the coordinator decodes straight into typed
-    arrays and appends them to the :class:`ColumnarStore` — no per-row
-    dicts, no JSON row parsing.
+    Layout: :data:`_BLOCK_PREFIX` (magic, big-endian u32 header and
+    layout lengths, u32 CRC-32 of the rest), the row-less document as
+    compact JSON, the layout as compact JSON — one ``[dtype.str, byte
+    length]`` entry per column, typed through the store's schema dtypes —
+    then each column's raw little-endian buffer (``array.tobytes()``) in
+    column order.
     """
     if not isinstance(document, Mapping):
         raise StoreError("shard block source is not a result document")
@@ -791,52 +845,88 @@ def encode_shard_block(document: Mapping[str, object]) -> bytes:
                 f"shard block row is missing column {error.args[0]!r}")
         array = _column_array(str(column), values)
         # The decoded document must serialize to the same JSON: refuse a
-        # lossy encode (numpy unicode drops trailing NULs; typed columns
-        # coerce 1.5 -> 1, True -> 1, 1 -> 1.0) rather than corrupt silently.
-        if json.dumps(array.tolist()) != json.dumps(values):
+        # lossy encode rather than corrupt silently.
+        if not _round_trips(array, values):
             raise StoreError(
                 f"column {column!r} holds values its {array.dtype} dtype cannot "
                 f"store losslessly (NUL-terminated strings, or another kind)")
-        arrays.append(array)
-    header_bytes = json.dumps(header, sort_keys=False,
-                              separators=(",", ":")).encode("utf-8")
-    chunks = [header_bytes]
-    for array in arrays:
-        buffer = io.BytesIO()
-        np.lib.format.write_array(buffer, array, allow_pickle=False)
-        encoded = buffer.getvalue()
-        chunks.append(struct.pack(">I", len(encoded)))
-        chunks.append(encoded)
-    body = b"".join(chunks)
-    return b"".join((SHARD_BLOCK_MAGIC, struct.pack(">I", len(header_bytes)),
-                     struct.pack(">I", zlib.crc32(body)), body))
+        arrays.append(array.astype(array.dtype.newbyteorder("<"), copy=False))
+    layout = [[array.dtype.str, array.nbytes] for array in arrays]
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    layout_bytes = json.dumps(layout, separators=(",", ":")).encode("utf-8")
+    body = b"".join([header_bytes, layout_bytes]
+                    + [array.tobytes() for array in arrays])
+    return _BLOCK_PREFIX.pack(SHARD_BLOCK_MAGIC, len(header_bytes),
+                              len(layout_bytes), zlib.crc32(body)) + body
+
+
+@functools.lru_cache(maxsize=1024)
+def _block_plan(columns: Tuple[str, ...], layout_bytes: bytes) -> tuple:
+    """``(entries, body length, row count)`` of a block's layout JSON, one
+    ``(column, dtype, count, offset)`` entry per column; memoized by the
+    layout's bytes, as a campaign's blocks repeat a few layouts.  Refuses a
+    layout that does not cover the columns, a dtype outside
+    :data:`_BLOCK_DTYPE` or against the column's declared kind, a ragged
+    byte length, and unequal columns.
+    """
+    try:
+        layout = json.loads(layout_bytes.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as error:
+        raise StoreError(f"corrupt shard block layout: {error}")
+    if not isinstance(layout, list) or len(layout) != len(columns):
+        raise StoreError(f"shard block layout does not cover its "
+                         f"{len(columns)} column(s)")
+    entries = []
+    offset = 0
+    for column, entry in zip(columns, layout):
+        if type(entry) is not list or len(entry) != 2 or \
+                type(entry[0]) is not str or type(entry[1]) is not int or \
+                entry[1] < 0 or not _BLOCK_DTYPE.fullmatch(entry[0]):
+            raise StoreError(f"shard block column {column!r} has an invalid "
+                             f"layout entry {entry!r}")
+        code, length = entry
+        expected = _KIND_DTYPE_CODES.get(COLUMN_KINDS.get(column, ""))
+        if expected is not None and not code.startswith(expected):
+            raise StoreError(f"shard block column {column!r} carries dtype "
+                             f"{code}, declared {expected}")
+        dtype = np.dtype(code)
+        count, ragged = divmod(length, dtype.itemsize)
+        if ragged:
+            raise StoreError(f"shard block column {column!r} carries "
+                             f"{length} byte(s), not a multiple of its "
+                             f"{code} items")
+        entries.append((column, dtype, count, offset))
+        offset += length
+    counts = sorted({entry[2] for entry in entries})
+    if len(counts) > 1:
+        raise StoreError(f"shard block column lengths disagree: {counts}")
+    return tuple(entries), offset, counts[0]
 
 
 def decode_shard_block(payload: Union[bytes, bytearray, memoryview]
                        ) -> ShardBlock:
     """Decode an :func:`encode_shard_block` payload back to a ShardBlock.
 
-    Every structural defect — wrong magic, truncated header or columns,
-    checksum mismatch, corrupt JSON, missing columns, disagreeing lengths —
-    raises :class:`StoreError` with a message naming the defect; nothing is
-    partially ingested.  Semantic validation against a merge plan
-    (fingerprint, span, schema versions) stays with
-    :func:`~repro.explore.distrib.validate_shard_result`, which reads only
-    the decoded header.
+    Every structural defect (wrong magic, truncation, checksum mismatch,
+    corrupt JSON, a bad layout, disagreeing lengths) raises
+    :class:`StoreError` naming the defect before any array is made; no
+    declared length is allocated.  Validation against a merge plan stays
+    with :func:`~repro.explore.distrib.validate_shard_result`.
     """
     data = bytes(payload)
-    prefix = len(SHARD_BLOCK_MAGIC)
+    size = len(data)
     if not data.startswith(SHARD_BLOCK_MAGIC):
         raise StoreError("not a shard block (bad magic)")
-    if len(data) < prefix + 8:
-        raise StoreError(f"truncated shard block ({len(data)} byte(s))")
-    (header_len, checksum) = struct.unpack_from(">II", data, prefix)
-    body = prefix + 8
-    if len(data) < body + header_len:
+    if size < _BLOCK_PREFIX.size:
+        raise StoreError(f"truncated shard block ({size} byte(s))")
+    _, header_len, layout_len, checksum = _BLOCK_PREFIX.unpack_from(data)
+    body = _BLOCK_PREFIX.size
+    base = body + header_len + layout_len
+    if size < base:
         raise StoreError(
-            f"truncated shard block header ({len(data)} byte(s), header "
-            f"needs {body + header_len})")
-    if zlib.crc32(data[body:]) != checksum:
+            f"truncated shard block header ({size} byte(s), header and "
+            f"layout need {base})")
+    if zlib.crc32(memoryview(data)[body:]) != checksum:
         raise StoreError("corrupt shard block payload (checksum mismatch)")
     try:
         header = json.loads(data[body:body + header_len].decode("utf-8"))
@@ -845,59 +935,40 @@ def decode_shard_block(payload: Union[bytes, bytearray, memoryview]
     if not isinstance(header, dict):
         raise StoreError("shard block header is not a JSON object")
     columns = header.get("columns")
-    if not isinstance(columns, list) or not columns:
+    if not isinstance(columns, list) or set(map(type, columns)) != {str}:
         raise StoreError("shard block header declares no columns")
-    arrays: Dict[str, np.ndarray] = {}
-    offset = body + header_len
-    try:
-        for column in columns:
-            if len(data) < offset + 4:
-                raise StoreError(
-                    f"truncated shard block payload at column {column!r}")
-            (array_len,) = struct.unpack_from(">I", data, offset)
-            offset += 4
-            if len(data) < offset + array_len:
-                raise StoreError(
-                    f"truncated shard block payload at column {column!r}")
-            arrays[str(column)] = np.lib.format.read_array(
-                io.BytesIO(data[offset:offset + array_len]),
-                allow_pickle=False)
-            offset += array_len
-    except StoreError:
-        raise
-    except Exception as error:
-        raise StoreError(f"truncated or corrupt shard block payload: "
-                         f"{error}")
-    if offset != len(data):
+    entries, length, row_count = _block_plan(
+        tuple(columns), data[body + header_len:base])
+    if size < base + length:
+        raise StoreError(f"truncated shard block payload ({size} byte(s), "
+                         f"columns need {base + length})")
+    if size > base + length:
         raise StoreError(
-            f"shard block carries {len(data) - offset} trailing byte(s)")
-    lengths = {len(array) for array in arrays.values()}
-    if len(lengths) > 1:
-        raise StoreError(
-            f"shard block column lengths disagree: {sorted(lengths)}")
-    row_count = lengths.pop() if lengths else 0
+            f"shard block carries {size - base - length} trailing byte(s)")
     if header.get("row_count") != row_count:
         raise StoreError(
             f"shard block declares {header.get('row_count')!r} row(s) but "
             f"carries {row_count}")
+    arrays = {column: np.frombuffer(data, dtype, count, base + offset)
+              for column, dtype, count, offset in entries}
     return ShardBlock(header=header, columns=arrays)
 
 
 class IncrementalShardMerge:
-    """Streaming merge that accepts shard result documents in *completion*
-    order — the live coordinator's ingestion path.
+    """Streaming merge that accepts shard blocks in *completion* order — the
+    live coordinator's ingestion path.
 
     :func:`merge_artifacts_to_store` needs the whole shard set on disk before
-    it starts; a coordinator instead receives shard documents one at a time,
+    it starts; a coordinator instead receives shard blocks one at a time,
     in whatever order the worker fleet completes them.  This class keeps the
-    store's rows in canonical shard order anyway: a document whose shard
+    store's rows in canonical shard order anyway: a block whose shard
     index is next in line is appended to the :class:`ColumnarStore`
     immediately (and its rows dropped), out-of-order arrivals are buffered
     until the gap before them closes.  Peak memory is therefore bounded by
     the out-of-order window, not the campaign: with a fleet completing
     roughly in order it stays at one shard.
 
-    Every document is validated on arrival against the plan the merge was
+    Every block is validated on arrival against the plan the merge was
     created from (:func:`repro.explore.distrib.validate_shard_result`:
     versions, provenance, canonical span, row counts, column agreement) and
     duplicate shard indexes are rejected — the exactly-once guarantee the
@@ -934,8 +1005,7 @@ class IncrementalShardMerge:
             },
             chunk_rows=chunk_rows)
         self._next = 0
-        self._buffered: Dict[int, Union[List[Mapping[str, object]],
-                                        Dict[str, np.ndarray]]] = {}
+        self._buffered: Dict[int, Dict[str, np.ndarray]] = {}
         self._merged: set = set()
         # Optional observability plane (repro.explore.metrics): a shared
         # MetricsRegistry and/or StructuredLog; the campaign label keeps
@@ -981,62 +1051,47 @@ class IncrementalShardMerge:
 
     # -- ingestion ----------------------------------------------------------
     def add_shard_document(self, document: Mapping[str, object]) -> int:
-        """Validate and ingest one shard result document; returns its index.
+        """Encode one shard result document and ingest it through
+        :meth:`add_shard_block`; a document the codec cannot encode raises
+        :class:`StoreError`."""
+        return self.add_shard_block(encode_shard_block(document))
 
-        Raises :class:`~repro.explore.distrib.MergeError` when the document
-        does not belong to this merge's plan or its shard index was already
-        ingested (double completion of the same span).
+    def add_shard_block(self, payload: Union[bytes, bytearray,
+                                             memoryview]) -> int:
+        """Validate and ingest one shard block; returns its shard index.
+
+        The completion path: the :func:`encode_shard_block` payload is
+        decoded straight into typed column arrays, which are buffered and
+        appended without the rows ever existing as Python dicts.  The
+        decoded header is checked by
+        :func:`~repro.explore.distrib.validate_shard_result` (versions,
+        provenance, canonical span, row counts, column agreement), with the
+        decoded array length as the actual row count.  Raises
+        :class:`~repro.explore.distrib.MergeError` for a payload that does
+        not decode, a block that does not belong to this merge's plan, or a
+        shard index already ingested (double completion of the same span).
         """
-        index = validate_shard_result(
-            document, count=self._count, total_jobs=self._total_jobs,
-            fingerprint=self._fingerprint, columns=self._columns)
-        return self._ingest(index, list(document["rows"]))
-
-    def add_shard_block(self, block: Union[ShardBlock, bytes, bytearray,
-                                           memoryview]) -> int:
-        """Validate and ingest one *binary columnar* shard result.
-
-        The protocol-v2 completion path: accepts a :class:`ShardBlock` (or
-        the raw :func:`encode_shard_block` bytes, decoded here) and buffers
-        its typed column arrays directly — the rows never exist as Python
-        dicts on the coordinator.  Validation is the same
-        :func:`~repro.explore.distrib.validate_shard_result` the JSON path
-        runs, applied to the decoded header with the decoded array length
-        standing in for ``len(rows)``.  Structural decode errors surface as
-        :class:`~repro.explore.distrib.MergeError` like any other invalid
-        completion.
-        """
-        if isinstance(block, (bytes, bytearray, memoryview)):
-            try:
-                block = decode_shard_block(block)
-            except StoreError as error:
-                raise MergeError(str(error))
+        try:
+            block = decode_shard_block(payload)
+        except StoreError as error:
+            raise MergeError(str(error)) from error
         index = validate_shard_result(
             block.header, count=self._count, total_jobs=self._total_jobs,
             fingerprint=self._fingerprint, columns=self._columns,
             actual_rows=block.row_count)
-        return self._ingest(index, dict(block.columns))
-
-    def _ingest(self, index: int,
-                entry: Union[List[Mapping[str, object]],
-                             Dict[str, np.ndarray]]) -> int:
         if index in self._merged:
             raise MergeError(f"shard {index} was already merged "
                              f"(double completion)")
         self._merged.add(index)
-        self._buffered[index] = entry
+        self._buffered[index] = block.columns
         # Drain the in-order prefix: everything contiguous from _next flows
         # straight into typed column chunks and is dropped from memory.
         drained_rows = 0
         drained_shards = 0
         while self._next in self._buffered:
             pending = self._buffered.pop(self._next)
-            if isinstance(pending, dict):
-                self._store.append_columns(pending)
-                drained_rows += len(pending[self._columns[0]])
-            else:
-                _append_shard_rows(self._store, self._columns, pending)
-                drained_rows += len(pending)
+            self._store.append_columns(pending)
+            drained_rows += len(pending[self._columns[0]])
             drained_shards += 1
             self._next += 1
         if self._m_rows is not None:

@@ -61,7 +61,11 @@ from repro.explore.metrics import (
 )
 from repro.explore.report import format_coordinator_status
 from repro.explore.scenarios import ScenarioSpec
-from repro.explore.store import IncrementalShardMerge, write_document_json
+from repro.explore.store import (
+    IncrementalShardMerge,
+    encode_shard_block,
+    write_document_json,
+)
 from repro.explore.worker import CampaignWorker, InProcessClient
 from tests.explore.conftest import (
     FakeClock,
@@ -98,6 +102,12 @@ def scripted_executor(shard) -> dict:
                                 for offset, job in enumerate(shard.jobs)])
     return json.loads(json.dumps(
         ShardRun(shard=shard, run=run).as_document(deterministic=True)))
+
+
+def scripted_block(shard) -> bytes:
+    """:func:`scripted_executor`'s document as the shard block a worker
+    sends."""
+    return encode_shard_block(scripted_executor(shard))
 
 
 def write_monolithic(jobs, json_path, csv_path) -> None:
@@ -258,7 +268,7 @@ class TestLeaseLifecycle:
             lease, shard = granted
             assert lease.worker == "w1"
             assert coordinator.complete_lease(
-                lease.lease_id, scripted_executor(shard))
+                lease.lease_id, scripted_block(shard))
         progress = coordinator.campaign_progress(campaign_id)
         assert progress["complete"] and progress["steals"] == 0
         assert_bitwise_identical(paths)
@@ -272,7 +282,7 @@ class TestLeaseLifecycle:
             fake_clock.advance(50)
             assert coordinator.heartbeat(lease.lease_id) is True
         assert coordinator.complete_lease(lease.lease_id,
-                                          scripted_executor(shard)) is True
+                                          scripted_block(shard)) is True
         assert coordinator.status()["steals"] == 0
 
     def test_expired_lease_is_stolen_and_regranted(self, coordinator_factory,
@@ -300,12 +310,12 @@ class TestLeaseLifecycle:
         fake_clock.advance(61)
         thief_lease, thief_shard = coordinator.request_lease("thief")
         assert coordinator.complete_lease(
-            slow_lease.lease_id, scripted_executor(slow_shard)) is True
+            slow_lease.lease_id, scripted_block(slow_shard)) is True
         assert coordinator.complete_lease(
-            thief_lease.lease_id, scripted_executor(thief_shard)) is False
+            thief_lease.lease_id, scripted_block(thief_shard)) is False
         assert coordinator.status()["stale_completions"] == 1
         lease, shard = coordinator.request_lease("live")  # the other span
-        coordinator.complete_lease(lease.lease_id, scripted_executor(shard))
+        coordinator.complete_lease(lease.lease_id, scripted_block(shard))
         assert coordinator.campaign_progress(campaign_id)["complete"]
         assert_bitwise_identical(paths)
 
@@ -317,11 +327,12 @@ class TestLeaseLifecycle:
         tampered = scripted_executor(shard)
         tampered["row_count"] += 1
         with pytest.raises(MergeError):
-            coordinator.complete_lease(lease.lease_id, tampered)
+            coordinator.complete_lease(lease.lease_id,
+                                       encode_shard_block(tampered))
         # The lease survives the bad artifact; an honest retry still lands.
         assert coordinator.heartbeat(lease.lease_id) is True
         assert coordinator.complete_lease(lease.lease_id,
-                                          scripted_executor(shard)) is True
+                                          scripted_block(shard)) is True
 
     def test_unknown_lease_and_campaign_raise_coordinator_error(
             self, coordinator_factory, tmp_path):
@@ -358,7 +369,7 @@ class TestLeaseLifecycle:
         coordinator = coordinator_factory(lease_timeout=60.0)
         submit_fake(coordinator, tmp_path, 8, 4, name="fleet")
         lease, shard = coordinator.request_lease("w1")
-        coordinator.complete_lease(lease.lease_id, scripted_executor(shard))
+        coordinator.complete_lease(lease.lease_id, scripted_block(shard))
         coordinator.request_lease("w2")
         fake_clock.advance(10)
         status = coordinator.status()
@@ -401,7 +412,7 @@ class TestFaultInjection:
         scripted_worker(coordinator, "survivor").run()
         # The laggard finishes anyway; its completion must be stale.
         assert coordinator.complete_lease(
-            lease.lease_id, scripted_executor(shard)) is False
+            lease.lease_id, scripted_block(shard)) is False
         assert coordinator.campaign_progress(campaign_id)["complete"]
         assert coordinator.status()["stale_completions"] == 1
         assert_bitwise_identical(paths)
@@ -411,11 +422,11 @@ class TestFaultInjection:
         coordinator = coordinator_factory()
         campaign_id, _, paths = submit_fake(coordinator, tmp_path, 9, 4)
         lease, shard = coordinator.request_lease("dup")
-        document = scripted_executor(shard)
-        assert coordinator.complete_lease(lease.lease_id, document) is True
+        block = scripted_block(shard)
+        assert coordinator.complete_lease(lease.lease_id, block) is True
         for _ in range(3):  # a retry loop gone wrong
             assert coordinator.complete_lease(lease.lease_id,
-                                              document) is False
+                                              block) is False
         assert coordinator.status()["stale_completions"] == 3
         scripted_worker(coordinator, "rest").run()
         assert coordinator.campaign_progress(campaign_id)["complete"]
@@ -486,10 +497,10 @@ def _duplicated_completion_scenario(coordinator, clock, log, tmp_path):
     """A retry loop re-sends one completion three times."""
     submit_fake(coordinator, tmp_path, 9, 4)
     lease, shard = coordinator.request_lease("dup")
-    document = scripted_executor(shard)
-    assert coordinator.complete_lease(lease.lease_id, document) is True
+    block = scripted_block(shard)
+    assert coordinator.complete_lease(lease.lease_id, block) is True
     for _ in range(3):
-        assert coordinator.complete_lease(lease.lease_id, document) is False
+        assert coordinator.complete_lease(lease.lease_id, block) is False
     scripted_worker(coordinator, "rest", log=log).run()
 
 
@@ -678,7 +689,7 @@ class TestLeaseLifecycleProperties:
                 elif op == "complete" and held:
                     lease, shard = held.pop(salt % len(held))
                     coordinator.complete_lease(lease.lease_id,
-                                               scripted_executor(shard))
+                                               scripted_block(shard))
                 elif op == "expire":
                     clock.advance(61)
                     coordinator.tick()
@@ -698,7 +709,7 @@ class TestLeaseLifecycleProperties:
                     continue
                 lease, shard = granted
                 coordinator.complete_lease(lease.lease_id,
-                                           scripted_executor(shard))
+                                           scripted_block(shard))
                 assert_span_partition(coordinator)
             assert_metrics_match_status(coordinator)
             status = coordinator.status()
@@ -864,7 +875,8 @@ class TestSocketProtocol:
         with pytest.raises(CoordinatorError, match="unknown op"):
             client.call({"op": "bogus"})
         with pytest.raises(CoordinatorError, match="unknown lease"):
-            client.complete(12345, {"rows": []})
+            client.complete(12345, scripted_executor(
+                plan_shards(fake_jobs(2), 1)[0]))
         # The server survives malformed traffic and still answers.
         assert client.status()["coordinator_schema_version"] == \
             COORDINATOR_SCHEMA_VERSION

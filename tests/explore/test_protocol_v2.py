@@ -12,11 +12,14 @@ Four layers of evidence that the fast data plane is also a *correct* one:
   the connection, and a framed session survives its own bad frame;
 * batching semantics — multi-span leases, coalesced heartbeats, and the
   delta-merged per-worker RTT histograms in the coordinator registry;
-* differentials — campaigns whose spans complete as columnar blocks and
-  campaigns whose spans complete as JSON frames are both byte-identical to
-  the monolithic run over real sockets at 1/2/4 workers with one worker
-  killed mid-lease, and a partitioned worker reconnects with bounded
-  exponential backoff instead of abandoning work.
+* decoder fuzz — every bit flip and truncation of a shard block, huge or
+  ragged declared lengths, foreign dtypes and a layout-1 payload are all
+  refused with ``StoreError`` and never return rows;
+* differentials — campaigns of 2-row and of 128-row spans, every span
+  completed as a columnar block, are byte-identical to the monolithic run
+  over real sockets at 1/2/4 workers with one worker killed mid-lease, and
+  a partitioned worker reconnects with bounded exponential backoff instead
+  of abandoning work.
 """
 
 import io
@@ -25,7 +28,10 @@ import socket
 import struct
 import sys
 import threading
+import tracemalloc
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +42,6 @@ from repro.explore.coordinator import (
     FRAME_KIND_JSON,
     MAX_FRAME_BYTES,
     PROTOCOL_MAGIC,
-    SESSION_BLOCK_MIN_ROWS,
     Coordinator,
     CoordinatorError,
     CoordinatorServer,
@@ -54,6 +59,8 @@ from repro.explore.scenarios import ScenarioSpec
 from repro.explore.store import (
     COLUMN_KINDS,
     StoreError,
+    _column_array,
+    _round_trips,
     decode_shard_block,
     encode_shard_block,
 )
@@ -217,24 +224,45 @@ class TestShardBlockCodec:
         if encoded is None:
             return
         encoded = bytearray(encoded)
-        header_len = struct.unpack_from(">I", encoded, 4)[0]
-        archive_start = 4 + 4 + header_len
-        # Corrupt the npz central directory: zero out a tail byte.
+        # Magic, header and layout lengths, CRC-32; the checksum covers
+        # the rest.
+        body_start = 4 + 4 + 4 + 4
+        # Corrupt a tail byte (header or column buffers).
         position = data.draw(st.integers(min_value=len(encoded) - 16,
                                          max_value=len(encoded) - 1))
         if encoded[position] == 0:
             encoded[position] = 0xFF
         else:
             encoded[position] = 0
-        assert position >= archive_start  # the tail is inside the archive
+        assert position >= body_start  # the tail is inside the body
         try:
             block = decode_shard_block(bytes(encoded))
         except StoreError:
             return  # rejected with a clear error — the expected outcome
-        # A flipped byte the zip reader tolerates must still decode to the
+        # A flipped byte the decoder tolerates must still decode to the
         # identical arrays; silent corruption is the one forbidden outcome.
         assert json.dumps(block.document(), sort_keys=False) == \
             json.dumps(document, sort_keys=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(column=st.sampled_from(["round", "budget", "survivor", "scenario",
+                                   "undeclared"]),
+           values=st.lists(st.one_of(
+               st.integers(min_value=-2**70, max_value=2**70),
+               st.floats(), st.booleans(),
+               st.text(max_size=4), st.text(max_size=3).map(
+                   lambda text: text + "\x00")), max_size=6))
+    def test_typed_check_refuses_what_a_json_comparison_refuses(
+            self, column, values):
+        """The encoder's typed lossless check agrees with serializing both
+        sides: a value of another kind, mixed kinds in an undeclared
+        column and trailing NULs are refused, anything else kept."""
+        try:
+            array = _column_array(column, values)
+        except StoreError:
+            return  # refused before either check runs
+        assert _round_trips(array, values) == \
+            (json.dumps(array.tolist()) == json.dumps(values))
 
     def test_defects_are_named(self):
         document = scripted_executor(plan_shards(fake_jobs(4), 2)[0])
@@ -273,6 +301,148 @@ class TestShardBlockCodec:
                                     "rows": document["rows"]})
         with pytest.raises(StoreError, match="declares"):
             decode_shard_block(lying)
+
+
+# -- decoder fuzz: every malformed block is refused, none returns rows -------
+
+def fuzz_block():
+    """An honest encoded 3-row shard block."""
+    return encode_shard_block(scripted_executor(
+        plan_shards(fake_jobs(3), 1)[0]))
+
+
+def reframe(header, layout, tail=b""):
+    """A block of *header*, *layout* and column bytes *tail*, with a valid
+    checksum, so only the decoder's own checks can refuse it."""
+    header, layout = (json.dumps(part, separators=(",", ":")).encode("utf-8")
+                      for part in (header, layout))
+    body = header + layout + tail
+    return struct.pack(">4sIII", b"RSB2", len(header), len(layout),
+                       zlib.crc32(body)) + body
+
+
+def parts_of(encoded):
+    """The decoded header, layout and column bytes of a block."""
+    header_len, layout_len = struct.unpack_from(">II", encoded, 4)
+    layout_end = 16 + header_len + layout_len
+    return (json.loads(encoded[16:16 + header_len]),
+            json.loads(encoded[16 + header_len:layout_end]),
+            encoded[layout_end:])
+
+
+def refused(payload, match=None):
+    """Decode *payload*, asserting it raises StoreError (and never returns
+    a block)."""
+    with pytest.raises(StoreError, match=match):
+        decode_shard_block(payload)
+
+
+class TestShardBlockFuzz:
+    def test_every_bit_flip_is_refused(self):
+        encoded = fuzz_block()
+        for position in range(len(encoded)):
+            for bit in range(8):
+                flipped = bytearray(encoded)
+                flipped[position] ^= 1 << bit
+                refused(bytes(flipped))
+
+    def test_every_truncation_is_refused(self):
+        encoded = fuzz_block()
+        for cut in range(len(encoded)):
+            refused(encoded[:cut])
+
+    def test_huge_header_length_is_refused_without_reading_it(self):
+        encoded = fuzz_block()
+        for offset in (4, 8):  # the header length, the layout length
+            huge = encoded[:offset] + struct.pack(">I", 2**31) + \
+                encoded[offset + 4:]
+            refused(huge, "truncated shard block header")
+
+    @pytest.mark.parametrize("length, match", [
+        (2**31, "truncated shard block payload|lengths disagree"),
+        (2**31 - 1, "not a multiple"),
+        (5, "not a multiple"),
+    ])
+    def test_bad_column_byte_length_is_refused_without_allocating(
+            self, length, match):
+        header, layout, tail = parts_of(fuzz_block())
+        position = header["columns"].index("seed")
+        assert layout[position] == ["<i8", 24]
+        layout[position][1] = length
+        payload = reframe(header, layout, tail)
+        tracemalloc.start()
+        try:
+            refused(payload, match)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_layout_1_payload_is_refused(self):
+        """An ``RSB1`` block (one ``.npy`` file per column)."""
+        header = json.dumps({"columns": ["a"], "row_count": 0}).encode()
+        body = header + struct.pack(">I", 0)
+        rsb1 = b"RSB1" + struct.pack(">II", len(header),
+                                     zlib.crc32(body)) + body
+        refused(rsb1, "bad magic")
+
+    @pytest.mark.parametrize("dtype", [
+        "|O", "|O8", "|V8", "|V0", "<i4", ">i8", "<u8", "<f4", "<c16",
+        "|S8", "<U0", "<M8[s]", "i8", "int64", "<U", ""])
+    def test_foreign_dtypes_never_reach_frombuffer(self, dtype, monkeypatch):
+        reached = []
+        original = np.frombuffer
+
+        def spy(buffer, dtype=float, count=-1, offset=0):
+            reached.append(np.dtype(dtype))
+            return original(buffer, dtype=dtype, count=count, offset=offset)
+
+        monkeypatch.setattr(np, "frombuffer", spy)
+        header, layout, tail = parts_of(fuzz_block())
+        header["columns"] = ["undeclared"] + header["columns"]
+        refused(reframe(header, [[dtype, 8]] + layout, b"\x00" * 8 + tail),
+                "layout entry")
+        assert reached == []
+
+    @pytest.mark.parametrize("entry", [
+        7, "<i8", {"<i8": 24}, [["<i8"], 24], ["<i8", 24, 0], ["<i8", True],
+        ["<i8", -8], ["<i8", 24.0], None])
+    def test_malformed_layout_entries_are_refused(self, entry):
+        encoded = fuzz_block()
+        # Decoded first, so its layout is memoized: an entry equal to a
+        # valid one (24.0 == 24) must still be refused.
+        decode_shard_block(encoded)
+        header, layout, tail = parts_of(encoded)
+        layout[header["columns"].index("seed")] = entry
+        refused(reframe(header, layout, tail), "layout")
+
+    def test_layout_must_cover_the_columns(self):
+        header, layout, tail = parts_of(fuzz_block())
+        for other in (layout[:-1], None, {"seed": ["<i8", 24]}):
+            refused(reframe(header, other, tail), "layout")
+        text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        body = text + b"[[" + tail  # a layout that is not JSON
+        refused(struct.pack(">4sIII", b"RSB2", len(text), 2,
+                            zlib.crc32(body)) + body,
+                "corrupt shard block layout")
+        columns = header["columns"]
+        for names in ([], columns[:-1] + [7], columns[:-1] + [["seed"]]):
+            refused(reframe({**header, "columns": names}, layout, tail),
+                    "declares no columns")
+
+    def test_declared_column_of_another_dtype_is_refused(self):
+        header, layout, tail = parts_of(fuzz_block())
+        position = header["columns"].index("seed")
+        assert layout[position][0] == "<i8"
+        layout[position][0] = "<f8"
+        refused(reframe(header, layout, tail), "declared <i8")
+
+    def test_honest_reframe_decodes(self):
+        """The fuzz helpers themselves produce a decodable block, so the
+        refusals above are the decoder's checks at work."""
+        encoded = fuzz_block()
+        assert reframe(*parts_of(encoded)) == encoded
+        assert decode_shard_block(encoded).row_count == 3
 
 
 # -- wire regressions: protocol errors are answered, not dropped -------------
@@ -584,16 +754,16 @@ class TestWorkerReconnect:
             coordinator.close()
 
 
-# -- differential: columnar == monolithic == JSON over real sockets ----------
+# -- differential: columnar == monolithic over real sockets -----------------
 
-#: One real grid on each side of SESSION_BLOCK_MIN_ROWS: 8 jobs in 5 spans
-#: complete as JSON frames, 256 jobs in 2 spans as columnar shard blocks.
+#: Two real grids: 8 jobs in 5 spans of at most 2 rows, and 256 jobs in 2
+#: spans of 128 rows.  Both complete every span as a columnar shard block.
 PAYLOAD_GRIDS = {
-    "json": ({"core_count": [1, 2], "tam_width_bits": [16, 32]},
-             ScenarioSpec(name="base", patterns_per_core=16, seed=3), 5),
-    "columnar": ({"core_count": [1, 2], "tam_width_bits": [8, 16, 32, 64],
-                  "seed": list(range(1, 17))},
-                 ScenarioSpec(name="base", patterns_per_core=4, seed=3), 2),
+    "small": ({"core_count": [1, 2], "tam_width_bits": [16, 32]},
+              ScenarioSpec(name="base", patterns_per_core=16, seed=3), 5),
+    "large": ({"core_count": [1, 2], "tam_width_bits": [8, 16, 32, 64],
+               "seed": list(range(1, 17))},
+              ScenarioSpec(name="base", patterns_per_core=4, seed=3), 2),
 }
 
 
@@ -618,26 +788,34 @@ class TestDifferentialColumnarPayloads:
     @pytest.mark.parametrize("worker_count", [1, 2, 4])
     def test_columnar_json_and_monolithic_agree_with_one_kill(
             self, worker_count, tmp_path, monolithic_reference, monkeypatch):
-        completions = {"columnar": 0, "json": 0}
+        completions = {"block_frames": 0, "completed": 0}
+        json_ops = []
 
-        def counting(method, payload):
+        def counting(method, key):
             def counted(self, *args):
-                completions[payload] += 1
+                completions[key] += 1
                 return method(self, *args)
             return counted
 
-        monkeypatch.setattr(Coordinator, "complete_lease_block", counting(
-            Coordinator.complete_lease_block, "columnar"))
+        def recording(self, request):
+            json_ops.append(request.get("op"))
+            return dispatch(self, request)
+
+        dispatch = Coordinator.dispatch
+        monkeypatch.setattr(Coordinator, "dispatch", recording)
+        monkeypatch.setattr(Coordinator, "dispatch_block", counting(
+            Coordinator.dispatch_block, "block_frames"))
         monkeypatch.setattr(Coordinator, "complete_lease", counting(
-            Coordinator.complete_lease, "json"))
+            Coordinator.complete_lease, "completed"))
         for payload, reference in monolithic_reference.items():
             spans = plan_shards(reference["jobs"], reference["spans"])
             rows = [len(shard.jobs) for shard in spans]
-            if payload == "columnar":
-                assert min(rows) >= SESSION_BLOCK_MIN_ROWS
+            if payload == "large":
+                assert min(rows) == 128
             else:
-                assert max(rows) < SESSION_BLOCK_MIN_ROWS
-            completions.update(columnar=0, json=0)
+                assert max(rows) <= 2
+            completions.update(block_frames=0, completed=0)
+            json_ops.clear()
             coordinator = Coordinator(lease_timeout=0.5)
             server = CoordinatorServer(coordinator)
             thread = threading.Thread(target=server.serve_forever,
@@ -677,9 +855,12 @@ class TestDifferentialColumnarPayloads:
                 status = submitter.status()
                 assert status["completed_spans"] == len(spans)
                 assert status["steals"] == 1
-                assert completions[payload] >= len(spans)
-                assert completions["columnar" if payload == "json"
-                                   else "json"] == 0
+                # Every completion arrived as a block frame; no JSON op
+                # completed anything.
+                assert completions["completed"] >= len(spans)
+                assert completions["block_frames"] == \
+                    completions["completed"]
+                assert "complete" not in json_ops
                 assert json_path.read_bytes() == reference["json"]
                 assert csv_path.read_bytes() == reference["csv"]
             finally:

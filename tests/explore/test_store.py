@@ -298,6 +298,8 @@ class TestCrashSafeStore:
         lambda m: m.update(columns=["seed", 3]),
         lambda m: m.update(metadata=[]),
         lambda m: m.update(chunk_rows=0),
+        lambda m: m.update(chunk_sha256=m["chunk_sha256"][:1]),
+        lambda m: m.update(chunk_sha256=["Z" * 64] * len(m["chunks"])),
     ])
     def test_open_rejects_crafted_manifests(self, tmp_path, mutate):
         path = tmp_path / "s"
@@ -374,6 +376,23 @@ class TestCrashSafeStore:
             store.rows()
         with pytest.raises(StoreError, match="rows the manifest lists"):
             store.column("seed")
+
+    def test_swapped_equal_sized_chunks_raise_store_error(self, tmp_path):
+        """Two chunks of equal row count swapped on disk would read back in
+        the wrong row order; their SHA-256 digests catch it."""
+        path = tmp_path / "s"
+        rows = [typed_row(i) for i in range(4)]
+        write_store(path, rows, chunk_rows=2)
+        first, second = path / "chunk-000000.npz", path / "chunk-000001.npz"
+        first_bytes = first.read_bytes()
+        first.write_bytes(second.read_bytes())
+        second.write_bytes(first_bytes)
+        store = ColumnarStore.open(path)
+        with pytest.raises(StoreError, match="SHA-256 mismatch"):
+            store.rows()
+        second.write_bytes(first.read_bytes())
+        first.write_bytes(first_bytes)
+        assert ColumnarStore.open(path).rows() == rows
 
     @pytest.mark.slow
     def test_every_bit_flip_of_a_chunk_raises_store_error_or_reads_intact(
