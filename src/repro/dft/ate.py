@@ -189,6 +189,10 @@ class AutomatedTestEquipment(Channel):
         #: stimuli exhaust it, stalling the stream for :attr:`reload_cycles`.
         self.vector_memory_words = vector_memory_words
         self.reload_cycles = reload_cycles
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Zero the execution statistics (the just-built state)."""
         self.vector_memory_reloads = 0
         self.programs_executed = 0
 

@@ -49,13 +49,17 @@ class Decompressor(Channel):
             name=f"{name}.config", width_bits=4,
             on_update=self._on_config_update,
         )
-        self.bypass = True
-        self.compressed_bits_in = 0
-        self.expanded_bits_out = 0
-        self.patterns_expanded = 0
+        self.rewind()
 
     def _on_config_update(self, value: int) -> None:
         self.bypass = (value == self.MODE_BYPASS)
+
+    def rewind(self) -> None:
+        """Back to the just-built adaptor: bypass, counters zeroed."""
+        self.config_register.rewind()
+        self.compressed_bits_in = 0
+        self.expanded_bits_out = 0
+        self.patterns_expanded = 0
 
     def activate(self) -> None:
         """Shortcut to leave bypass mode without the configuration scan bus."""
@@ -124,12 +128,18 @@ class Compactor(Channel):
             name=f"{name}.config", width_bits=4,
             on_update=self._on_config_update,
         )
-        self.bypass = True
-        self.response_bits_in = 0
-        self.compacted_bits_out = 0
+        self.rewind()
 
     def _on_config_update(self, value: int) -> None:
         self.bypass = (value == self.MODE_BYPASS)
+
+    def rewind(self) -> None:
+        """Back to the just-built adaptor: bypass, counters and MISR
+        zeroed."""
+        self.config_register.rewind()
+        self.response_bits_in = 0
+        self.compacted_bits_out = 0
+        self.misr.state = 0
 
     def activate(self) -> None:
         self.bypass = False

@@ -31,7 +31,8 @@ class ConfigurableRegister:
             raise ValueError("register width must be positive")
         self.name = name
         self.width_bits = width_bits
-        self.value = reset_value & self.mask
+        self.reset_value = reset_value & self.mask
+        self.value = self.reset_value
         self._on_update = on_update
 
     @property
@@ -42,6 +43,12 @@ class ConfigurableRegister:
         self.value = value & self.mask
         if self._on_update is not None:
             self._on_update(self.value)
+
+    def rewind(self) -> None:
+        """Load the reset value through :meth:`update`, so the owner's
+        decoded state (a wrapper's mode, a bypass or enable flag) returns
+        to what the reset value selects: the state it was built in."""
+        self.update(self.reset_value)
 
     def __repr__(self):
         return f"ConfigurableRegister({self.name!r}, width={self.width_bits}, value={self.value:#x})"
@@ -72,8 +79,7 @@ class ConfigurationScanBus(Channel):
         self._registers: Dict[str, ConfigurableRegister] = {}
         self._order: List[str] = []
         self._mutex = Mutex(self.sim, name=f"{self.name}.arbiter")
-        self.configuration_count = 0
-        self.busy_cycles_total = 0
+        self.rewind()
 
     # -- ring construction ---------------------------------------------------
     def register(self, config_register: ConfigurableRegister) -> None:
@@ -89,6 +95,13 @@ class ConfigurationScanBus(Channel):
     def ring_length_bits(self) -> int:
         """Total shift length of the ring (sum of all register widths)."""
         return sum(reg.width_bits for reg in self._registers.values())
+
+    def rewind(self) -> None:
+        """Free the arbiter and zero the statistics (the just-built state).
+        The registers stay on the ring; each owner rewinds its own."""
+        self._mutex.rewind()
+        self.configuration_count = 0
+        self.busy_cycles_total = 0
 
     @property
     def registers(self) -> List[ConfigurableRegister]:

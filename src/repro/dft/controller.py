@@ -40,12 +40,16 @@ class TestController(Channel):
             name=f"{name}.config", width_bits=8,
             on_update=self._on_config_update,
         )
-        self.enabled = False
-        #: Per-session status dictionaries, keyed by session name.
-        self.sessions: Dict[str, Dict[str, object]] = {}
+        self.rewind()
 
     def _on_config_update(self, value: int) -> None:
         self.enabled = bool(value & 0x1)
+
+    def rewind(self) -> None:
+        """Back to the just-built controller: disabled, no sessions."""
+        self.config_register.rewind()
+        #: Per-session status dictionaries, keyed by session name.
+        self.sessions: Dict[str, Dict[str, object]] = {}
 
     def enable(self) -> None:
         """Shortcut to enable the controller without the configuration bus."""

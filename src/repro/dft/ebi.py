@@ -66,12 +66,16 @@ class ExternalBusInterface(Channel):
             name=f"{name}.config", width_bits=8,
             on_update=self._on_config_update,
         )
-        self.enabled = False
-        self.patterns_streamed = 0
-        self.bursts_streamed = 0
+        self.rewind()
 
     def _on_config_update(self, value: int) -> None:
         self.enabled = bool(value & 0x1)
+
+    def rewind(self) -> None:
+        """Back to the just-built EBI: disabled, counters zeroed."""
+        self.config_register.rewind()
+        self.patterns_streamed = 0
+        self.bursts_streamed = 0
 
     def enable(self) -> None:
         """Shortcut to enable the EBI without the configuration scan bus."""

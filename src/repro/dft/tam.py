@@ -70,10 +70,7 @@ class TamChannel(Channel, TamInterface):
         self.tracer = tracer if tracer is not None else TransactionTracer()
         self._mutex = Mutex(self.sim, name=f"{self.name}.arbiter")
         self._slaves: List[Tuple[int, int, object]] = []
-        #: Aggregate statistics.
-        self.transaction_count = 0
-        self.busy_cycles_total = 0
-        self.bits_transferred = 0
+        self.rewind()
 
     # -- topology ------------------------------------------------------------
     def bind_slave(self, slave, base_address: int, size: int) -> None:
@@ -213,6 +210,15 @@ class TamChannel(Channel, TamInterface):
         return (yield from self.transport(payload))
 
     # -- statistics -----------------------------------------------------------------
+    def rewind(self) -> None:
+        """Zero the statistics and free the arbiter (the just-built
+        state); the slave map stays."""
+        self._mutex.rewind()
+        #: Aggregate statistics.
+        self.transaction_count = 0
+        self.busy_cycles_total = 0
+        self.bits_transferred = 0
+
     @property
     def contention_count(self) -> int:
         """Number of transactions that had to wait for the TAM."""
@@ -245,6 +251,12 @@ class AteLink(Channel):
         self.clock = clock
         self.tracer = tracer if tracer is not None else TransactionTracer()
         self._mutex = Mutex(self.sim, name=f"{self.name}.arbiter")
+        self.rewind()
+
+    def rewind(self) -> None:
+        """Zero the statistics and free the arbiter (the just-built
+        state)."""
+        self._mutex.rewind()
         self.transaction_count = 0
         self.busy_cycles_total = 0
 

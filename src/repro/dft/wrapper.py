@@ -101,14 +101,7 @@ class TestWrapper(Channel):
             on_update=self._on_wir_update,
         )
         self.misr = MISR(misr_width, seed=0)
-        #: Statistics accumulated during test execution.
-        self.patterns_applied = 0
-        self.bist_patterns_applied = 0
-        self.external_patterns_applied = 0
-        self.stimulus_bits_received = 0
-        self.response_bits_produced = 0
-        self.functional_accesses = 0
-        self.mode_errors = 0
+        self.rewind()
 
     # -- mode handling -------------------------------------------------------
     def _on_wir_update(self, value: int) -> None:
@@ -289,6 +282,7 @@ class TestWrapper(Channel):
         return simulator.fault_coverage(patterns, faults)
 
     def reset_statistics(self) -> None:
+        #: Statistics accumulated during test execution.
         self.patterns_applied = 0
         self.bist_patterns_applied = 0
         self.external_patterns_applied = 0
@@ -296,7 +290,13 @@ class TestWrapper(Channel):
         self.response_bits_produced = 0
         self.functional_accesses = 0
         self.mode_errors = 0
-        self.misr = MISR(self.misr.width, seed=0)
+        self.misr.state = 0  # the constructor's seed; drops a pending fold
+
+    def rewind(self) -> None:
+        """Return to the just-built wrapper: the WIR register's reset
+        value (functional mode), zeroed statistics and MISR."""
+        self.wir_register.rewind()
+        self.reset_statistics()
 
     def __repr__(self):
         return (

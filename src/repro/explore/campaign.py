@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.explore.artifact import write_csv, write_json
 from repro.explore.scenarios import Scenario, ScenarioGrid, ScenarioSpec, build_scenario
 from repro.schedule.strategies import canonical_schedule_names, strategy_fingerprint
-from repro.soc.system import TestRunMetrics
+from repro.soc.system import SocTlmBase, TestRunMetrics
 
 #: Version of the result-row schema written to artifacts (see the module
 #: docstring for the version history).
@@ -234,12 +234,36 @@ def scenario_cache_stats() -> Dict[str, int]:
             "size": len(_SCENARIO_CACHE)}
 
 
+#: The SoC of the most recent row's scenario, as a one-entry list holding
+#: ``(scenario, soc)``.  The next row of the same scenario rewinds it
+#: instead of building a new one.  A row takes it with ``pop`` and puts it
+#: back only once it completed, so a row that raised or stopped at a race
+#: horizon (its simulator still holds entries) leaves the slot empty, and
+#: two threads can never share one SoC.  It lives outside the scenario memo
+#: on purpose: one SoC per memoized scenario would hold hundreds of them.
+_SOC_SLOT: List[Tuple[Scenario, SocTlmBase]] = []
+
+
 def clear_scenario_cache() -> None:
-    """Drop the per-process scenario memo (test isolation hook)."""
+    """Drop the per-process scenario memo and the SoC slot (test isolation
+    hook)."""
     global _SCENARIO_CACHE_HITS, _SCENARIO_CACHE_MISSES
     _SCENARIO_CACHE.clear()
+    _SOC_SLOT.clear()
     _SCENARIO_CACHE_HITS = 0
     _SCENARIO_CACHE_MISSES = 0
+
+
+def _scenario_soc(scenario: Scenario) -> SocTlmBase:
+    """The slot's SoC rewound if it belongs to *scenario*, else a new one."""
+    try:
+        owner, soc = _SOC_SLOT.pop()
+    except IndexError:
+        return scenario.build_soc()
+    if owner is not scenario:
+        return scenario.build_soc()
+    soc.rewind()
+    return soc
 
 
 def _run_job(job: CampaignJob, horizon_cycles: Optional[int]
@@ -254,7 +278,7 @@ def _run_job(job: CampaignJob, horizon_cycles: Optional[int]
     # specs on demand (deterministically, so memoized builds equal cold
     # ones); unknown names raise KeyError.
     schedule = scenario.schedule_for(job.schedule)
-    soc = scenario.build_soc()
+    soc = _scenario_soc(scenario)
     # CPU time, not wall clock: the cpu_seconds column reproduces the
     # paper's "CPU [s]" numbers, which measure compute cost.  perf_counter
     # here would fold in scheduler queueing on loaded hosts.
@@ -277,6 +301,8 @@ def _run_job(job: CampaignJob, horizon_cycles: Optional[int]
         cpu_seconds=cpu_seconds,
         worker=os.getpid(),
     )
+    if metrics.completed:
+        _SOC_SLOT[:] = [(scenario, soc)]
     return outcome, not metrics.completed
 
 
@@ -284,9 +310,9 @@ def execute_job(job: CampaignJob) -> CampaignOutcome:
     """Run one campaign job to completion (also the worker-pool entry point).
 
     Builds the scenario from its spec (through the per-process memo),
-    instantiates a fresh SoC TLM, runs the schedule and reduces the metrics
-    to plain scalars so the outcome travels cheaply across process
-    boundaries.
+    takes its SoC TLM (built once per scenario and rewound between the
+    scenario's rows), runs the schedule and reduces the metrics to plain
+    scalars so the outcome travels cheaply across process boundaries.
     """
     return _run_job(job, None)[0]
 

@@ -711,20 +711,17 @@ class Coordinator:
                        span=lease.shard_index, lease=lease_id,
                        worker=lease.worker)
             return False
-        # Validate against the planned shard before touching any state; a
-        # bad block must not consume the span.
+        # Validate against the planned shard, the lease's own span included,
+        # before touching any state; a bad block must not consume a span.
         try:
-            index = state.merge.add_shard_block(block)
+            index = state.merge.add_shard_block(
+                block, expected_shard=lease.shard_index)
         except MergeError as error:
             self._m_invalid.inc()
             self._emit("invalid-document", campaign=lease.campaign_id,
                        span=lease.shard_index, lease=lease_id,
                        worker=lease.worker, error=str(error))
             raise
-        if index != lease.shard_index:  # pragma: no cover - defensive
-            raise MergeError(
-                f"lease {lease_id} covers span {lease.shard_index} but the "
-                f"document declares shard {index}")
         state.completed.add(index)
         # Cancel whichever lease is currently active on the span — possibly
         # a re-grant to another worker after this one was presumed dead.

@@ -276,7 +276,14 @@ class Scenario:
         )
 
     def build_soc(self):
-        """Instantiate the TLM for this scenario (fresh simulator each call)."""
+        """Instantiate the TLM for this scenario (fresh simulator each call).
+
+        A campaign calls this once per scenario, not once per row: it keeps
+        the SoC of the most recent scenario and rewinds it
+        (:meth:`~repro.soc.system.SocTlmBase.rewind`) between that
+        scenario's rows.  A row stopped at a race horizon drops it, and the
+        scenario's next row builds a new one.
+        """
         spec = self.spec
         parameters = dict(spec.config_overrides)
         parameters.update(

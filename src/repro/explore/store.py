@@ -1056,8 +1056,8 @@ class IncrementalShardMerge:
         :class:`StoreError`."""
         return self.add_shard_block(encode_shard_block(document))
 
-    def add_shard_block(self, payload: Union[bytes, bytearray,
-                                             memoryview]) -> int:
+    def add_shard_block(self, payload: Union[bytes, bytearray, memoryview],
+                        expected_shard: Optional[int] = None) -> int:
         """Validate and ingest one shard block; returns its shard index.
 
         The completion path: the :func:`encode_shard_block` payload is
@@ -1068,8 +1068,10 @@ class IncrementalShardMerge:
         provenance, canonical span, row counts, column agreement), with the
         decoded array length as the actual row count.  Raises
         :class:`~repro.explore.distrib.MergeError` for a payload that does
-        not decode, a block that does not belong to this merge's plan, or a
-        shard index already ingested (double completion of the same span).
+        not decode, a block that does not belong to this merge's plan, a
+        block declaring another shard than *expected_shard* (when given),
+        or a shard index already ingested (double completion of the same
+        span).  A rejected block changes nothing.
         """
         try:
             block = decode_shard_block(payload)
@@ -1079,6 +1081,9 @@ class IncrementalShardMerge:
             block.header, count=self._count, total_jobs=self._total_jobs,
             fingerprint=self._fingerprint, columns=self._columns,
             actual_rows=block.row_count)
+        if expected_shard is not None and index != expected_shard:
+            raise MergeError(f"expected shard {expected_shard} but the "
+                             f"document declares shard {index}")
         if index in self._merged:
             raise MergeError(f"shard {index} was already merged "
                              f"(double completion)")

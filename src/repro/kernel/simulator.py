@@ -291,6 +291,34 @@ class Simulator:
         """
         self._credited += count
 
+    def rewind(self) -> None:
+        """Return an idle simulator to the state its constructor left.
+
+        Time goes back to 0, the sequence and dispatch counters restart,
+        and the event store is emptied of the stale bucket times a drain
+        leaves behind, so the next run dispatches exactly what it would
+        on a new simulator.  Raises :class:`SchedulingError` unless the
+        simulator is idle: not running, with no entry (cancelled ones
+        included), update request or unreported process failure left.
+        """
+        if (self._running or self._entry_count or self._update_requests
+                or self._failures):
+            raise SchedulingError(
+                f"cannot rewind simulator {self.name!r}: it is not idle "
+                f"({self._entry_count} entries in the event store)")
+        self._lane.clear()
+        self._lane_time = -1
+        self._buckets.clear()
+        self._bucket_times.clear()
+        self._far.clear()
+        self._horizon = self._WHEEL_SPAN_FS
+        self._sequence = 0
+        self._now_fs = 0
+        self._pending_count = 0
+        self._cancelled_count = 0
+        self.dispatched_activations = 0
+        self._credited = 0
+
     def request_update(self, primitive) -> None:
         """Request that ``primitive.update()`` runs in the next update phase."""
         self._update_requests.append(primitive)

@@ -25,14 +25,10 @@ class Mutex:
     def __init__(self, sim: "Simulator", name: str = "mutex"):
         self.sim = sim
         self.name = name
-        self._locked = False
         #: Queued acquirers in FIFO order: a ticket :class:`Event` per
         #: blocked process, the callable itself per callback acquirer.
         self._waiters = deque()
-        #: Total number of acquisitions (arbitration statistics).
-        self.acquisitions = 0
-        #: Number of acquisitions that had to wait.
-        self.contentions = 0
+        self.rewind()
 
     def acquire(self):
         """Blocking acquire; returns once the lock is held by the caller."""
@@ -113,6 +109,16 @@ class Mutex:
         except ValueError:
             # release() already handed the lock to this ticket.
             self.release()
+
+    def rewind(self) -> None:
+        """Free the lock and zero the arbitration statistics: the state
+        the constructor leaves."""
+        self._locked = False
+        self._waiters.clear()
+        #: Total number of acquisitions (arbitration statistics).
+        self.acquisitions = 0
+        #: Number of acquisitions that had to wait.
+        self.contentions = 0
 
     @property
     def locked(self) -> bool:

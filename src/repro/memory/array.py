@@ -24,11 +24,7 @@ class MemoryArray:
         self.word_bits = word_bits
         self.word_mask = (1 << word_bits) - 1
         self.background = background & self.word_mask
-        self._contents: Dict[int, int] = {}
-        self._faults: List[MemoryFault] = []
-        #: Operation counters (useful to validate march-test lengths).
-        self.read_count = 0
-        self.write_count = 0
+        self.rewind()
 
     # -- fault management -------------------------------------------------------
     def inject_fault(self, fault: MemoryFault) -> None:
@@ -103,8 +99,16 @@ class MemoryArray:
         return [self.raw_read(base_address + offset) for offset in range(length)]
 
     def reset_counters(self) -> None:
+        #: Operation counters (useful to validate march-test lengths).
         self.read_count = 0
         self.write_count = 0
+
+    def rewind(self) -> None:
+        """Return to the just-built array: never written, no faults,
+        counters zeroed."""
+        self._contents: Dict[int, int] = {}
+        self._faults: List[MemoryFault] = []
+        self.reset_counters()
 
     def __len__(self) -> int:
         return self.words

@@ -26,6 +26,9 @@ class SystemBus(TamChannel):
         super().__init__(parent, name, width_bits, clock,
                          arbitration_overhead_cycles=arbitration_overhead_cycles,
                          tracer=tracer)
+
+    def rewind(self) -> None:
+        super().rewind()
         self.functional_reads = 0
         self.functional_writes = 0
 

@@ -38,6 +38,10 @@ class MemoryCore(Module):
         self.base_address = base_address
         self.size_words = words
 
+    def rewind(self) -> None:
+        """Return the array to its just-built contents and counters."""
+        self.array.rewind()
+
     # -- functional (mission mode) access ------------------------------------------
     def functional_access(self, payload: TamPayload) -> TamPayload:
         offset = int(payload.attributes.get("offset", 0))
@@ -66,6 +70,9 @@ class ColorConversionCore(Module):
                  cycles_per_pixel: float = 1.0):
         super().__init__(parent, name)
         self.cycles_per_pixel = cycles_per_pixel
+        self.rewind()
+
+    def rewind(self) -> None:
         self._output: Optional[np.ndarray] = None
         self.pixels_processed = 0
 
@@ -97,6 +104,12 @@ class DctCore(Module):
         super().__init__(parent, name)
         self.cycles_per_block = cycles_per_block
         self._encoder = JpegEncoder(quality=quality)
+        self._built_quality = quality
+        self.rewind()
+
+    def rewind(self) -> None:
+        if self.quality != self._built_quality:
+            self.set_quality(self._built_quality)
         self._output: Optional[np.ndarray] = None
         self.blocks_processed = 0
 
@@ -145,6 +158,9 @@ class ProcessorCore(Module):
         self.cycles_per_memory_op = cycles_per_memory_op
         self.bus_busy_cycles_per_memory_op = bus_busy_cycles_per_memory_op
         self.software_cycles_per_symbol = software_cycles_per_symbol
+        self.rewind()
+
+    def rewind(self) -> None:
         self.last_command: Optional[Dict[str, object]] = None
         self.images_encoded = 0
 

@@ -151,6 +151,37 @@ class SocTlmBase:
                                                  self.clock)
         self.power_monitor = PowerMonitor(self.activity_log)
 
+    # -- lifetime -----------------------------------------------------------------
+    def rewind(self) -> None:
+        """Return the SoC to the state its constructor left, at time 0.
+
+        The simulator is rewound (it raises unless idle, so a run stopped
+        at a horizon cannot be rewound), the tracer and activity log are
+        emptied, and every component gets back its just-built register and
+        WIR values, MISR and EBI state and statistics counters.  A rewound
+        SoC is indistinguishable from a freshly built one, so a campaign
+        builds one SoC per scenario and rewinds it between that scenario's
+        rows instead of building it again.
+        """
+        self.sim.rewind()
+        self.tracer.clear()
+        self.activity_log.clear()
+        for component in self._components():
+            component.rewind()
+
+    def _components(self) -> list:
+        """Every stateful block of the platform, each exactly once."""
+        architecture = self.architecture
+        return [
+            architecture.tam, architecture.ate_link, architecture.ebi,
+            architecture.config_bus, architecture.controller, self.ate,
+            *architecture.wrappers.values(),
+            *architecture.decompressors.values(),
+            *dict.fromkeys(architecture.compactors.values()),
+            *architecture.memory_cores.values(),
+            *architecture.processor_cores.values(),
+        ]
+
     # -- task/schedule registries (overridden by subclasses) --------------------
     def _default_tasks(self) -> Mapping[str, TestTask]:
         raise NotImplementedError
@@ -317,6 +348,10 @@ class JpegSocTlm(SocTlmBase):
         )
 
         self._init_monitors()
+
+    def _components(self) -> list:
+        # The mission-mode accelerators sit outside the test architecture.
+        return super()._components() + [self.color_conversion, self.dct]
 
     # -- task/schedule registries ---------------------------------------------------
     def _default_tasks(self) -> Mapping[str, TestTask]:

@@ -1,12 +1,19 @@
 """Tests of the campaign engine: scenario generation determinism,
 serial-vs-parallel result equality and artifact schema stability."""
 
+import collections
 import csv
+import enum
 import json
+import sys
+import threading
+import types
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.explore import campaign as campaign_module
 from repro.explore.campaign import (
     Campaign,
     CampaignJob,
@@ -18,6 +25,7 @@ from repro.explore.campaign import (
     cached_scenario,
     clear_scenario_cache,
     execute_job,
+    execute_job_raced,
 )
 from repro.explore.scenarios import (
     COMPRESSED_ONLY,
@@ -449,3 +457,240 @@ class TestRunTiming:
             len(run.outcomes) / run.wall_seconds)
         assert CampaignRun(outcomes=[], wall_seconds=0.0).rows_per_second \
             == 0.0
+
+
+# -- one SoC per scenario, rewound between its rows -------------------------
+
+def soc_snapshot(soc) -> dict:
+    """Every plain-data attribute reachable from *soc*, by access path.
+
+    Walks the program's own objects (and the lists, dicts, tuples, deques
+    and sets they hold) depth first; an object met again is recorded as a
+    reference to the path it was first met at, so aliasing is compared too.
+    Bound methods count by name and other foreign objects by type (numpy
+    arrays by their bytes).
+    """
+    seen, out = {}, {}
+
+    def walk(value, path):
+        if value is None or isinstance(value, (bool, int, float, str, bytes,
+                                               enum.Enum)):
+            out[path] = value
+            return
+        if id(value) in seen:
+            out[path] = ("same as", seen[id(value)])
+            return
+        seen[id(value)] = path
+        if isinstance(value, (list, tuple, collections.deque)):
+            out[path] = (type(value).__name__, len(value))
+            for index, item in enumerate(value):
+                walk(item, f"{path}[{index}]")
+        elif isinstance(value, dict):
+            out[path] = ("dict", list(map(repr, value)))
+            for key, item in value.items():
+                walk(item, f"{path}[{key!r}]")
+        elif isinstance(value, (set, frozenset)):
+            out[path] = (type(value).__name__, sorted(map(repr, value)))
+        elif isinstance(value, np.ndarray):
+            out[path] = ("ndarray", value.dtype.str, value.tobytes())
+        elif isinstance(value, types.MethodType):
+            out[path] = ("method", value.__func__.__qualname__)
+        elif not type(value).__module__.startswith("repro."):
+            out[path] = ("foreign", type(value).__qualname__)
+        else:
+            out[path] = ("object", type(value).__qualname__)
+            attributes = dict(getattr(value, "__dict__", {}))
+            for cls in type(value).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(value, slot):
+                        attributes[slot] = getattr(value, slot)
+            for name in sorted(attributes):
+                walk(attributes[name], f"{path}.{name}")
+
+    walk(soc, "soc")
+    return out
+
+
+REUSE_SPECS = (
+    ScenarioGrid({"core_count": [1, 3], "tam_width_bits": [8, 32]},
+                 base=ScenarioSpec(name="base", patterns_per_core=24,
+                                   memory_words=512, seed=5,
+                                   schedules=("sequential", "greedy",
+                                              "binpack", "anneal:steps=64")),
+                 name_prefix="reuse").specs()
+    + [ScenarioSpec(name="reuse_jpeg", kind=JPEG,
+                    schedules=("schedule_1", "schedule_4"))]
+)
+
+
+class TestSocReuse:
+    """A scenario's rows share one rewound SoC; every row must be the row a
+    freshly built SoC gives."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts ``build_soc`` calls and records every rewound SoC."""
+        from repro.soc.system import SocTlmBase
+
+        calls = {"builds": 0, "rewound": []}
+        build, rewind = Scenario.build_soc, SocTlmBase.rewind
+
+        def counted_build(scenario):
+            calls["builds"] += 1
+            return build(scenario)
+
+        def counted_rewind(soc):
+            calls["rewound"].append(soc)
+            return rewind(soc)
+
+        monkeypatch.setattr(Scenario, "build_soc", counted_build)
+        monkeypatch.setattr(SocTlmBase, "rewind", counted_rewind)
+        clear_scenario_cache()
+        yield calls
+        clear_scenario_cache()
+
+    @staticmethod
+    def cold_row(job, horizon_cycles=None):
+        clear_scenario_cache()  # fresh scenario, fresh SoC
+        outcome, stopped = execute_job_raced(job, horizon_cycles)
+        return outcome.deterministic_row(), stopped
+
+    @pytest.mark.parametrize("spec", REUSE_SPECS, ids=lambda spec: spec.name)
+    def test_rows_in_either_order_equal_fresh_soc_rows(self, spec, counted):
+        jobs = [CampaignJob(spec=spec, schedule=name)
+                for name in spec.schedules]
+        cold = [self.cold_row(job)[0] for job in jobs]
+        for order in (jobs, jobs[::-1]):
+            clear_scenario_cache()
+            builds = counted["builds"]
+            rows = {job.schedule: execute_job(job).deterministic_row()
+                    for job in order}
+            assert [rows[job.schedule] for job in jobs] == cold
+            assert counted["builds"] == builds + 1  # one SoC per scenario
+
+    @pytest.mark.parametrize("spec", [REUSE_SPECS[-2], REUSE_SPECS[-1]],
+                             ids=lambda spec: spec.name)
+    def test_rewound_soc_is_indistinguishable_from_a_fresh_one(self, spec):
+        scenario = build_scenario(spec)
+        soc = scenario.build_soc()
+        built = soc_snapshot(soc)
+        for name in spec.schedules:
+            soc.run_test_schedule(scenario.schedule_for(name), scenario.tasks)
+            assert soc_snapshot(soc) != built  # the row did change it
+            soc.rewind()
+            assert soc_snapshot(soc) == built
+            assert soc_snapshot(soc) == soc_snapshot(scenario.build_soc())
+
+    def test_rewind_after_mission_mode_restores_the_jpeg_soc(self):
+        scenario = build_scenario(REUSE_SPECS[-1])
+        soc = scenario.build_soc()
+        built = soc_snapshot(soc)
+        image = np.arange(16 * 16 * 3, dtype=np.float64).reshape(16, 16, 3)
+        soc.run_functional_encode(image % 256, quality=50)
+        assert soc_snapshot(soc) != built
+        soc.rewind()
+        assert soc_snapshot(soc) == built
+
+    def test_threads_never_share_a_soc(self):
+        # Rows of two scenarios from more threads than cores, with the
+        # interpreter switching threads as often as it can: a SoC taken by
+        # two rows at once would corrupt both rows.
+        jobs = [CampaignJob(spec=spec, schedule=name)
+                for spec in REUSE_SPECS[:2] for name in spec.schedules]
+        cold = {job: self.cold_row(job)[0] for job in jobs}
+        clear_scenario_cache()
+        for spec in REUSE_SPECS[:2]:
+            cached_scenario(spec)  # one memoized scenario per spec
+        mismatches, errors = [], []
+
+        def run(offset):
+            try:
+                for index in range(12):
+                    job = jobs[(offset + index) % len(jobs)]
+                    if execute_job(job).deterministic_row() != cold[job]:
+                        mismatches.append(job)
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            clear_scenario_cache()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+
+    def test_simulator_rewind_refuses_pending_entries(self):
+        from repro.kernel import SimTime
+        from repro.kernel.exceptions import SchedulingError
+        from repro.kernel.simulator import Simulator
+
+        sim = Simulator()
+        sim.schedule_callback(lambda: None, SimTime(10))
+        sim.schedule_callback(lambda: None, SimTime(30))
+        with pytest.raises(SchedulingError, match="not idle"):
+            sim.rewind()
+        sim.run(until=SimTime(20))  # stopped with one entry left
+        with pytest.raises(SchedulingError, match="not idle"):
+            sim.rewind()
+        assert sim.now == SimTime(20) and sim.pending_activations == 1
+        sim.run()
+        sim.rewind()
+        assert sim.now == SimTime(0) and sim.dispatched_activations == 0
+
+    def test_soc_stopped_at_a_horizon_cannot_be_rewound(self):
+        from repro.kernel.exceptions import SchedulingError
+
+        spec = REUSE_SPECS[-2]
+        scenario = build_scenario(spec)
+        soc = scenario.build_soc()
+        metrics = soc.run_test_schedule(scenario.schedule_for("sequential"),
+                                        scenario.tasks, horizon_cycles=1000)
+        assert not metrics.completed
+        with pytest.raises(SchedulingError, match="not idle"):
+            soc.rewind()
+
+    def test_raced_rows_keep_the_cold_result(self, counted):
+        spec = REUSE_SPECS[-2]
+        jobs = {name: CampaignJob(spec=spec, schedule=name)
+                for name in ("sequential", "greedy", "binpack")}
+        full, _ = self.cold_row(jobs["greedy"])
+        horizon = full["test_length_cycles"] // 2
+        # A completed row, a horizon-stopped row on the rewound SoC, then a
+        # completed row, which must not get the stopped row's SoC back.
+        plan = [("sequential", None), ("greedy", horizon), ("binpack", None)]
+        cold = [self.cold_row(jobs[name], cycles) for name, cycles in plan]
+        assert [stopped for _, stopped in cold] == [False, True, False]
+        clear_scenario_cache()
+        counted["builds"] = 0
+        counted["rewound"].clear()
+        socs = []
+        warm = []
+        for name, cycles in plan:
+            outcome, stopped = execute_job_raced(jobs[name], cycles)
+            warm.append((outcome.deterministic_row(), stopped))
+            socs.append(campaign_module._SOC_SLOT[:])
+        assert warm == cold
+        # The stopped row left the slot empty, so the last row built anew
+        # and nothing rewound the stopped SoC.
+        assert counted["builds"] == 2
+        assert socs[1] == []
+        stopped_soc = counted["rewound"][0]
+        assert counted["rewound"] == [stopped_soc]
+        assert socs[2][0][1] is not stopped_soc
+
+    def test_clearing_the_cache_drops_the_soc(self, counted):
+        job = CampaignJob(spec=REUSE_SPECS[0], schedule="sequential")
+        execute_job(job)
+        assert campaign_module._SOC_SLOT
+        clear_scenario_cache()
+        assert not campaign_module._SOC_SLOT
+        execute_job(job)
+        assert counted["builds"] == 2 and not counted["rewound"]

@@ -334,6 +334,28 @@ class TestLeaseLifecycle:
         assert coordinator.complete_lease(lease.lease_id,
                                           scripted_block(shard)) is True
 
+    def test_block_for_another_span_is_rejected_without_ingesting(
+            self, coordinator_factory, tmp_path):
+        # A valid block of span 1 sent on span 0's lease must change
+        # nothing: span 1's own block still lands and the campaign ends
+        # with the monolithic artifact.
+        coordinator = coordinator_factory()
+        campaign_id, _, paths = submit_fake(coordinator, tmp_path, 4, 2)
+        first, first_shard = coordinator.request_lease("w1")
+        second, second_shard = coordinator.request_lease("w2")
+        assert (first.shard_index, second.shard_index) == (0, 1)
+        with pytest.raises(MergeError, match="declares shard 1"):
+            coordinator.complete_lease(first.lease_id,
+                                       scripted_block(second_shard))
+        assert coordinator.status()["invalid_documents"] == 1
+        assert coordinator.campaign_progress(campaign_id)["completed"] == 0
+        assert coordinator.complete_lease(second.lease_id,
+                                          scripted_block(second_shard))
+        assert coordinator.complete_lease(first.lease_id,
+                                          scripted_block(first_shard))
+        assert coordinator.campaign_progress(campaign_id)["complete"]
+        assert_bitwise_identical(paths)
+
     def test_unknown_lease_and_campaign_raise_coordinator_error(
             self, coordinator_factory, tmp_path):
         coordinator = coordinator_factory()

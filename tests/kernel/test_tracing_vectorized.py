@@ -1,9 +1,9 @@
 """Differential tests of the vectorized interval queries in the tracer.
 
-``total_busy_time``, ``busy_fs_in_window`` and ``utilization_profile`` now
-run over merged-interval arrays with ``searchsorted`` probes; these tests
-pin them to a scalar python reference over randomized interval soups, and
-cover the cache-invalidation edge (append after query).
+``total_busy_time``, ``busy_fs_in_window`` and ``utilization_profile`` run
+over merged intervals with binary-search probes; these tests pin them to a
+scalar python reference over randomized interval soups, and cover the
+cache-invalidation edge (append after query).
 """
 
 import random
