@@ -114,6 +114,20 @@ def _autorange_best_of(repeats, run, floor_seconds) -> tuple:
     return count, best, result
 
 
+def _concatenated_artifact(documents, path) -> bytes:
+    """Write the merged artifact of a complete shard set by plain row
+    concatenation in shard order — a reference for the merge engine that
+    shares none of its code — and return its bytes."""
+    from repro.explore.artifact import write_json
+
+    ordered = sorted(documents, key=lambda document: document["shard"]["index"])
+    rows = [row for document in ordered for row in document["rows"]]
+    write_json(path, {"schema_version": ordered[0]["schema_version"],
+                      "columns": list(ordered[0]["columns"]),
+                      "row_count": len(rows), "rows": rows})
+    return path.read_bytes()
+
+
 def bench_kernel(scale: float) -> dict:
     """Dispatch throughput of the scheduler.
 
@@ -531,10 +545,16 @@ def bench_distrib(scale: float) -> dict:
 
     Uses synthetic outcomes so the numbers isolate the distribution layer:
     planning a large job list into shards, JSON-round-tripping the shard
-    artifacts and merging them back.  Merge throughput (rows/second) is the
-    headline — it bounds how fast a coordinator can recombine a fleet's
-    results.
+    artifacts and merging them back through the merge engine into memory
+    (``merge_shard_documents``: plan, engine, merged document).  Merge
+    throughput (rows/second) is the headline — it bounds how fast sharded
+    adaptive rounds recombine their rows.  The merged artifact is compared
+    byte for byte with a plain row concatenation (``bitwise_identical``).
     """
+    import tempfile
+    from pathlib import Path as _Path
+
+    from repro.explore.artifact import write_json
     from repro.explore.campaign import CampaignJob, CampaignOutcome, CampaignRun
     from repro.explore.distrib import (
         ShardRun, merge_shard_documents, plan_shards,
@@ -570,20 +590,31 @@ def bench_distrib(scale: float) -> dict:
         documents.append(json.loads(json.dumps(
             ShardRun(shard, run).as_document())))
 
-    def run_merge():
+    def run_merge(count):
         start = time.perf_counter()
-        merged = merge_shard_documents(documents)
+        for _ in range(count):
+            merged = merge_shard_documents(documents)
         return time.perf_counter() - start, merged
 
-    merge_wall, merged = _best_of(REPEATS, run_merge)
+    merges, merge_wall, merged = _autorange_best_of(REPEATS, run_merge, 0.05)
+    merge_wall /= merges
     if merged["row_count"] != len(jobs):
         raise AssertionError("merged row count diverged from the job list")
+    with tempfile.TemporaryDirectory(prefix="bench_distrib_") as name:
+        tmp = _Path(name)
+        write_json(tmp / "merged.json", merged)
+        bitwise = ((tmp / "merged.json").read_bytes()
+                   == _concatenated_artifact(documents, tmp / "reference.json"))
+    if not bitwise:
+        raise AssertionError("engine-merged JSON diverged from the row "
+                             "concatenation")
     return {
         "workload": {"jobs": len(jobs), "shards": shard_count},
         "plan_wall_seconds": round(plan_wall, 6),
         "plan_jobs_per_second": round(len(jobs) / plan_wall, 1),
         "merge_wall_seconds": round(merge_wall, 6),
         "merge_rows_per_second": round(len(jobs) / merge_wall, 1),
+        "bitwise_identical": bitwise,
     }
 
 
@@ -637,18 +668,18 @@ def bench_store(scale: float) -> dict:
 
     Four head-to-head measurements at >=100k rows (scale 1.0):
 
-    * *merge* — recombining shard documents into a persisted artifact:
-      ``merge_shard_documents`` + ``write_json`` (in-memory row
-      concatenation, indented JSON dump) vs ``merge_documents_to_store``
-      (plan-validated typed column chunks),
+    * *merge* — the merge engine (``merge_shards`` on a ``plan_merge``
+      plan) with its two sinks, timed interleaved: in-memory column chunks
+      vs a store directory of npz chunks and a manifest (``speedup`` is
+      memory wall over store wall),
     * *pareto_ranks* — python peeling vs the vectorized dominator counting,
       on a round-sized sample of the (length, power) objective vectors,
     * *front_prune* — incremental python ``ParetoFront`` vs the
       ``pareto_front_mask`` sweep over every row,
     * *aggregate* — python per-row group-by vs the numpy ``summarize_store``.
 
-    The merged store is additionally streamed back to JSON and compared
-    byte-for-byte against the dict-path artifact (``bitwise_identical``).
+    Both merged stores are additionally streamed back to JSON and compared
+    byte-for-byte against a plain row concatenation (``bitwise_identical``).
     """
     import tempfile
     from pathlib import Path as _Path
@@ -656,14 +687,13 @@ def bench_store(scale: float) -> dict:
     from repro.explore.adaptive import (
         ParetoFront, dominates, pareto_front_mask, pareto_ranks,
     )
-    from repro.explore.artifact import write_json
     from repro.explore.campaign import SCHEMA_VERSION, result_columns
     from repro.explore.distrib import (
-        DISTRIB_SCHEMA_VERSION, merge_shard_documents, shard_span,
+        DISTRIB_SCHEMA_VERSION, plan_merge, shard_span,
     )
     from repro.explore.report import summarize_store
     from repro.explore.store import (
-        ColumnarStore, merge_documents_to_store, write_document_json,
+        ColumnarStore, merge_shards, write_document_json,
     )
 
     total = max(800, int(120_000 * scale))
@@ -685,31 +715,34 @@ def bench_store(scale: float) -> dict:
 
     tmp = _Path(tempfile.mkdtemp(prefix="bench_store_"))
 
-    # -- merge: dict-of-lists vs columnar store
-    def run_dict_merge():
-        start = time.perf_counter()
-        merged = merge_shard_documents(documents)
-        write_json(tmp / "merged_dict.json", merged)
-        return time.perf_counter() - start, merged
+    # -- merge: the engine's memory sink vs its store sink, interleaved
+    plan = plan_merge(documents)
 
-    dict_wall, merged = _best_of(REPEATS, run_dict_merge)
-
-    def run_store_merge():
+    def run_merge(store_path):
         start = time.perf_counter()
-        store = merge_documents_to_store(documents, tmp / "merged.store")
+        store = merge_shards(plan, (documents[position]
+                                    for position in plan.order),
+                             store_path=store_path)
         return time.perf_counter() - start, store
 
-    store_wall, _ = _best_of(REPEATS, run_store_merge)
+    memory_wall = store_wall = float("inf")
+    for _ in range(REPEATS):
+        wall, memory = run_merge(None)
+        memory_wall = min(memory_wall, wall)
+        wall, _ = run_merge(tmp / "merged.store")
+        store_wall = min(store_wall, wall)
     store = ColumnarStore.open(tmp / "merged.store")
-    if store.row_count != total or merged["row_count"] != total:
+    if store.row_count != total or memory.row_count != total:
         raise AssertionError("merge row counts diverged")
 
+    reference = _concatenated_artifact(documents, tmp / "merged_reference.json")
     write_document_json(store, tmp / "merged_store.json")
-    bitwise = ((tmp / "merged_store.json").read_bytes()
-               == (tmp / "merged_dict.json").read_bytes())
+    write_document_json(memory, tmp / "merged_memory.json")
+    bitwise = ((tmp / "merged_store.json").read_bytes() == reference
+               and (tmp / "merged_memory.json").read_bytes() == reference)
     if not bitwise:
-        raise AssertionError("store-regenerated JSON diverged from the "
-                             "dict-path artifact")
+        raise AssertionError("engine-merged JSON diverged from the row "
+                             "concatenation")
 
     # -- pareto_ranks: python peeling vs vectorized dominator counting
     def ranks_python(vectors):
@@ -780,7 +813,7 @@ def bench_store(scale: float) -> dict:
     # workflow being "summarize an artifact somebody handed you").
     def run_py_aggregate():
         start = time.perf_counter()
-        with open(tmp / "merged_dict.json") as handle:
+        with open(tmp / "merged_reference.json") as handle:
             document = json.load(handle)
         groups: dict = {}
         for row in document["rows"]:
@@ -816,11 +849,11 @@ def bench_store(scale: float) -> dict:
             "pareto_sample": sample, "repeats_best_of": REPEATS,
         },
         "merge": {
-            "dict_wall_seconds": round(dict_wall, 6),
-            "dict_rows_per_second": round(total / dict_wall, 1),
+            "memory_wall_seconds": round(memory_wall, 6),
+            "memory_rows_per_second": round(total / memory_wall, 1),
             "store_wall_seconds": round(store_wall, 6),
             "store_rows_per_second": round(total / store_wall, 1),
-            "speedup": round(dict_wall / store_wall, 2),
+            "speedup": round(memory_wall / store_wall, 2),
         },
         "pareto_ranks": {
             "python_wall_seconds": round(py_ranks_wall, 6),
@@ -843,7 +876,7 @@ def bench_store(scale: float) -> dict:
             "identical": True,
         },
         "bitwise_identical": bitwise,
-        "merge_speedup": round(dict_wall / store_wall, 2),
+        "merge_speedup": round(memory_wall / store_wall, 2),
         "pareto_speedup": round(py_ranks_wall / np_ranks_wall, 2),
         "store_merge_rows_per_second": round(total / store_wall, 1),
     }
@@ -1078,19 +1111,19 @@ def bench_coordinator(scale: float) -> dict:
     * *stream* — rows/second through :class:`IncrementalShardMerge` fed
       pre-encoded shard blocks in scrambled completion order (decode,
       validate, ingest, finalize), with the regenerated JSON compared
-      byte-for-byte against the dict-path artifact (``bitwise_identical``),
+      byte-for-byte against a plain row concatenation
+      (``bitwise_identical``),
     * *wire* — the same drain and a bulk-ingest campaign over real localhost
       sockets with the client in a subprocess (a real worker process): one
       framed session, ``prefetch`` span batching, pipelined flights of
       completion block frames (encoded in the timed loop, as a worker
-      does), with the campaign artifact compared byte-for-byte against the
-      dict-path merge (``wire.bitwise_identical``).
+      does), with the campaign artifact compared byte-for-byte against a
+      plain row concatenation (``wire.bitwise_identical``).
     """
     import tempfile
     import threading
     from pathlib import Path as _Path
 
-    from repro.explore.artifact import write_json
     from repro.explore.campaign import (
         SCHEMA_VERSION as CAMPAIGN_SCHEMA_VERSION,
         CampaignJob, CampaignOutcome, CampaignRun, result_columns,
@@ -1099,8 +1132,7 @@ def bench_coordinator(scale: float) -> dict:
         Coordinator, CoordinatorServer,
     )
     from repro.explore.distrib import (
-        DISTRIB_SCHEMA_VERSION, ShardRun, merge_shard_documents, plan_shards,
-        shard_span,
+        DISTRIB_SCHEMA_VERSION, ShardRun, plan_shards, shard_span,
     )
     from repro.explore.scenarios import ScenarioSpec
     from repro.explore.store import (
@@ -1220,13 +1252,12 @@ def bench_coordinator(scale: float) -> dict:
     stream_wall, store = _best_of(REPEATS, run_stream)
 
     write_document_json(store, tmp / "stream.json")
-    write_json(tmp / "merged_dict.json",
-               merge_shard_documents(stream_documents))
     bitwise = ((tmp / "stream.json").read_bytes()
-               == (tmp / "merged_dict.json").read_bytes())
+               == _concatenated_artifact(stream_documents,
+                                         tmp / "merged_reference.json"))
     if not bitwise:
-        raise AssertionError("streamed-merge JSON diverged from the "
-                             "dict-path artifact")
+        raise AssertionError("streamed-merge JSON diverged from the row "
+                             "concatenation")
 
     # -- wire: the same coordination work over real localhost sockets ------
     wire_prefetch = 16
@@ -1391,13 +1422,12 @@ print(json.dumps({"wall": wall, "completion_wall": completion,
 
     ingest_wall, ingest_artifact = _best_of(REPEATS, run_wire_ingest)
 
-    write_json(tmp / "ingest_dict.json",
-               merge_shard_documents(ingest_documents))
     wire_bitwise = (ingest_artifact.read_bytes()
-                    == (tmp / "ingest_dict.json").read_bytes())
+                    == _concatenated_artifact(ingest_documents,
+                                              tmp / "ingest_reference.json"))
     if not wire_bitwise:
         raise AssertionError("wire-ingested campaign JSON diverged from the "
-                             "dict-path artifact")
+                             "row concatenation")
 
     return {
         "workload": {

@@ -14,9 +14,9 @@
   shard planning, per-host shard execution and provenance-validated artifact
   merging (merged == single-host, bitwise)
 * :mod:`repro.explore.store` -- the columnar result store: typed numpy
-  column chunks with schema/provenance metadata, streaming shard merge and
-  streaming JSON/CSV writers that stay bitwise-identical to the in-memory
-  artifact writers
+  column chunks with schema/provenance metadata, the one shard merge engine
+  and streaming JSON/CSV writers that stay bitwise-identical to the
+  in-memory artifact writers
 * :mod:`repro.explore.coordinator` -- the live control plane: fair-share
   campaign queue, span leases over a localhost socket, heartbeats, work
   stealing and incremental streaming merge (coordinated == single-host,
@@ -82,7 +82,6 @@ from repro.explore.distrib import (
     MergePlan,
     ShardRun,
     load_artifact,
-    merge_artifacts,
     merge_shard_documents,
     missing_shard_spans,
     plan_merge,
@@ -119,8 +118,7 @@ from repro.explore.store import (
     ColumnarStore,
     IncrementalShardMerge,
     StoreError,
-    merge_artifacts_to_store,
-    merge_documents_to_store,
+    merge_shards,
     store_adaptive_result,
     store_campaign_run,
     store_shard_run,
@@ -185,10 +183,8 @@ __all__ = [
     "format_table1",
     "format_worker_stats",
     "load_artifact",
-    "merge_artifacts",
-    "merge_artifacts_to_store",
-    "merge_documents_to_store",
     "merge_shard_documents",
+    "merge_shards",
     "missing_shard_spans",
     "outcome_from_row",
     "pareto_front_mask",

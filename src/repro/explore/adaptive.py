@@ -53,8 +53,9 @@ Round sharding: every round's job list is plain
 (CLI: ``adaptive --shard I/N``) executes each round through the distribution
 layer — :func:`~repro.explore.distrib.plan_shards` →
 :func:`~repro.explore.distrib.run_shard` →
-:func:`~repro.explore.distrib.merge_shard_documents` — and recombines the
-shard rows before selection.  Sharding is execution-only metadata (never
+:func:`~repro.explore.distrib.merge_shard_documents`, the one merge engine
+every shard merge runs through — and reads the round's rows back from it
+before selection.  Sharding is execution-only metadata (never
 serialized), so sharded, rotated and unsharded runs all write bitwise
 identical artifacts.
 """
@@ -1023,7 +1024,9 @@ class AdaptiveSearch:
         :class:`CampaignJob` data, exactly like a campaign's — is planned
         into ``N`` deterministic shards, each executed on the standard
         worker-pool path, and the shard artifacts are recombined through the
-        provenance-validated merger before selection.  Execution starts at
+        provenance-validated merge engine
+        (:func:`~repro.explore.distrib.merge_shard_documents`), whose rows
+        are read back before selection.  Execution starts at
         ``lead_shard`` and wraps around; because the merger reorders by
         shard index, the result is independent of that rotation and bitwise
         identical to an unsharded round.  Sharded rounds rebuild outcomes

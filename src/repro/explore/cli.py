@@ -23,9 +23,9 @@ Usage::
 views and carry no schema guarantee.  ``campaign``, ``adaptive`` and
 ``merge`` additionally take ``--store DIR`` to persist the result rows as a
 columnar store (:mod:`repro.explore.store`: typed numpy column chunks plus a
-manifest); for ``merge`` the store *is* the merge path — shard artifacts
-stream in one at a time and ``--csv``/``--json`` are regenerated from the
-columns, byte-identical to the in-memory merge.
+manifest).  ``merge`` streams the shard artifacts one at a time through the
+one merge engine, into that store or, without ``--store``, into memory, and
+regenerates ``--csv``/``--json`` from the columns.
 
 Schedule strategies: ``--strategy NAME[:key=val,...]`` (repeatable, on
 ``campaign`` and ``adaptive``) appends parameterized scheduler strategies
@@ -98,7 +98,7 @@ from repro.explore.coordinator import (
 from repro.explore.distrib import (
     job_to_dict,
     load_artifact,
-    merge_shard_documents,
+    plan_merge,
     plan_shards,
     replan_document,
     run_shard,
@@ -119,8 +119,7 @@ from repro.explore.report import (
 )
 from repro.explore.worker import CampaignWorker
 from repro.explore.store import (
-    ColumnarStore,
-    merge_artifacts_to_store,
+    merge_shards,
     store_adaptive_result,
     store_campaign_run,
     store_shard_run,
@@ -279,26 +278,28 @@ EXIT_REPLANNABLE_GAPS = 3
 
 
 def _run_merge(args) -> Optional[int]:
-    if args.store:
-        # Streaming path: validate headers, append one shard at a time to
-        # the columnar store, then regenerate artifacts chunk by chunk —
-        # bitwise identical to the in-memory merge, without ever holding
-        # the full row set.
-        store, documents = merge_artifacts_to_store(
-            args.artifacts, args.store, partial=args.partial)
-        store = ColumnarStore.open(args.store)
-        merged = store.document_header
-        merged["row_count"] = store.row_count
-    else:
-        store = None
-        documents = [load_artifact(path) for path in args.artifacts]
-        merged = merge_shard_documents(documents, partial=args.partial)
+    # Validate every artifact's header first (nothing is written for an
+    # invalid set), then re-read one shard at a time into the merge engine:
+    # the rows never all sit in memory as dicts.
+    headers, row_counts = [], []
+    for path in args.artifacts:
+        header = load_artifact(path)
+        rows = header.pop("rows", None)
+        row_counts.append(len(rows) if isinstance(rows, list) else None)
+        headers.append(header)
+        del rows
+    plan = plan_merge(headers, partial=args.partial, row_counts=row_counts)
+    store = merge_shards(plan, (load_artifact(args.artifacts[position])
+                                for position in plan.order),
+                         store_path=args.store or None)
+    merged = store.document_header
+    merged["row_count"] = store.row_count
     gaps = merged.get("partial", {}).get("missing", [])
     for span in gaps:
         print(f"missing shard {span['index']}/{merged['partial']['count']}: "
               f"jobs [{span['start']}, {span['stop']})", file=sys.stderr)
-    print(format_merged(documents, merged))
-    if store is not None:
+    print(format_merged(headers, merged))
+    if args.store:
         print(f"wrote {args.store}")
         print()
         print(format_store_summary(store))
@@ -310,14 +311,10 @@ def _run_merge(args) -> Optional[int]:
             print("no gaps: complete shard set, no re-plan written",
                   file=sys.stderr)
     if args.csv:
-        write_csv(args.csv, merged["columns"],
-                  merged["rows"] if store is None else store.iter_rows())
+        write_csv(args.csv, store.columns, store.iter_rows())
         print(f"wrote {args.csv}")
     if args.json:
-        if store is not None:
-            write_document_json(store, args.json)
-        else:
-            write_json(args.json, merged)
+        write_document_json(store, args.json)
         print(f"wrote {args.json}")
     if gaps:
         # All requested outputs were written (valid, marked partial); the
@@ -720,11 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(bitwise-identical to a single-host "
                             "deterministic run)")
     merge.add_argument("--store", default=None, metavar="DIR",
-                       help="merge through a columnar store directory: "
-                            "shards stream in one at a time (bounded "
-                            "memory) and --csv/--json are regenerated "
-                            "from the store, still bitwise-identical to "
-                            "the in-memory merge")
+                       help="also keep the merged rows in a columnar "
+                            "store directory (--csv/--json are the same "
+                            "bytes either way)")
     merge.add_argument("--partial", action="store_true",
                        help="accept an incomplete shard set: merge the "
                             "shards that exist, report missing spans on "

@@ -22,10 +22,16 @@ problem.  This module is the distribution subsystem the ROADMAP left open:
   :func:`repro.explore.campaign.run_jobs`, i.e. the exact cached/batched
   worker-pool path of a monolithic run, and collect a :class:`ShardRun`
   whose artifact embeds the shard provenance.
-* :func:`merge_shard_documents` — validate a set of shard artifacts (schema
-  versions, fingerprints, shard count, exactly-once index coverage,
-  canonical spans, column agreement) and recombine their rows into a
-  document identical to the one a single-host run writes.  For
+* :func:`plan_merge` — validate a set of shard artifacts (schema
+  versions, typed provenance, fingerprints, shard count, exactly-once index
+  coverage, canonical spans, column agreement) into a :class:`MergePlan`;
+  :func:`validate_shard_result` is its one-shard half.  Both share one
+  header check.
+* :func:`merge_shard_documents` — plan a set of shard documents and merge
+  their rows through the one merge engine
+  (:class:`repro.explore.store.IncrementalShardMerge`, which every offline
+  and live merge runs through) into a document identical to the one a
+  single-host run writes.  For
   *deterministic* shard artifacts (the default) the merged document is
   **bitwise identical** to ``CampaignRun.write_json(deterministic=True)`` of
   the monolithic campaign — the property the differential shard tests pin
@@ -48,7 +54,9 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Collection, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.explore.artifact import write_json
 from repro.explore.campaign import (
@@ -265,14 +273,40 @@ def _require_version(document: Mapping[str, object], key: str, expected: int,
         )
 
 
+#: The integer fields of a shard provenance block.
+_PROVENANCE_INTS = ("index", "count", "start", "stop", "total_jobs")
+
+
+def _shard_provenance(document: object, what: str) -> Mapping[str, object]:
+    """The provenance block of one shard result header, after the checks
+    every merge shares: a JSON object, the row and envelope schema
+    versions, and a ``shard`` block whose span fields are JSON integers and
+    whose fingerprint is a string.  Raises :class:`MergeError`."""
+    if not isinstance(document, Mapping):
+        raise MergeError(f"{what} is not a JSON object")
+    _require_version(document, "schema_version", SCHEMA_VERSION, what)
+    _require_version(document, "distrib_schema_version",
+                     DISTRIB_SCHEMA_VERSION, what)
+    shard = document.get("shard")
+    if not isinstance(shard, Mapping):
+        raise MergeError(f"{what} carries no shard provenance block")
+    for key in _PROVENANCE_INTS:
+        if type(shard.get(key)) is not int:
+            raise MergeError(f"{what}'s shard provenance lacks an integer "
+                             f"{key!r}: {shard.get(key)!r}")
+    if type(shard.get("fingerprint")) is not str:
+        raise MergeError(f"{what}'s shard provenance lacks a fingerprint "
+                         f"string")
+    return shard
+
+
 @dataclass(frozen=True)
 class MergePlan:
     """The validated layout of one shard merge — everything but the rows.
 
-    Produced by :func:`plan_merge`; consumed by :func:`merge_shard_documents`
-    (in-memory row concatenation) and by the columnar store's streaming merge
-    (:func:`repro.explore.store.merge_artifacts_to_store`), which never holds
-    more than one shard's rows at a time.
+    Produced by :func:`plan_merge`; the merge engine
+    (:func:`repro.explore.store.merge_shards`) is built from it and fed the
+    shards in :attr:`order`.
     """
 
     count: int
@@ -294,21 +328,30 @@ class MergePlan:
         return sum(self.row_counts)
 
     def header(self) -> Dict[str, object]:
-        """The merged document minus ``row_count``/``rows`` — the exact key
-        order of ``CampaignRun.as_document(deterministic=True)`` (bitwise
-        contract)."""
-        merged: Dict[str, object] = {"schema_version": SCHEMA_VERSION,
-                                     "columns": list(self.columns)}
-        if self.missing:
-            merged["partial"] = {
-                "count": self.count,
-                "total_jobs": self.total_jobs,
-                "fingerprint": self.fingerprint,
-                "present": list(self.present),
-                "missing": missing_shard_spans(self.missing, self.count,
-                                               self.total_jobs),
-            }
-        return merged
+        """The merged document minus ``row_count``/``rows``."""
+        return merged_header(self.columns, self.count, self.total_jobs,
+                             self.fingerprint, self.missing)
+
+
+def merged_header(columns: Sequence[str], count: int, total_jobs: int,
+                  fingerprint: str,
+                  missing: Collection[int] = ()) -> Dict[str, object]:
+    """The header of a merged document — the exact key order of
+    ``CampaignRun.as_document(deterministic=True)`` (bitwise contract) —
+    plus, when shards are *missing*, the ``partial`` block naming the
+    present shards and the missing spans."""
+    merged: Dict[str, object] = {"schema_version": SCHEMA_VERSION,
+                                 "columns": list(columns)}
+    if missing:
+        merged["partial"] = {
+            "count": count,
+            "total_jobs": total_jobs,
+            "fingerprint": fingerprint,
+            "present": [index for index in range(count)
+                        if index not in missing],
+            "missing": missing_shard_spans(missing, count, total_jobs),
+        }
+    return merged
 
 
 def plan_merge(documents: Sequence[Mapping[str, object]],
@@ -318,12 +361,12 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
     """Validate a shard artifact set and plan its merge without touching rows.
 
     *documents* are shard result artifacts — or row-less *headers* of them,
-    in which case *row_counts* supplies each document's row count (the
-    streaming merge path, which validates every artifact before re-reading
-    any rows).  All of :func:`merge_shard_documents`'s validation lives here:
-    schema versions, single fingerprint/count/total, exactly-once index
-    coverage (``partial=True`` tolerates gaps), canonical spans, column
-    agreement and per-span row counts.  Raises :class:`MergeError`.
+    in which case *row_counts* supplies each document's row count (the CLI
+    ``merge``, which validates every artifact before re-reading any rows).
+    The whole-set validation of every offline merge lives here: schema
+    versions, typed provenance, single fingerprint/count/total, exactly-once
+    index coverage (``partial=True`` tolerates gaps), canonical spans,
+    column agreement and per-span row counts.  Raises :class:`MergeError`.
     """
     if not documents:
         raise MergeError("no shard artifacts to merge")
@@ -333,13 +376,7 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
         raise MergeError("row_counts does not match the artifact list")
     for position, document in enumerate(documents):
         what = f"shard artifact #{position}"
-        if not isinstance(document, Mapping):
-            raise MergeError(f"{what} is not a JSON object")
-        _require_version(document, "schema_version", SCHEMA_VERSION, what)
-        _require_version(document, "distrib_schema_version",
-                         DISTRIB_SCHEMA_VERSION, what)
-        if not isinstance(document.get("shard"), Mapping):
-            raise MergeError(f"{what} carries no shard provenance block")
+        _shard_provenance(document, what)
         if "adaptive_schema_version" in document:
             raise MergeError(f"{what} is an adaptive artifact, not a "
                              f"campaign shard")
@@ -350,6 +387,9 @@ def plan_merge(documents: Sequence[Mapping[str, object]],
             hint = (" (a shard *spec* file, not a shard result artifact?)"
                     if "jobs" in document else "")
             raise MergeError(f"{what} carries no result rows/columns{hint}")
+        if not isinstance(document["columns"], list) or \
+                set(map(type, document["columns"])) - {str}:
+            raise MergeError(f"{what} declares no column-name list")
 
     def provenance(document) -> Dict[str, object]:
         return document["shard"]
@@ -452,15 +492,8 @@ def validate_shard_result(document: Mapping[str, object], *,
     before any of its rows land anywhere.
     """
     what = "shard result"
-    if not isinstance(document, Mapping):
-        raise MergeError(f"{what} is not a JSON object")
-    _require_version(document, "schema_version", SCHEMA_VERSION, what)
-    _require_version(document, "distrib_schema_version",
-                     DISTRIB_SCHEMA_VERSION, what)
-    shard = document.get("shard")
-    if not isinstance(shard, Mapping):
-        raise MergeError(f"{what} carries no shard provenance block")
-    index = int(shard["index"])
+    shard = _shard_provenance(document, what)
+    index = shard["index"]
     if shard["count"] != count:
         raise MergeError(f"{what} was planned into {shard['count']} shard(s),"
                          f" expected {count}")
@@ -511,19 +544,16 @@ def merge_shard_documents(
     missing spans — the re-plan worklist) instead of masquerading as a
     complete artifact; a complete set degrades to the ordinary bitwise merge.
 
-    All validation is delegated to :func:`plan_merge`; this function only
-    concatenates rows in memory.  Callers that cannot afford the in-memory
-    concatenation stream the same plan into a columnar store instead
-    (:func:`repro.explore.store.merge_artifacts_to_store`).
+    The set is validated by :func:`plan_merge`, then merged by the one merge
+    engine (:func:`repro.explore.store.merge_shards`) into memory and read
+    back; rows the engine cannot store raise
+    :class:`~repro.explore.store.StoreError`.
     """
+    from repro.explore.store import merge_shards
+
     plan = plan_merge(documents, partial=partial)
-    merged_rows: List[Dict[str, object]] = []
-    for position in plan.order:
-        merged_rows.extend(documents[position]["rows"])
-    merged = plan.header()
-    merged["row_count"] = len(merged_rows)
-    merged["rows"] = merged_rows
-    return merged
+    return merge_shards(
+        plan, (documents[position] for position in plan.order)).document()
 
 
 def missing_shard_spans(missing: Sequence[int], count: int,
@@ -560,19 +590,15 @@ def replan_document(merged: Mapping[str, object]) -> Dict[str, object]:
 
 
 def load_artifact(path) -> Dict[str, object]:
-    """Load one JSON artifact (shard, campaign or adaptive) from disk."""
+    """Load one JSON artifact (shard, campaign or adaptive) from disk; bytes
+    that are not a JSON object, nested too deep for the parser included,
+    raise :class:`ValueError` naming *path*."""
     with open(path) as handle:
         try:
             document = json.load(handle)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
             raise ValueError(
                 f"{path}: not a JSON artifact: {error}") from error
     if not isinstance(document, dict):
         raise ValueError(f"{path}: artifact is not a JSON object")
     return document
-
-
-def merge_artifacts(paths: Sequence, partial: bool = False) -> Dict[str, object]:
-    """:func:`merge_shard_documents` over artifacts read from *paths*."""
-    return merge_shard_documents([load_artifact(path) for path in paths],
-                                 partial=partial)

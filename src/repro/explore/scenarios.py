@@ -145,6 +145,11 @@ class ScenarioSpec:
         # untouched.
         object.__setattr__(self, "schedules",
                            canonical_schedule_names(self.schedules))
+        # Result rows declare these columns float: an int given here would
+        # reach the artifacts as an int, which the shard block (and so every
+        # merge) refuses to store as a float.
+        for name in ("compression_ratio", "power_budget"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def as_dict(self) -> Dict[str, object]:
         """The spec as a flat dict (column values of a campaign result row)."""

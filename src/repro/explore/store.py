@@ -1,21 +1,25 @@
-"""Appendable columnar result store, streaming merges and the shard block.
+"""Appendable columnar result store, the shard block and the merge engine.
 
 * :class:`ColumnarStore` — a directory of typed numpy column chunks
   (``chunk-NNNNNN.npz``, one array per column) plus a ``manifest.json``
   carrying the result schema, free-form provenance ``metadata``, the
   *document header* (the exact key prefix of the JSON artifact the rows
   belong to) and each chunk's row count and SHA-256.  Writers append in
-  bounded buffers, readers stream chunk by chunk.
+  bounded buffers, readers stream chunk by chunk.  Created without a path,
+  the store keeps its chunks as in-memory arrays and writes nothing.
 * :func:`store_campaign_run` / :func:`store_shard_run` /
   :func:`store_adaptive_result` — persist the existing result objects.
-* :func:`merge_artifacts_to_store` — the streaming shard merge: validate
-  every artifact's header through :func:`repro.explore.distrib.plan_merge`,
-  then re-read one shard at a time into the store.
 * :func:`encode_shard_block` / :func:`decode_shard_block` — the one format
   a completed span travels in from worker to coordinator: a CRC-guarded
   JSON header with a per-column ``(dtype, byte length)`` layout, then each
-  column's raw buffer.  :class:`IncrementalShardMerge` ingests blocks in
-  completion order into a store kept in canonical shard order.
+  column's raw buffer.
+* :class:`IncrementalShardMerge` — the one merge engine: it ingests shard
+  blocks in any order into a store kept in canonical shard order.  The
+  live coordinator feeds it blocks as spans complete; every offline merge
+  (CLI ``merge``, :func:`~repro.explore.distrib.merge_shard_documents`,
+  sharded adaptive rounds) validates its shard set with
+  :func:`~repro.explore.distrib.plan_merge` and feeds it through
+  :func:`merge_shards`.
 * :func:`write_document_json` — stream a store back out through
   :func:`repro.explore.artifact.write_json`, **bitwise identical** to
   ``CampaignRun.write_json(deterministic=True)`` of the monolithic run
@@ -59,8 +63,8 @@ from repro.explore.campaign import (
 )
 from repro.explore.distrib import (
     MergeError,
-    load_artifact,
-    plan_merge,
+    MergePlan,
+    merged_header,
     validate_shard_result,
 )
 from repro.explore.metrics import DRAIN_ROW_BUCKETS
@@ -225,7 +229,9 @@ def _column_array(column: str, values: Sequence[object]) -> np.ndarray:
 
 
 class ColumnarStore:
-    """An appendable directory of typed numpy column chunks.
+    """An appendable directory of typed numpy column chunks — or, created
+    with ``path=None``, the same chunks held in memory (no files, no
+    manifest).
 
     Create with :meth:`create` (write mode: :meth:`append_row` /
     :meth:`append_rows` / :meth:`append_columns`, then :meth:`close` — or use
@@ -244,7 +250,7 @@ class ColumnarStore:
                  chunk_row_counts: Optional[List[int]] = None,
                  chunk_sha256: Optional[List[str]] = None,
                  row_count: int = 0):
-        self.path = Path(path)
+        self.path = None if path is None else Path(path)
         self._columns: Tuple[str, ...] = tuple(columns)
         self._schema_version = int(schema_version)
         self._document_header = dict(document_header)
@@ -254,6 +260,8 @@ class ColumnarStore:
         self._chunks: List[str] = list(chunks or [])
         self._chunk_row_counts: List[int] = list(chunk_row_counts or [])
         self._chunk_sha256: List[str] = list(chunk_sha256 or [])
+        # The chunks of a store without a path.
+        self._memory: List[Dict[str, np.ndarray]] = []
         self._row_count = int(row_count)
         self._buffer: List[List[object]] = [[] for _ in self._columns]
         # Typed column blocks awaiting coalescing into full-size chunks
@@ -272,7 +280,8 @@ class ColumnarStore:
                document_header: Optional[Mapping[str, object]] = None,
                metadata: Optional[Mapping[str, object]] = None,
                chunk_rows: int = DEFAULT_CHUNK_ROWS) -> "ColumnarStore":
-        """Create (or atomically replace) a store directory for writing.
+        """Create (or atomically replace) a store directory for writing;
+        ``path=None`` makes an in-memory store.
 
         An existing store stays intact and readable until :meth:`close`
         commits the new manifest; only then are the chunks it no longer
@@ -285,12 +294,14 @@ class ColumnarStore:
             raise StoreError("chunk_rows must be >= 1")
         if not columns:
             raise StoreError("a store needs at least one column")
-        path = Path(path)
         replaced: List[str] = []
-        if path.exists():
-            if not path.is_dir():
+        if path is not None:
+            path = Path(path)
+            if not path.exists():
+                path.mkdir(parents=True)
+            elif not path.is_dir():
                 raise StoreError(f"{path} exists and is not a directory")
-            if (path / MANIFEST_NAME).exists():
+            elif (path / MANIFEST_NAME).exists():
                 replaced = _read_manifest(path)["chunks"]
             else:
                 entries = list(path.iterdir())
@@ -302,8 +313,6 @@ class ColumnarStore:
                         f"{MANIFEST_NAME} — refusing to overwrite")
                 for entry in entries:
                     entry.unlink()
-        else:
-            path.mkdir(parents=True)
         store = cls(path, columns=columns, schema_version=schema_version,
                     document_header=document_header or {},
                     metadata=metadata or {}, chunk_rows=chunk_rows,
@@ -352,7 +361,7 @@ class ColumnarStore:
 
     @property
     def chunk_count(self) -> int:
-        return len(self._chunks)
+        return len(self._chunk_row_counts)
 
     @property
     def document_header(self) -> Dict[str, object]:
@@ -455,6 +464,14 @@ class ColumnarStore:
 
     def _write_chunk(self, arrays: Mapping[str, np.ndarray],
                      rows: int) -> None:
+        if self.path is None:
+            self._memory.append(dict(arrays))
+        else:
+            self._write_chunk_file(arrays)
+        self._chunk_row_counts.append(rows)
+        self._row_count += rows
+
+    def _write_chunk_file(self, arrays: Mapping[str, np.ndarray]) -> None:
         while True:
             name = f"chunk-{self._next_chunk:06d}.npz"
             self._next_chunk += 1
@@ -469,8 +486,6 @@ class ColumnarStore:
             handle.write(data)
         self._chunks.append(name)
         self._chunk_sha256.append(hashlib.sha256(data).hexdigest())
-        self._chunk_row_counts.append(rows)
-        self._row_count += rows
 
     def flush(self) -> None:
         """Write everything pending (dict rows and column blocks) as chunks."""
@@ -483,6 +498,9 @@ class ColumnarStore:
         if not self._writable:
             return
         self.flush()
+        if self.path is None:
+            self._writable = False
+            return
         manifest = {
             "store_schema_version": STORE_SCHEMA_VERSION,
             "schema_version": self._schema_version,
@@ -517,6 +535,9 @@ class ColumnarStore:
         does not read back as its columns and row count, raises
         :class:`StoreError`."""
         self._require_readable()
+        if self.path is None:
+            yield from self._memory
+            return
         for name, rows, digest in zip(self._chunks, self._chunk_row_counts,
                                       self._chunk_sha256):
             chunk_path = self.path / name
@@ -653,97 +674,6 @@ def store_adaptive_result(result, path, deterministic: bool = True,
     return store
 
 
-# -- streaming shard merge ---------------------------------------------------
-def _create_merge_store(plan, store_path, chunk_rows: int) -> ColumnarStore:
-    """A writable store carrying a validated merge plan's header/provenance."""
-    return ColumnarStore.create(
-        store_path, plan.columns, document_header=plan.header(),
-        metadata={
-            "kind": "merged-campaign",
-            "fingerprint": plan.fingerprint,
-            "shard_count": plan.count,
-            "total_jobs": plan.total_jobs,
-            "present": list(plan.present),
-            "missing": list(plan.missing),
-        },
-        chunk_rows=chunk_rows)
-
-
-def _append_shard_rows(store: ColumnarStore, columns: Sequence[str],
-                       rows: Sequence[Mapping[str, object]]) -> None:
-    # Column-block append: one list comprehension per column beats 26 dict
-    # lookups per row by a wide margin at merge scale.
-    store.append_columns({column: [row[column] for row in rows]
-                          for column in columns})
-
-
-def merge_documents_to_store(documents: Sequence[Mapping[str, object]],
-                             store_path, partial: bool = False,
-                             chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                             ) -> ColumnarStore:
-    """Merge already-loaded shard documents into a store.
-
-    The columnar counterpart of
-    :func:`~repro.explore.distrib.merge_shard_documents` — same
-    :func:`~repro.explore.distrib.plan_merge` validation, same shard order,
-    but the rows land as typed column chunks instead of one concatenated
-    Python list.  When the artifacts live on disk, prefer
-    :func:`merge_artifacts_to_store`, which never loads them all at once.
-    """
-    plan = plan_merge(documents, partial=partial)
-    store = _create_merge_store(plan, store_path, chunk_rows)
-    with store:
-        for position in plan.order:
-            _append_shard_rows(store, plan.columns,
-                               documents[position]["rows"])
-    return store
-
-
-def merge_artifacts_to_store(paths: Sequence, store_path,
-                             partial: bool = False,
-                             chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                             ) -> Tuple[ColumnarStore, List[Dict[str, object]]]:
-    """Merge shard JSON artifacts into a store without holding all rows.
-
-    Two passes: first every artifact is loaded once for validation and its
-    row-less header is kept (:func:`~repro.explore.distrib.plan_merge` runs
-    the full shard-set validation on those headers); then the artifacts are
-    re-read one at a time in shard-index order, their rows appended to the
-    store and dropped.  Peak memory is one shard plus one chunk buffer —
-    independent of the shard count — while the resulting store regenerates
-    (:func:`write_document_json`) the exact bytes of
-    :func:`~repro.explore.distrib.merge_shard_documents` +
-    :func:`~repro.explore.artifact.write_json`.
-
-    Returns ``(store, headers)`` — the headers (shard artifacts minus their
-    rows) feed the CLI's merge report.  Raises
-    :class:`~repro.explore.distrib.MergeError` like the in-memory merge.
-    """
-    headers: List[Dict[str, object]] = []
-    row_counts: List[Optional[int]] = []
-    for path in paths:
-        document = load_artifact(path)
-        rows = document.get("rows")
-        row_counts.append(len(rows) if isinstance(rows, list) else None)
-        headers.append({key: value for key, value in document.items()
-                        if key != "rows"})
-        del document, rows
-    plan = plan_merge(headers, partial=partial, row_counts=row_counts)
-
-    store = _create_merge_store(plan, store_path, chunk_rows)
-    with store:
-        for position in plan.order:
-            document = load_artifact(paths[position])
-            rows = document.get("rows")
-            if not isinstance(rows, list) or \
-                    len(rows) != plan.row_counts[position]:
-                raise MergeError(
-                    f"{paths[position]} changed between validation and merge")
-            _append_shard_rows(store, plan.columns, rows)
-            del document, rows
-    return store, headers
-
-
 # -- binary columnar shard payloads ------------------------------------------
 #: Magic prefix of an encoded shard block (layout 2: raw column buffers).
 #: Layout 1 (``RSB1``, one ``.npy`` file per column) is refused.
@@ -843,6 +773,8 @@ def encode_shard_block(document: Mapping[str, object]) -> bytes:
         except KeyError as error:
             raise StoreError(
                 f"shard block row is missing column {error.args[0]!r}")
+        except TypeError:
+            raise StoreError("shard block rows are not JSON objects")
         array = _column_array(str(column), values)
         # The decoded document must serialize to the same JSON: refuse a
         # lossy encode rather than corrupt silently.
@@ -955,18 +887,21 @@ def decode_shard_block(payload: Union[bytes, bytearray, memoryview]
 
 
 class IncrementalShardMerge:
-    """Streaming merge that accepts shard blocks in *completion* order — the
-    live coordinator's ingestion path.
+    """The merge engine: shard blocks in any order in, one store in
+    canonical shard order out.
 
-    :func:`merge_artifacts_to_store` needs the whole shard set on disk before
-    it starts; a coordinator instead receives shard blocks one at a time,
-    in whatever order the worker fleet completes them.  This class keeps the
-    store's rows in canonical shard order anyway: a block whose shard
-    index is next in line is appended to the :class:`ColumnarStore`
-    immediately (and its rows dropped), out-of-order arrivals are buffered
-    until the gap before them closes.  Peak memory is therefore bounded by
-    the out-of-order window, not the campaign: with a fleet completing
-    roughly in order it stays at one shard.
+    The live coordinator receives shard blocks one at a time, in whatever
+    order the worker fleet completes them; offline merges
+    (:func:`merge_shards`) feed it a validated shard set in shard order.
+    Either way a block whose shard index is next in line is appended to the
+    :class:`ColumnarStore` immediately (and its rows dropped), out-of-order
+    arrivals are buffered until the gap before them closes.  Peak memory is
+    therefore bounded by the out-of-order window, not the campaign: with a
+    fleet completing roughly in order it stays at one shard.  *gaps* names
+    shards the plan leaves out (a partial merge): the drain steps over
+    them, :meth:`finalize` does not wait for them, and the header carries
+    the ``partial`` block that names them.  ``store_path=None``
+    keeps the rows in memory.
 
     Every block is validated on arrival against the plan the merge was
     created from (:func:`repro.explore.distrib.validate_shard_result`:
@@ -975,13 +910,12 @@ class IncrementalShardMerge:
     coordinator's lease bookkeeping relies on.  After :meth:`finalize`, the
     closed store regenerates (:func:`write_document_json`,
     :func:`~repro.explore.artifact.write_csv`) artifacts **bitwise
-    identical** to the single-host deterministic run, exactly like the
-    offline merge paths.
+    identical** to the single-host deterministic run.
     """
 
     def __init__(self, store_path, *, count: int, total_jobs: int,
                  fingerprint: str, columns: Sequence[str],
-                 schema_version: int = SCHEMA_VERSION,
+                 gaps: Iterable[int] = (),
                  metadata: Optional[Mapping[str, object]] = None,
                  chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  metrics=None, log=None):
@@ -989,13 +923,12 @@ class IncrementalShardMerge:
         self._total_jobs = int(total_jobs)
         self._fingerprint = str(fingerprint)
         self._columns = tuple(columns)
-        # The header of the *complete* merged artifact: exactly the key
-        # prefix of CampaignRun.as_document(deterministic=True).
-        header: Dict[str, object] = {"schema_version": schema_version,
-                                     "columns": list(self._columns)}
+        self._gaps = frozenset(gaps)
         self._store = ColumnarStore.create(
-            store_path, self._columns, schema_version=schema_version,
-            document_header=header,
+            store_path, self._columns,
+            document_header=merged_header(
+                self._columns, self._count, self._total_jobs,
+                self._fingerprint, self._gaps),
             metadata={
                 "kind": "coordinated-campaign",
                 "fingerprint": self._fingerprint,
@@ -1042,19 +975,23 @@ class IncrementalShardMerge:
 
     @property
     def is_complete(self) -> bool:
-        return len(self._merged) == self._count
+        return len(self._merged) + len(self._gaps) == self._count
 
     @property
     def missing(self) -> List[int]:
+        """Shards still expected (planned gaps are not expected)."""
         return [index for index in range(self._count)
-                if index not in self._merged]
+                if index not in self._merged and index not in self._gaps]
 
     # -- ingestion ----------------------------------------------------------
-    def add_shard_document(self, document: Mapping[str, object]) -> int:
+    def add_shard_document(self, document: Mapping[str, object],
+                           expected_shard: Optional[int] = None) -> int:
         """Encode one shard result document and ingest it through
-        :meth:`add_shard_block`; a document the codec cannot encode raises
-        :class:`StoreError`."""
-        return self.add_shard_block(encode_shard_block(document))
+        :meth:`add_shard_block`; a document the codec cannot encode (rows
+        that are not objects, values their column's dtype cannot hold)
+        raises :class:`StoreError`."""
+        return self.add_shard_block(encode_shard_block(document),
+                                    expected_shard)
 
     def add_shard_block(self, payload: Union[bytes, bytearray, memoryview],
                         expected_shard: Optional[int] = None) -> int:
@@ -1090,15 +1027,17 @@ class IncrementalShardMerge:
         self._merged.add(index)
         self._buffered[index] = block.columns
         # Drain the in-order prefix: everything contiguous from _next flows
-        # straight into typed column chunks and is dropped from memory.
+        # straight into typed column chunks and is dropped from memory;
+        # planned gaps are stepped over, each once.
         drained_rows = 0
         drained_shards = 0
-        while self._next in self._buffered:
-            pending = self._buffered.pop(self._next)
-            self._store.append_columns(pending)
-            drained_rows += len(pending[self._columns[0]])
-            drained_shards += 1
+        while self._next in self._buffered or self._next in self._gaps:
+            pending = self._buffered.pop(self._next, None)
             self._next += 1
+            if pending is not None:
+                self._store.append_columns(pending)
+                drained_rows += len(pending[self._columns[0]])
+                drained_shards += 1
         if self._m_rows is not None:
             if drained_shards:
                 self._m_rows.inc(drained_rows)
@@ -1112,12 +1051,37 @@ class IncrementalShardMerge:
         return index
 
     def finalize(self) -> ColumnarStore:
-        """Close the store once every shard arrived; returns it readable."""
+        """Close the store once every expected shard arrived; returns it
+        readable."""
         if not self.is_complete:
             raise MergeError(f"incomplete shard set: missing shard index(es) "
                              f"{self.missing} of {self._count}")
         self._store.close()
         return self._store
+
+
+def merge_shards(plan: MergePlan, documents: Iterable[Mapping[str, object]],
+                 store_path=None, chunk_rows: int = DEFAULT_CHUNK_ROWS,
+                 ) -> ColumnarStore:
+    """Run an offline merge: the engine built from a validated *plan*, fed
+    *documents* — the plan's present shards in plan order.
+
+    Each document is checked again on arrival as the planned shard
+    (:meth:`IncrementalShardMerge.add_shard_document`), so a file that
+    changed since it was planned is refused.  With *store_path* the rows
+    land in a store directory, without it they stay in memory and nothing
+    is written.  Returns the finalized store.
+    """
+    merge = IncrementalShardMerge(
+        store_path, count=plan.count, total_jobs=plan.total_jobs,
+        fingerprint=plan.fingerprint, columns=plan.columns,
+        gaps=plan.missing,
+        metadata={"kind": "merged-campaign", "present": list(plan.present),
+                  "missing": list(plan.missing)},
+        chunk_rows=chunk_rows)
+    for index, document in zip(plan.present, documents):
+        merge.add_shard_document(document, expected_shard=index)
+    return merge.finalize()
 
 
 # -- streaming artifact writers ----------------------------------------------

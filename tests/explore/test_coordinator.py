@@ -356,6 +356,36 @@ class TestLeaseLifecycle:
         assert coordinator.campaign_progress(campaign_id)["complete"]
         assert_bitwise_identical(paths)
 
+    def test_block_without_shard_count_is_an_invalid_document(
+            self, fake_clock, tmp_path):
+        # Missing provenance is a MergeError like any other bad block:
+        # counted, logged, and the lease stays live for the honest block.
+        log_path = tmp_path / "events.log"
+        log = StructuredLog(log_path, clock=fake_clock)
+        coordinator = Coordinator(lease_timeout=60.0, clock=fake_clock,
+                                  log=log)
+        try:
+            campaign_id, _, paths = submit_fake(coordinator, tmp_path, 2, 1)
+            lease, shard = coordinator.request_lease("w1")
+            document = scripted_executor(shard)
+            del document["shard"]["count"]
+            with pytest.raises(MergeError, match="lacks an integer 'count'"):
+                coordinator.complete_lease(lease.lease_id,
+                                           encode_shard_block(document))
+            assert coordinator.status()["invalid_documents"] == 1
+            assert coordinator.campaign_progress(campaign_id)["leased"] == 1
+            assert coordinator.complete_lease(lease.lease_id,
+                                              scripted_block(shard))
+            assert coordinator.campaign_progress(campaign_id)["complete"]
+        finally:
+            coordinator.close()
+            log.close()
+        invalid = [event for event in read_log(log_path)
+                   if event["event"] == "invalid-document"]
+        assert len(invalid) == 1
+        assert invalid[0]["span"] == 0 and invalid[0]["lease"] == lease.lease_id
+        assert_bitwise_identical(paths)
+
     def test_unknown_lease_and_campaign_raise_coordinator_error(
             self, coordinator_factory, tmp_path):
         coordinator = coordinator_factory()

@@ -26,7 +26,6 @@ from repro.explore.distrib import (
     job_from_dict,
     job_to_dict,
     load_artifact,
-    merge_artifacts,
     merge_shard_documents,
     plan_shards,
     run_shard,
@@ -207,7 +206,8 @@ class TestDifferentialMerge:
             path = tmp_path / f"shard{shard.index}.json"
             run_shard(shard).write_json(path)
             paths.append(path)
-        merged = merge_artifacts(paths)
+        merged = merge_shard_documents([load_artifact(path)
+                                        for path in paths])
 
         mono_json = tmp_path / "mono.json"
         mono_csv = tmp_path / "mono.csv"

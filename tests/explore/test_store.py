@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.explore.artifact import write_csv, write_json
+from repro.explore.cli import main
 from repro.explore.campaign import (
     SCHEMA_VERSION,
     campaign_from_axes,
@@ -28,7 +29,9 @@ from repro.explore.campaign import (
 from repro.explore.distrib import (
     MergeError,
     ShardRun,
+    load_artifact,
     merge_shard_documents,
+    plan_merge,
     plan_shards,
     run_shard,
 )
@@ -39,8 +42,7 @@ from repro.explore.store import (
     STORE_SCHEMA_VERSION,
     ColumnarStore,
     StoreError,
-    merge_artifacts_to_store,
-    merge_documents_to_store,
+    merge_shards,
     store_campaign_run,
     store_shard_run,
     write_document_json,
@@ -542,7 +544,39 @@ class TestResultObjectStores:
         assert store.metadata["shard"]["index"] == 0
 
 
-# -- streaming merge ----------------------------------------------------------
+# -- the merge engine, both sinks ---------------------------------------------
+
+def concatenation_reference(documents, partial=False):
+    """The merged document by plain row concatenation in shard-index order:
+    a reference for the merge engine that shares none of its code."""
+    ordered = sorted(documents, key=lambda document: document["shard"]["index"])
+    shard = ordered[0]["shard"]
+    count, total = shard["count"], shard["total_jobs"]
+    present = [document["shard"]["index"] for document in ordered]
+    merged = {"schema_version": SCHEMA_VERSION,
+              "columns": list(ordered[0]["columns"])}
+    if partial and len(present) < count:
+        merged["partial"] = {
+            "count": count, "total_jobs": total,
+            "fingerprint": shard["fingerprint"], "present": present,
+            "missing": [{"index": index, "start": index * total // count,
+                         "stop": (index + 1) * total // count}
+                        for index in range(count) if index not in present]}
+    rows = [row for document in ordered for row in document["rows"]]
+    merged["row_count"] = len(rows)
+    merged["rows"] = rows
+    return merged
+
+
+def merge_files(paths, store_path=None, partial=False, chunk_rows=4):
+    """Merge shard artifacts the way the CLI does: plan on the loaded set,
+    then feed the engine one re-read file at a time."""
+    plan = plan_merge([load_artifact(path) for path in paths],
+                      partial=partial)
+    return merge_shards(plan, (load_artifact(paths[position])
+                               for position in plan.order),
+                        store_path=store_path, chunk_rows=chunk_rows)
+
 
 class TestStreamingMerge:
     def write_shards(self, tmp_path, job_count=9, shard_count=3):
@@ -556,76 +590,101 @@ class TestStreamingMerge:
 
     def test_merge_artifacts_matches_dict_merge_bitwise(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        merged = merge_shard_documents(documents)
+        merged = concatenation_reference(documents)
         write_json(tmp_path / "dict.json", merged)
         write_csv(tmp_path / "dict.csv", merged["columns"], merged["rows"])
 
-        store, headers = merge_artifacts_to_store(
-            paths, tmp_path / "merged.store", chunk_rows=4)
-        write_document_json(store, tmp_path / "store.json")
-        write_csv(tmp_path / "store.csv", store.columns, store.iter_rows())
-
-        assert (tmp_path / "store.json").read_bytes() \
-            == (tmp_path / "dict.json").read_bytes()
-        assert (tmp_path / "store.csv").read_bytes() \
-            == (tmp_path / "dict.csv").read_bytes()
-        # Headers are the artifacts minus their rows, for the merge report.
-        assert [h["shard"]["index"] for h in headers] == [0, 1, 2]
-        assert all("rows" not in h for h in headers)
-        assert store.metadata["kind"] == "merged-campaign"
-        assert store.metadata["shard_count"] == 3
+        for name, store_path in (("store", tmp_path / "merged.store"),
+                                 ("memory", None)):
+            store = merge_files(paths, store_path)
+            write_document_json(store, tmp_path / f"{name}.json")
+            write_csv(tmp_path / f"{name}.csv", store.columns,
+                      store.iter_rows())
+            assert (tmp_path / f"{name}.json").read_bytes() \
+                == (tmp_path / "dict.json").read_bytes()
+            assert (tmp_path / f"{name}.csv").read_bytes() \
+                == (tmp_path / "dict.csv").read_bytes()
+            assert store.metadata["kind"] == "merged-campaign"
+            assert store.metadata["shard_count"] == 3
 
     def test_merge_documents_matches_merge_artifacts(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        from_memory = merge_documents_to_store(
-            documents, tmp_path / "mem.store")
-        from_disk, _ = merge_artifacts_to_store(
-            paths, tmp_path / "disk.store")
-        assert ColumnarStore.open(from_memory.path).rows() \
-            == ColumnarStore.open(from_disk.path).rows()
+        from_memory = merge_files(paths)
+        from_disk = merge_files(paths, tmp_path / "disk.store")
+        expected = concatenation_reference(documents)["rows"]
+        assert from_memory.rows() == expected
+        assert ColumnarStore.open(from_disk.path).rows() == expected
 
     def test_merge_accepts_unordered_paths(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        merged = merge_shard_documents(documents)
-        store, _ = merge_artifacts_to_store(
-            list(reversed(paths)), tmp_path / "merged.store")
-        assert ColumnarStore.open(store.path).rows() == merged["rows"]
+        store = merge_files(list(reversed(paths)), tmp_path / "merged.store")
+        assert ColumnarStore.open(store.path).rows() \
+            == concatenation_reference(documents)["rows"]
+        assert merge_files(list(reversed(paths))).rows() \
+            == concatenation_reference(documents)["rows"]
 
     def test_partial_merge_matches_dict_merge_bitwise(self, tmp_path):
         documents, paths = self.write_shards(tmp_path)
-        merged = merge_shard_documents(documents[:2], partial=True)
+        merged = concatenation_reference(documents[:2], partial=True)
         write_json(tmp_path / "dict.json", merged)
 
-        store, _ = merge_artifacts_to_store(
-            paths[:2], tmp_path / "merged.store", partial=True)
-        write_document_json(store, tmp_path / "store.json")
-        assert (tmp_path / "store.json").read_bytes() \
-            == (tmp_path / "dict.json").read_bytes()
-        assert store.metadata["missing"] == [2]
+        for name, store_path in (("store", tmp_path / "merged.store"),
+                                 ("memory", None)):
+            store = merge_files(paths[:2], store_path, partial=True)
+            write_document_json(store, tmp_path / f"{name}.json")
+            assert (tmp_path / f"{name}.json").read_bytes() \
+                == (tmp_path / "dict.json").read_bytes()
+            assert store.metadata["missing"] == [2]
 
-    def test_merge_rejects_bad_shard_sets_before_writing(self, tmp_path):
+    def test_merge_rejects_bad_shard_sets_before_writing(self, tmp_path,
+                                                         capsys):
         documents, paths = self.write_shards(tmp_path)
-        with pytest.raises(MergeError, match="overlapping shards"):
-            merge_artifacts_to_store([paths[0], paths[0], paths[1]],
-                                     tmp_path / "merged.store")
-        with pytest.raises(MergeError, match="missing"):
-            merge_artifacts_to_store(paths[:2], tmp_path / "m2.store")
+        assert main(["merge", str(paths[0]), str(paths[0]), str(paths[1]),
+                     "--store", str(tmp_path / "merged.store")]) == 2
+        assert "overlapping shards" in capsys.readouterr().err
+        assert main(["merge", str(paths[0]), str(paths[1]),
+                     "--store", str(tmp_path / "m2.store")]) == 2
+        assert "missing" in capsys.readouterr().err
         # Validation failed before any store directory was created.
         assert not (tmp_path / "merged.store").exists()
         assert not (tmp_path / "m2.store").exists()
 
+    def test_memory_sink_writes_nothing(self, tmp_path, monkeypatch):
+        documents, paths = self.write_shards(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        store = merge_files(paths, chunk_rows=2)
+        assert store.path is None
+        assert store.chunk_count == 5
+        assert store.rows() == concatenation_reference(documents)["rows"]
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_engine_refuses_rows_that_are_not_objects(self, tmp_path):
+        documents = fake_shard_documents(2, 2)
+        documents[1]["rows"] = [5]
+        with pytest.raises((MergeError, StoreError)):
+            merge_shard_documents(documents)
+        plan = plan_merge(documents)
+        with pytest.raises((MergeError, StoreError)):
+            merge_shards(plan, documents, store_path=tmp_path / "m.store")
+
 
 @pytest.mark.slow
 def test_large_streaming_merge_is_bitwise_identical(tmp_path):
-    """The at-scale differential: tens of thousands of fake rows through the
-    streaming merge regenerate the dict-path JSON byte for byte."""
+    """The at-scale differential: tens of thousands of fake rows through
+    both sinks of the merge engine regenerate the plain concatenation's
+    JSON byte for byte."""
     documents = fake_shard_documents(20_000, 7)
-    merged = merge_shard_documents(documents)
-    write_json(tmp_path / "dict.json", merged)
-    store = merge_documents_to_store(documents, tmp_path / "merged.store")
-    write_document_json(store, tmp_path / "store.json")
-    assert (tmp_path / "store.json").read_bytes() \
-        == (tmp_path / "dict.json").read_bytes()
+    write_json(tmp_path / "dict.json", concatenation_reference(documents))
+    plan = plan_merge(documents)
+    for name, store_path in (("store", tmp_path / "merged.store"),
+                             ("memory", None)):
+        store = merge_shards(plan, (documents[position]
+                                    for position in plan.order),
+                             store_path=store_path)
+        write_document_json(store, tmp_path / f"{name}.json")
+        assert (tmp_path / f"{name}.json").read_bytes() \
+            == (tmp_path / "dict.json").read_bytes()
 
 
 # -- store analytics ----------------------------------------------------------
