@@ -82,19 +82,24 @@ class Decompressor(Channel):
         return max(1, math.ceil(expanded_bits / self.ratio(pattern_index)))
 
     def expand(self, compressed_bits: int, patterns: int = 1,
-               pattern_index: int = 0) -> int:
-        """Account the expansion of *compressed_bits*; returns expanded bits."""
+               pattern_index: int = 0, count: int = 1) -> int:
+        """Account the expansion of *compressed_bits*; returns expanded bits.
+
+        With *count*, accounts that many identical expansions at once, each
+        rounded on its own, as *count* calls would.
+        """
         if compressed_bits < 0:
             raise ValueError("compressed_bits cannot be negative")
         if self.bypass:
             expanded = compressed_bits
         else:
             expanded = round(compressed_bits * self.ratio(pattern_index))
-        self.compressed_bits_in += compressed_bits
-        self.expanded_bits_out += expanded
-        self.patterns_expanded += patterns
+        self.compressed_bits_in += count * compressed_bits
+        self.expanded_bits_out += count * expanded
+        self.patterns_expanded += count * patterns
         if self.target_wrapper is not None and patterns > 0:
-            self.target_wrapper.apply_external_patterns(patterns, expanded)
+            self.target_wrapper.apply_external_patterns(count * patterns,
+                                                        count * expanded)
         return expanded
 
     # -- TAM slave interface ----------------------------------------------------------
@@ -145,17 +150,22 @@ class Compactor(Channel):
         self.bypass = False
         self.config_register.value = self.MODE_ACTIVE
 
-    def compact(self, response_bits: int, token: Optional[int] = None) -> int:
-        """Account compaction of *response_bits*; returns the outgoing volume."""
+    def compact(self, response_bits: int, token: Optional[int] = None,
+                count: int = 1) -> int:
+        """Account compaction of *response_bits*; returns the outgoing volume.
+
+        With *count*, accounts that many identical compactions at once.
+        """
         if response_bits < 0:
             raise ValueError("response_bits cannot be negative")
         if self.bypass:
             outgoing = response_bits
         else:
             outgoing = max(1, math.ceil(response_bits / self.compaction_ratio))
-        self.response_bits_in += response_bits
-        self.compacted_bits_out += outgoing
-        self.misr.compact(token if token is not None else response_bits)
+        self.response_bits_in += count * response_bits
+        self.compacted_bits_out += count * outgoing
+        self.misr.compact(token if token is not None else response_bits,
+                          count)
         return outgoing
 
     @property

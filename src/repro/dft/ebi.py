@@ -130,6 +130,18 @@ class ExternalBusInterface(Channel):
         ends in one ``Timeout``, itself one of the credited entries, so
         records, counters, stats, ``dispatched_activations`` and ``now``
         are those of the general path wherever anything else can look.
+
+        The train is leapt one *run* at a time: every full burst has the
+        same shape, so the bursts that fit before the lookahead, ``count =
+        min(full bursts left, (lookahead - now) // period)`` with the
+        longest stage as the period, are applied together (a trailing
+        partial burst is a run of one).  Counters, credit and stats advance
+        ``count`` times; each channel's ``_account`` takes the count and,
+        for a run of more than one, hands its record back, so that the
+        run's records reach the tracer in one
+        :meth:`TransactionTracer.record_run_fs`, burst by burst in the
+        per-burst order; the decompressor, wrapper and compactor take the
+        count in one call each, bit-identical to one call per burst.
         """
         if patterns <= 0:
             raise ValueError("pattern count must be positive")
@@ -154,6 +166,7 @@ class ExternalBusInterface(Channel):
             "tam_busy_cycles": 0,
             "shift_cycles": 0,
         }
+        shared_tracer = ate_link.tracer is tam.tracer
         join = None
         while remaining > 0:
             if ate_mutex.idle and tam_mutex.idle:
@@ -162,48 +175,73 @@ class ExternalBusInterface(Channel):
                 # Leapt entries: all of them, and those at the train's end.
                 credit = final = 0
                 while remaining > 0:
+                    # A run: the bursts of one size that end by the horizon.
                     burst = min(burst_size, remaining)
                     shape = self._burst_shape(burst, timing)
                     (ate_bits, ate_response_bits, ate_cycles, tam_bits,
                      tam_cycles, shift_cycles) = shape
-                    ate_end_fs = end_fs + cycles_fs(ate_cycles)
-                    tam_end_fs = end_fs + cycles_fs(tam_cycles)
-                    shift_end_fs = end_fs + cycles_fs(shift_cycles)
-                    burst_end_fs = max(ate_end_fs, tam_end_fs, shift_end_fs)
-                    if burst_end_fs > horizon_fs:
+                    ate_fs = cycles_fs(ate_cycles)
+                    tam_fs = cycles_fs(tam_cycles)
+                    shift_fs = cycles_fs(shift_cycles)
+                    period_fs = max(ate_fs, tam_fs, shift_fs)
+                    count = remaining // burst
+                    if period_fs:
+                        count = min(count, (horizon_fs - end_fs) // period_fs)
+                    elif end_fs > horizon_fs:
+                        count = 0
+                    if count <= 0:
                         break
-                    ate_mutex.acquisitions += 1
-                    tam_mutex.acquisitions += 1
+                    ate_mutex.acquisitions += count
+                    tam_mutex.acquisitions += count
                     attributes = {"patterns": burst}
+                    # A run of one is recorded as the general path records
+                    # it; a longer run's records reach the tracer in one
+                    # call, both channels' in one list when they share a
+                    # tracer, so its rounds interleave the two.
+                    ate_records = tam_records = None
+                    if count > 1:
+                        ate_records = []
+                        tam_records = ate_records if shared_tracer else []
                     ate_data_bits = max(ate_bits, ate_response_bits)
-                    if ate_end_fs <= tam_end_fs:
-                        ate_link._account(end_fs, ate_end_fs, ate_cycles,
+                    if ate_fs <= tam_fs:
+                        ate_link._account(end_fs, end_fs + ate_fs, ate_cycles,
                                           initiator, "pattern_burst",
-                                          ate_data_bits, attributes)
-                    tam._account(end_fs, tam_end_fs, tam_cycles, initiator,
-                                 "pattern_burst", address, tam_bits,
-                                 attributes)
-                    if ate_end_fs > tam_end_fs:
-                        ate_link._account(end_fs, ate_end_fs, ate_cycles,
+                                          ate_data_bits, attributes, count,
+                                          ate_records)
+                    tam._account(end_fs, end_fs + tam_fs, tam_cycles,
+                                 initiator, "pattern_burst", address,
+                                 tam_bits, attributes, count, tam_records)
+                    if ate_fs > tam_fs:
+                        ate_link._account(end_fs, end_fs + ate_fs, ate_cycles,
                                           initiator, "pattern_burst",
-                                          ate_data_bits, attributes)
-                    # Per channel stage: its start, its expiry (if timed)
-                    # and its arrival; plus the shift arrival and the
-                    # streaming process's resumption.  At the burst's end
-                    # lie the resumption, the shift arrival if the shift
-                    # ends there, and the last two entries of each channel
-                    # stage that ends there (all six for a burst that
-                    # takes no time).
-                    credit += 6 + (ate_cycles > 0) + (tam_cycles > 0)
-                    if burst_end_fs > end_fs:
+                                          ate_data_bits, attributes, count,
+                                          ate_records)
+                    if ate_records:
+                        ate_link.tracer.record_run_fs(count, period_fs,
+                                                      ate_records)
+                    if tam_records and not shared_tracer:
+                        tam.tracer.record_run_fs(count, period_fs,
+                                                 tam_records)
+                    # Per burst and channel stage: its start, its expiry
+                    # (if timed) and its arrival; plus the shift arrival
+                    # and the streaming process's resumption.  At the
+                    # train's end lie the resumption, the shift arrival if
+                    # the shift ends there, and the last two entries of
+                    # each channel stage that ends there: those of the
+                    # run's last burst, or of every burst of runs that
+                    # take no time (all six per burst).
+                    credit += count * (6 + (ate_cycles > 0)
+                                       + (tam_cycles > 0))
+                    if period_fs:
                         final = 0
-                    final += (1 + (shift_end_fs == burst_end_fs)
-                              + 2 * (ate_end_fs == burst_end_fs)
-                              + 2 * (tam_end_fs == burst_end_fs))
+                    final += ((1 if period_fs else count)
+                              * (1 + (shift_fs == period_fs)
+                                 + 2 * (ate_fs == period_fs)
+                                 + 2 * (tam_fs == period_fs)))
                     self._burst_done(burst, shape, stats, timing, wrapper,
-                                     decompressor, compactor)
-                    remaining -= burst
-                    end_fs = burst_end_fs
+                                     decompressor, compactor, count)
+                    remaining -= count * burst
+                    end_fs += count * period_fs
                 if credit:
                     # The entries before the train's end are folded with
                     # this timestamp, the rest with the end's, where the
@@ -232,7 +270,7 @@ class ExternalBusInterface(Channel):
             sim.schedule_callback(arrive, cycles_fs(shift_cycles))
             yield join.wait(3)
             self._burst_done(burst, shape, stats, timing, wrapper,
-                             decompressor, compactor)
+                             decompressor, compactor, 1)
             remaining -= burst
         return stats
 
@@ -251,25 +289,25 @@ class ExternalBusInterface(Channel):
 
     def _burst_done(self, burst: int, shape: tuple, stats: dict,
                     timing: ExternalTestTiming, wrapper, decompressor,
-                    compactor) -> None:
-        """Model update and stats of one finished burst."""
+                    compactor, count: int) -> None:
+        """Model update and stats of *count* finished bursts of one shape."""
         if decompressor is not None and not decompressor.bypass:
-            decompressor.expand(
-                burst * timing.ate_bits_per_pattern, patterns=burst
-            )
+            decompressor.expand(burst * timing.ate_bits_per_pattern,
+                                patterns=burst, count=count)
         elif wrapper is not None:
-            wrapper.apply_external_patterns(burst)
+            wrapper.apply_external_patterns(count * burst)
         if compactor is not None:
             compactor.compact(
                 burst * (wrapper.response_bits_per_pattern() if wrapper else 0),
+                count=count,
             )
-        stats["patterns"] += burst
-        stats["bursts"] += 1
-        stats["ate_cycles"] += shape[2]
-        stats["tam_busy_cycles"] += shape[4]
-        stats["shift_cycles"] += shape[5]
-        self.patterns_streamed += burst
-        self.bursts_streamed += 1
+        stats["patterns"] += count * burst
+        stats["bursts"] += count
+        stats["ate_cycles"] += count * shape[2]
+        stats["tam_busy_cycles"] += count * shape[4]
+        stats["shift_cycles"] += count * shape[5]
+        self.patterns_streamed += count * burst
+        self.bursts_streamed += count
 
     # -- convenience ---------------------------------------------------------------------
     @staticmethod

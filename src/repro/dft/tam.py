@@ -157,20 +157,28 @@ class TamChannel(Channel, TamInterface):
 
     def _account(self, start_fs: int, end_fs: int, busy_cycles: int,
                  initiator: str, kind: str, address: Optional[int],
-                 data_bits: int,
-                 attributes: Optional[Dict[str, object]]) -> None:
+                 data_bits: int, attributes: Optional[Dict[str, object]],
+                 count: int = 1, records: Optional[list] = None) -> None:
         """Counters and tracer record of one occupation over
-        [*start_fs*, *end_fs*]."""
-        self.transaction_count += 1
-        self.busy_cycles_total += busy_cycles
-        self.bits_transferred += data_bits
+        [*start_fs*, *end_fs*], or of a run of *count* like it.
+
+        The counters advance *count* times.  With *records* given, the
+        record goes there instead of to the tracer, for the caller to hand
+        the run's records over in one
+        :meth:`TransactionTracer.record_run_fs`.
+        """
+        self.transaction_count += count
+        self.busy_cycles_total += count * busy_cycles
+        self.bits_transferred += count * data_bits
         tracer = self.tracer
         if tracer.enabled:  # disabled tracing costs exactly this flag check
-            tracer.record_fs(
-                self.name, kind, start_fs, end_fs,
-                initiator=initiator, address=address, data_bits=data_bits,
-                attributes=dict(attributes or {}, busy_cycles=busy_cycles),
-            )
+            attributes = dict(attributes or {}, busy_cycles=busy_cycles)
+            if records is None:
+                tracer.record_fs(self.name, kind, start_fs, end_fs,
+                                 initiator, address, data_bits, attributes)
+            else:
+                records.append((self.name, kind, start_fs, end_fs,
+                                initiator, address, data_bits, attributes))
 
     # -- TAM_IF implementation ---------------------------------------------------
     def transport(self, payload: TamPayload):
@@ -298,18 +306,22 @@ class AteLink(Channel):
 
     def _account(self, start_fs: int, end_fs: int, cycles: int,
                  initiator: str, kind: str, data_bits: int,
-                 attributes: Optional[Dict[str, object]]) -> None:
+                 attributes: Optional[Dict[str, object]], count: int = 1,
+                 records: Optional[list] = None) -> None:
         """Counters and tracer record of one transfer over
-        [*start_fs*, *end_fs*]."""
-        self.transaction_count += 1
-        self.busy_cycles_total += cycles
+        [*start_fs*, *end_fs*], or of a run of *count* like it (see
+        :meth:`TamChannel._account`)."""
+        self.transaction_count += count
+        self.busy_cycles_total += count * cycles
         tracer = self.tracer
         if tracer.enabled:  # disabled tracing costs exactly this flag check
-            tracer.record_fs(
-                self.name, kind, start_fs, end_fs,
-                initiator=initiator, data_bits=data_bits,
-                attributes=dict(attributes or {}, busy_cycles=cycles),
-            )
+            attributes = dict(attributes or {}, busy_cycles=cycles)
+            if records is None:
+                tracer.record_fs(self.name, kind, start_fs, end_fs,
+                                 initiator, None, data_bits, attributes)
+            else:
+                records.append((self.name, kind, start_fs, end_fs,
+                                initiator, None, data_bits, attributes))
 
     def __repr__(self):
         return f"AteLink({self.name!r}, width={self.width_bits})"

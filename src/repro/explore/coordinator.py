@@ -125,6 +125,10 @@ FRAME_KIND_BLOCK = 0x43
 #: misbehaving client can make the server buffer.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
+#: Largest single read of a frame payload.  A span's shard block (about
+#: 42 KB per 128 rows) arrives in one read.
+READ_CHUNK_BYTES = 1024 * 1024
+
 
 class CoordinatorError(ValueError):
     """A submission, lease operation or protocol message is invalid."""
@@ -182,7 +186,7 @@ def decode_block_payload(payload: bytes) -> Tuple[Dict[str, object], bytes]:
                          f"byte(s), meta needs {4 + meta_len})")
     try:
         meta = json.loads(payload[4:4 + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (ValueError, RecursionError) as error:
         raise FrameError(f"malformed completion meta: {error}")
     if not isinstance(meta, dict):
         raise FrameError("completion meta is not a JSON object")
@@ -190,8 +194,20 @@ def decode_block_payload(payload: bytes) -> Tuple[Dict[str, object], bytes]:
 
 
 def _read_exact(reader: BinaryIO, size: int) -> Optional[bytes]:
-    """Read exactly *size* bytes; None at clean EOF, FrameError mid-frame."""
-    data = reader.read(size)
+    """Read exactly *size* bytes; None at clean EOF, FrameError mid-frame.
+
+    The bytes are read at most :data:`READ_CHUNK_BYTES` at a time, so what
+    is allocated tracks what has arrived, not what a header declares.
+    """
+    chunks = []
+    remaining = size
+    while remaining:
+        chunk = reader.read(min(remaining, READ_CHUNK_BYTES))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    data = b"".join(chunks)
     if not data and size:
         return None
     if len(data) != size:
@@ -940,7 +956,7 @@ def answer_frame(endpoint, kind: int, payload: bytes) -> Dict[str, object]:
         if kind == FRAME_KIND_JSON:
             try:
                 request = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as error:
+            except (ValueError, RecursionError) as error:
                 raise FrameError(f"malformed JSON frame: {error}")
             if not isinstance(request, dict):
                 raise FrameError("JSON frame is not an object")
@@ -1155,7 +1171,7 @@ class CoordinatorSession:
                 f"coordinator answered with frame kind 0x{kind:02x}")
         try:
             response = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
+        except (ValueError, RecursionError) as error:
             self.close()
             raise ConnectionError(
                 f"coordinator answered with malformed JSON: {error}")

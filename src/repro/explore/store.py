@@ -145,7 +145,7 @@ def _read_manifest(path: Path) -> Dict[str, object]:
                          f"(no {MANIFEST_NAME})")
     try:
         manifest = json.loads(manifest_path.read_bytes())
-    except ValueError as error:
+    except (ValueError, RecursionError) as error:
         raise StoreError(
             f"{manifest_path} is not valid JSON: {error}") from error
     if not isinstance(manifest, dict):
@@ -803,7 +803,7 @@ def _block_plan(columns: Tuple[str, ...], layout_bytes: bytes) -> tuple:
     """
     try:
         layout = json.loads(layout_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (ValueError, RecursionError) as error:
         raise StoreError(f"corrupt shard block layout: {error}")
     if not isinstance(layout, list) or len(layout) != len(columns):
         raise StoreError(f"shard block layout does not cover its "
@@ -862,7 +862,7 @@ def decode_shard_block(payload: Union[bytes, bytearray, memoryview]
         raise StoreError("corrupt shard block payload (checksum mismatch)")
     try:
         header = json.loads(data[body:body + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as error:
+    except (ValueError, RecursionError) as error:
         raise StoreError(f"corrupt shard block header: {error}")
     if not isinstance(header, dict):
         raise StoreError("shard block header is not a JSON object")

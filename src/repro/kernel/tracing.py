@@ -149,6 +149,34 @@ class TransactionTracer:
         self._data_bits.append(data_bits)
         self._attributes.append(attributes)
 
+    def record_run_fs(self, count: int, period_fs: int,
+                      records: List[tuple]) -> None:
+        """Append *count* rounds of *records* in one call.
+
+        Each record is a tuple of :meth:`record_fs`'s arguments with an
+        attributes dict; round ``i`` repeats them in order, shifted by
+        ``i * period_fs``, so two channels sharing this tracer interleave
+        as they would record one burst after another.  Every appended
+        record gets its own copy of its attributes.
+        """
+        if not self.enabled:
+            return
+        (channels, kinds, starts_fs, ends_fs, initiators, addresses,
+         data_bits, attributes) = zip(*records)
+        offsets = (range(0, count * period_fs, period_fs) if period_fs
+                   else (0,) * count)
+        self._channels.extend(channels * count)
+        self._kinds.extend(kinds * count)
+        self._starts_fs.extend([offset + start for offset in offsets
+                                for start in starts_fs])
+        self._ends_fs.extend([offset + end for offset in offsets
+                              for end in ends_fs])
+        self._initiators.extend(initiators * count)
+        self._addresses.extend(addresses * count)
+        self._data_bits.extend(data_bits * count)
+        self._attributes.extend([values.copy() for _ in offsets
+                                 for values in attributes])
+
     def record(self, record: TransactionRecord) -> None:
         """Append a pre-built :class:`TransactionRecord` (compatibility API)."""
         if self.enabled:

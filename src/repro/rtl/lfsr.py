@@ -263,13 +263,18 @@ class MISR(_LinearRegister):
         self._pending = None
         self._state = value
 
-    def compact(self, word: int) -> int:
-        """Fold one response word into the signature; returns the new state."""
+    def compact(self, word: int, count: int = 1) -> int:
+        """Fold one response word into the signature, *count* times over;
+        returns the new state."""
+        tap_mask = self._tap_mask
+        word_mask = self._word_mask
+        word &= word_mask
         state = self.state
-        feedback = (state & self._tap_mask).bit_count() & 1
-        self._state = (((state << 1) | feedback) & self._word_mask) \
-            ^ (word & self._word_mask)
-        return self._state
+        for _ in range(count):
+            state = (((state << 1) | ((state & tap_mask).bit_count() & 1))
+                     & word_mask) ^ word
+        self._state = state
+        return state
 
     def compact_sequence(self, words) -> int:
         """Fold a sequence of response words; returns the final signature."""

@@ -9,7 +9,8 @@ and ``TamChannel.occupy``), a delayed event for the shift stage and an
 arbiter counters, returned stats, dispatched activations and the time)
 must be identical, under contention from plain processes and from a second
 stream, at every activation of an observer process, and at a
-``run(until=...)`` stop.
+``run(until=...)`` stop.  With a wrapper, a decompressor and a compactor
+per stream, their counters and MISR signatures must agree as well.
 """
 
 from unittest import mock
@@ -18,16 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dft import AteLink, ExternalBusInterface, ExternalTestTiming, TamChannel
+from repro.dft import (AteLink, Compactor, Decompressor, ExternalBusInterface,
+                       ExternalTestTiming, TamChannel)
 from repro.dft import tam as tam_module
+from repro.dft.ctl import CoreTestDescription, generate_wrapper
 from repro.kernel import NS, AllOf, Clock, SimTime, Simulator, Timeout
 from repro.kernel.tracing import TransactionTracer
 
 
 def reference_stream_patterns(ebi, initiator, address, patterns, timing,
-                              burst_patterns=None):
-    """The process-based burst loop of ``stream_patterns`` (no wrapper,
-    decompressor or compactor)."""
+                              burst_patterns=None, wrapper=None,
+                              decompressor=None, compactor=None):
+    """The process-based burst loop of ``stream_patterns``, updating the
+    wrapper, decompressor and compactor (when given) once per burst."""
     sim, tam, ate_link = ebi.sim, ebi.tam, ebi.ate_link
     burst_size = burst_patterns or ebi.buffer_patterns
     clock = tam.clock
@@ -62,6 +66,14 @@ def reference_stream_patterns(ebi, initiator, address, patterns, timing,
         shift_done.notify(clock.cycles(shift_cycles))
         yield AllOf([ate_process.finished, tam_process.finished, shift_done])
 
+        if decompressor is not None and not decompressor.bypass:
+            decompressor.expand(burst * timing.ate_bits_per_pattern,
+                                patterns=burst)
+        elif wrapper is not None:
+            wrapper.apply_external_patterns(burst)
+        if compactor is not None:
+            compactor.compact(burst * (wrapper.response_bits_per_pattern()
+                                       if wrapper else 0))
         stats["patterns"] += burst
         stats["bursts"] += 1
         stats["ate_cycles"] += ate_link.transfer_cycles(ate_bits,
@@ -74,10 +86,58 @@ def reference_stream_patterns(ebi, initiator, address, patterns, timing,
     return stats
 
 
+def build_model(sim, index, spec):
+    """Stream *index*'s ``(wrapper, decompressor, compactor)`` from a
+    :data:`models_strategy` draw (each may be None)."""
+    (chains, cells, with_wrapper, compression_ratio, decompressor_active,
+     compaction_ratio, compactor_active) = spec
+    wrapper = None
+    if with_wrapper:
+        wrapper = generate_wrapper(sim, CoreTestDescription.describe(
+            f"core{index}", chain_count=chains, scan_cells=cells))
+    decompressor = compactor = None
+    if compression_ratio is not None:
+        decompressor = Decompressor(sim, f"dec{index}", compression_ratio,
+                                    target_wrapper=wrapper)
+        if decompressor_active:
+            decompressor.activate()
+    if compaction_ratio is not None:
+        compactor = Compactor(sim, f"cmp{index}", compaction_ratio)
+        if compactor_active:
+            compactor.activate()
+    return wrapper, decompressor, compactor
+
+
+def model_state(model):
+    """Every counter and signature of a stream's wrapper, decompressor and
+    compactor."""
+    wrapper, decompressor, compactor = model
+    state = []
+    if wrapper is not None:
+        state.append((wrapper.patterns_applied,
+                      wrapper.external_patterns_applied,
+                      wrapper.stimulus_bits_received,
+                      wrapper.response_bits_produced, wrapper.signature))
+    if decompressor is not None:
+        state.append((decompressor.compressed_bits_in,
+                      decompressor.expanded_bits_out,
+                      decompressor.patterns_expanded))
+    if compactor is not None:
+        state.append((compactor.response_bits_in,
+                      compactor.compacted_bits_out, compactor.signature))
+    return tuple(state)
+
+
 def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
-              reference, until_cycles=None):
+              reference, until_cycles=None, models=None,
+              separate_tracers=False):
     """Run *streams* and *contenders* on a fresh platform; every observable
     the two burst forms must agree on.
+
+    With *models*, stream ``i`` drives the wrapper, decompressor and
+    compactor built from ``models[i]`` (cycled when shorter), and their
+    state is observed too.  With *separate_tracers* the ATE link records
+    on a tracer of its own.
 
     A ``"tick"`` contender touches no channel: it only wakes up and
     snapshots the observables.  With *until_cycles* the run first stops
@@ -89,12 +149,16 @@ def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
     tracer = TransactionTracer(enabled=tracing)
     tam = TamChannel(sim, "tam", width_bits=tam_width, clock=clock,
                      arbitration_overhead_cycles=overhead, tracer=tracer)
+    ate_tracer = (TransactionTracer(enabled=tracing) if separate_tracers
+                  else tracer)
     ate_link = AteLink(sim, "ate_link", width_bits=ate_width, clock=clock,
-                       tracer=tracer)
+                       tracer=ate_tracer)
     ebi = ExternalBusInterface(sim, "ebi", ate_link=ate_link, tam=tam,
                                buffer_patterns=8)
     ebi.enable()
     results = []
+    stream_models = ([build_model(sim, index, models[index % len(models)])
+                      for index in range(len(streams))] if models else [])
 
     def counters():
         return (
@@ -105,16 +169,20 @@ def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
              ate_link._mutex.acquisitions,
              ate_link._mutex.contentions, ate_link._mutex.locked),
             (ebi.patterns_streamed, ebi.bursts_streamed),
-        )
+        ) + tuple(model_state(model) for model in stream_models)
 
     def stream(index, start_cycles, patterns, timing, burst_patterns):
         yield Timeout(clock.cycles(start_cycles))
+        wrapper, decompressor, compactor = (
+            stream_models[index] if stream_models else (None, None, None))
         if reference:
             body = reference_stream_patterns(
-                ebi, f"s{index}", 0x1000, patterns, timing, burst_patterns)
+                ebi, f"s{index}", 0x1000, patterns, timing, burst_patterns,
+                wrapper, decompressor, compactor)
         else:
             body = ebi.stream_patterns(
-                f"s{index}", 0x1000, patterns, timing,
+                f"s{index}", 0x1000, patterns, timing, wrapper=wrapper,
+                decompressor=decompressor, compactor=compactor,
                 burst_patterns=burst_patterns)
         stats = yield from body
         results.append((index, sim.now_fs, sim.dispatched_activations, stats))
@@ -142,13 +210,15 @@ def run_world(streams, contenders, tam_width, ate_width, overhead, tracing,
         sim.spawn(contender(index, *spec))
 
     def observables():
-        tam_counters, ate_counters, ebi_counters = counters()
+        tam_counters, ate_counters, ebi_counters, *model_states = counters()
         return {
             "records": tracer.records,
             "results": list(results),
             "tam": tam_counters,
             "ate_link": ate_counters,
             "ebi": ebi_counters,
+            "models": model_states,
+            "ate_records": ate_tracer.records if separate_tracers else None,
             "dispatched_activations": sim.dispatched_activations,
             "now_fs": sim.now_fs,
         }
@@ -347,3 +417,100 @@ def test_foreign_entry_in_the_lane_blocks_the_leap():
                  tam_width=16, ate_width=4, overhead=1, tracing=True)
     new = run_world(**world, reference=False)
     assert new == run_world(**world, reference=True)
+
+
+# -- runs of identical bursts: the model state they update at once ---------------
+
+models_strategy = st.lists(
+    st.tuples(st.integers(1, 8),                       # scan chains
+              st.integers(8, 500),                     # scan cells
+              st.booleans(),                           # with a wrapper
+              # Fractional ratios make each burst's expansion round.
+              st.one_of(st.none(), st.sampled_from([1.0, 2.5, 3.3, 7.7]),
+                        st.floats(1.0, 60.0)),         # decompression
+              st.booleans(),                           # decompressor active
+              st.one_of(st.none(), st.floats(1.0, 40.0)),  # compaction
+              st.booleans()),                          # compactor active
+    min_size=1, max_size=2,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(streams=streams_strategy, contenders=foreign_strategy,
+       models=models_strategy, tam_width=st.integers(1, 64),
+       ate_width=st.integers(1, 16), overhead=st.integers(0, 2),
+       tracing=st.booleans(), separate_tracers=st.booleans())
+def test_model_updates_inside_a_train_match_reference(
+        streams, contenders, models, tam_width, ate_width, overhead, tracing,
+        separate_tracers):
+    world = dict(streams=streams, contenders=contenders, models=models,
+                 tam_width=tam_width, ate_width=ate_width, overhead=overhead,
+                 tracing=tracing, separate_tracers=separate_tracers)
+    assert (run_world(**world, reference=False)
+            == run_world(**world, reference=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(streams=streams_strategy, contenders=contenders_strategy,
+       models=models_strategy, tam_width=st.integers(1, 64),
+       ate_width=st.integers(1, 16), overhead=st.integers(0, 2),
+       separate_tracers=st.booleans())
+def test_model_updates_under_contention_match_reference(
+        streams, contenders, models, tam_width, ate_width, overhead,
+        separate_tracers):
+    world = dict(streams=streams, contenders=contenders, models=models,
+                 tam_width=tam_width, ate_width=ate_width, overhead=overhead,
+                 tracing=True, separate_tracers=separate_tracers)
+    assert (run_world(**world, reference=False)
+            == run_world(**world, reference=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(streams=streams_strategy,
+       contenders=st.one_of(st.just([]), foreign_strategy),
+       models=models_strategy, tam_width=st.integers(1, 64),
+       ate_width=st.integers(1, 16), overhead=st.integers(0, 2),
+       until_cycles=st.integers(0, 600), separate_tracers=st.booleans())
+def test_model_updates_at_a_run_until_stop_match_reference(
+        streams, contenders, models, tam_width, ate_width, overhead,
+        until_cycles, separate_tracers):
+    world = dict(streams=streams, contenders=contenders, models=models,
+                 tam_width=tam_width, ate_width=ate_width, overhead=overhead,
+                 tracing=True, until_cycles=until_cycles,
+                 separate_tracers=separate_tracers)
+    assert (run_world(**world, reference=False)
+            == run_world(**world, reference=True))
+
+
+def test_a_lone_stream_leaps_in_runs():
+    """38 patterns in bursts of 4: one run of nine full bursts and a run of
+    one for the trailing 2 patterns, with every model update of the ten
+    bursts (2.5x expansion rounds on each burst: 4 * 5 bits -> 50)."""
+    timing = ExternalTestTiming(5, 3, 40, 2)
+    model = (4, 100, True, 2.5, True, 3.0, True)
+    world = dict(streams=[(0, 38, timing, 4)], contenders=[],
+                 models=[model], tam_width=16, ate_width=4, overhead=1,
+                 tracing=True)
+    holds, patch = count_holds()
+    with patch, mock.patch.object(
+            ExternalBusInterface, "_burst_done",
+            autospec=True,
+            side_effect=ExternalBusInterface._burst_done) as burst_done:
+        new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    assert holds == []
+    assert [call.args[-1] for call in burst_done.call_args_list] == [9, 1]
+    decompressor_state = new["models"][0][1]
+    assert decompressor_state == (9 * 20 + 10, 9 * 50 + 25, 38)
+
+
+def test_zero_cycle_runs_with_models_match_reference():
+    """Runs that take no time accumulate their end-of-train entries."""
+    timing = ExternalTestTiming(0, 0, 0, 0)
+    model = (2, 30, True, 3.3, True, 2.0, True)
+    world = dict(streams=[(0, 21, timing, 4), (0, 9, timing, None)],
+                 contenders=[("tick", 0, 0, 2, 0)], models=[model],
+                 tam_width=8, ate_width=4, overhead=0, tracing=True)
+    new = run_world(**world, reference=False)
+    assert new == run_world(**world, reference=True)
+    assert new["now_fs"] == 0

@@ -14,7 +14,10 @@ Four layers of evidence that the fast data plane is also a *correct* one:
   delta-merged per-worker RTT histograms in the coordinator registry;
 * decoder fuzz — every bit flip and truncation of a shard block, huge or
   ragged declared lengths, foreign dtypes and a layout-1 payload are all
-  refused with ``StoreError`` and never return rows;
+  refused with ``StoreError`` and never return rows; every truncation and
+  bit flip of a framed stream raises ``FrameError`` or decodes to the
+  original, and no declared length is allocated before it arrives; deeply
+  nested JSON raises each decoder's documented error;
 * differentials — campaigns of 2-row and of 128-row spans, every span
   completed as a columnar block, are byte-identical to the monolithic run
   over real sockets at 1/2/4 workers with one worker killed mid-lease, and
@@ -42,22 +45,26 @@ from repro.explore.coordinator import (
     FRAME_KIND_JSON,
     MAX_FRAME_BYTES,
     PROTOCOL_MAGIC,
+    READ_CHUNK_BYTES,
     Coordinator,
     CoordinatorError,
     CoordinatorServer,
     CoordinatorSession,
     FrameError,
+    answer_frame,
     decode_block_payload,
     encode_block_frame,
     encode_frame,
     encode_json_frame,
     read_frame,
 )
-from repro.explore.distrib import job_to_dict, plan_shards
+from repro.explore.distrib import MergeError, job_to_dict, plan_shards
 from repro.explore.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.explore.scenarios import ScenarioSpec
 from repro.explore.store import (
     COLUMN_KINDS,
+    MANIFEST_NAME,
+    ColumnarStore,
     StoreError,
     _column_array,
     _round_trips,
@@ -443,6 +450,159 @@ class TestShardBlockFuzz:
         encoded = fuzz_block()
         assert reframe(*parts_of(encoded)) == encoded
         assert decode_shard_block(encoded).row_count == 3
+
+
+class TestFrameFuzz:
+    """``read_frame`` over truncated, bit-flipped and over-declared
+    streams: each read raises ``FrameError`` or yields the original frame
+    (for a block frame: what decodes to the original meta and block)."""
+
+    def stream(self):
+        """A JSON frame, a block frame and the ``(kind, payload)`` each
+        encodes."""
+        json_frame = encode_json_frame({"op": "status"})
+        block_frame = encode_block_frame({"op": "complete", "lease_id": 1},
+                                         fuzz_block())
+        return (json_frame, block_frame,
+                [(FRAME_KIND_JSON, json_frame[5:]),
+                 (FRAME_KIND_BLOCK, block_frame[5:])])
+
+    def test_every_truncation_yields_whole_frames_or_frame_error(self):
+        json_frame, block_frame, frames = self.stream()
+        encoded = json_frame + block_frame
+        boundaries = {0, len(json_frame), len(encoded)}
+        for cut in range(len(encoded) + 1):
+            reader = io.BytesIO(encoded[:cut])
+            whole = [frame for frame, end in zip(
+                frames, (len(json_frame), len(encoded))) if end <= cut]
+            assert [read_frame(reader) for _ in whole] == whole
+            if cut in boundaries:
+                assert read_frame(reader) is None
+            else:
+                with pytest.raises(FrameError, match="mid-frame"):
+                    read_frame(reader)
+
+    def test_every_bit_flip_of_a_block_frame_is_refused_or_original(self):
+        _, encoded, frames = self.stream()
+        meta, block = decode_block_payload(frames[1][1])
+        meta_end = 5 + 4 + len(json.dumps(meta, separators=(",", ":")))
+        original = decode_shard_block(block).document()
+        for position in range(len(encoded)):
+            for bit in range(8):
+                flipped = bytearray(encoded)
+                flipped[position] ^= 1 << bit
+                try:
+                    frame = read_frame(io.BytesIO(bytes(flipped)))
+                    if frame[0] != FRAME_KIND_BLOCK:
+                        continue  # answered as an unknown frame kind
+                    got_meta, got_block = decode_block_payload(frame[1])
+                    document = decode_shard_block(got_block).document()
+                except (FrameError, StoreError):
+                    continue
+                # The meta carries no checksum; the op handler validates
+                # it.  Everything else decodes to the original or fails.
+                assert isinstance(got_meta, dict)
+                if position >= meta_end:
+                    assert got_meta == meta
+                assert document == original
+
+    @pytest.mark.parametrize("declared, sent", [
+        (MAX_FRAME_BYTES, 10), (MAX_FRAME_BYTES, READ_CHUNK_BYTES + 10),
+        (2**31, 10)])
+    def test_declared_length_is_not_allocated_before_it_arrives(
+            self, declared, sent):
+        stream = struct.pack(">IB", declared, FRAME_KIND_BLOCK) + \
+            b"x" * sent
+        reader = io.BufferedReader(io.BytesIO(stream))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="mid-frame|exceeds"):
+                read_frame(reader)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_payload_above_one_chunk_round_trips(self):
+        payload = bytes(range(256)) * (READ_CHUNK_BYTES // 256 * 2 + 3)
+        reader = io.BufferedReader(io.BytesIO(
+            encode_frame(FRAME_KIND_BLOCK, payload)))
+        assert read_frame(reader) == (FRAME_KIND_BLOCK, payload)
+        assert read_frame(reader) is None
+
+
+DEEP = b"[" * 100_000
+
+
+class TestDeeplyNestedJson:
+    """100 000 nested ``[`` raise each decoder's documented error, not
+    ``RecursionError``."""
+
+    def test_block_layout(self):
+        header, _, tail = parts_of(fuzz_block())
+        text = json.dumps(header, separators=(",", ":")).encode("utf-8")
+        body = text + DEEP + tail
+        refused(struct.pack(">4sIII", b"RSB2", len(text), len(DEEP),
+                            zlib.crc32(body)) + body,
+                "corrupt shard block layout")
+
+    def deep_header_block(self):
+        """A CRC-valid block whose header is :data:`DEEP`."""
+        _, layout, tail = parts_of(fuzz_block())
+        text = json.dumps(layout, separators=(",", ":")).encode("utf-8")
+        body = DEEP + text + tail
+        return struct.pack(">4sIII", b"RSB2", len(DEEP), len(text),
+                           zlib.crc32(body)) + body
+
+    def test_block_header(self):
+        refused(self.deep_header_block(), "corrupt shard block header")
+
+    def test_completion_meta(self):
+        with pytest.raises(FrameError, match="malformed completion meta"):
+            decode_block_payload(struct.pack(">I", len(DEEP)) + DEEP)
+
+    def test_json_request_frame_is_a_counted_protocol_error(self):
+        coordinator = Coordinator(lease_timeout=600.0)
+        try:
+            answer = answer_frame(coordinator, FRAME_KIND_JSON, DEEP)
+            assert answer["ok"] is False
+            assert "malformed JSON frame" in answer["error"]
+            assert coordinator.status()["protocol_errors"] == 1
+        finally:
+            coordinator.close()
+
+    def test_session_response_is_a_connection_error(self):
+        session = CoordinatorSession(port=1)
+        with pytest.raises(ConnectionError, match="malformed JSON"):
+            session._parse_response((FRAME_KIND_JSON, DEEP))
+
+    def test_store_manifest(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / MANIFEST_NAME).write_bytes(DEEP)
+        with pytest.raises(StoreError, match="not valid JSON"):
+            ColumnarStore.open(path)
+
+    def test_completion_is_a_counted_invalid_document(self, tmp_path):
+        coordinator = Coordinator(lease_timeout=600.0)
+        try:
+            submit_fake(coordinator, tmp_path, 4, 2)
+            lease, shard = coordinator.request_lease("w1")
+            block = self.deep_header_block()
+            with pytest.raises(MergeError, match="corrupt shard block header"):
+                coordinator.complete_lease(lease.lease_id, block)
+            answer = answer_frame(coordinator, FRAME_KIND_BLOCK,
+                                  encode_block_frame(
+                                      {"op": "complete",
+                                       "lease_id": lease.lease_id},
+                                      block)[5:])
+            assert answer["ok"] is False
+            assert coordinator.status()["invalid_documents"] == 2
+            # The span stays leased: an honest completion still lands.
+            assert coordinator.complete_lease(
+                lease.lease_id, encode_shard_block(scripted_executor(shard)))
+        finally:
+            coordinator.close()
 
 
 # -- wire regressions: protocol errors are answered, not dropped -------------

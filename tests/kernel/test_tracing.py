@@ -87,3 +87,27 @@ class TestTransactionTracer:
         tracer.record(record("tam", 0, 10))
         tracer.clear()
         assert len(tracer) == 0
+
+    @pytest.mark.parametrize("period_fs", [0, 7])
+    def test_record_run_equals_rounds_of_record_fs(self, period_fs):
+        records = [("ate", "burst", 10, 14, "s0", None, 8, {"patterns": 2}),
+                   ("tam", "burst", 10, 17, "s0", 0x10, 9, {"patterns": 2})]
+        run, reference = TransactionTracer(), TransactionTracer()
+        run.record_run_fs(3, period_fs, records)
+        for index in range(3):
+            for (channel, kind, start, end, initiator, address, bits,
+                 attributes) in records:
+                offset = index * period_fs
+                reference.record_fs(channel, kind, start + offset,
+                                    end + offset, initiator, address, bits,
+                                    dict(attributes))
+        assert run.records == reference.records
+        # Every record owns its attributes.
+        attributes = [record.attributes for record in run.records]
+        assert len({id(values) for values in attributes}) == 6
+        assert all(values is not records[0][7] for values in attributes)
+
+    def test_record_run_on_a_disabled_tracer_records_nothing(self):
+        tracer = TransactionTracer(enabled=False)
+        tracer.record_run_fs(4, 3, [("tam", "k", 0, 1, "", None, 0, {})])
+        assert len(tracer) == 0

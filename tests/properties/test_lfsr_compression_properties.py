@@ -177,6 +177,75 @@ class TestMisrCompactRange:
         assert folded.signature == reference.signature
 
 
+class TestMisrCompactRepeat:
+    @given(shape=st.sampled_from(_MISR_SHAPES),
+           seed=st.integers(0, (1 << 64) - 1),
+           pending=st.integers(0, 40),
+           word=st.integers(0, (1 << 66) - 1),
+           count=st.integers(0, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_repeat_equals_count_calls(self, shape, seed, pending, word,
+                                       count):
+        width, taps = shape
+        repeated = MISR(width, seed=seed, taps=taps)
+        reference = MISR(width, seed=seed, taps=taps)
+        # A pending range must be folded first, as compact(word) would.
+        repeated.compact_range(5, 5 + pending)
+        reference.compact_range(5, 5 + pending)
+        for _ in range(count):
+            reference.compact(word)
+        assert repeated.compact(word, count) == reference.state
+        assert repeated.signature == reference.signature
+
+
+class TestAdaptorRepeat:
+    @given(compressed_bits=st.integers(0, 5000),
+           patterns=st.integers(0, 64),
+           ratio=st.floats(1.0, 100.0, allow_nan=False,
+                           allow_infinity=False),
+           active=st.booleans(), count=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_expand_count_equals_count_calls(self, compressed_bits,
+                                             patterns, ratio, active,
+                                             count):
+        sim = Simulator()
+        repeated = Decompressor(sim, "a", compression_ratio=ratio)
+        reference = Decompressor(sim, "b", compression_ratio=ratio)
+        if active:
+            repeated.activate()
+            reference.activate()
+        expanded = [reference.expand(compressed_bits, patterns=patterns)
+                    for _ in range(count)]
+        # Each expansion is rounded on its own, not the run's total.
+        assert repeated.expand(compressed_bits, patterns=patterns,
+                               count=count) == expanded[-1]
+        assert ((repeated.compressed_bits_in, repeated.expanded_bits_out,
+                 repeated.patterns_expanded)
+                == (reference.compressed_bits_in,
+                    reference.expanded_bits_out,
+                    reference.patterns_expanded))
+
+    @given(response_bits=st.integers(0, 5000),
+           ratio=st.floats(1.0, 100.0, allow_nan=False,
+                           allow_infinity=False),
+           active=st.booleans(), count=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_compact_count_equals_count_calls(self, response_bits, ratio,
+                                              active, count):
+        sim = Simulator()
+        repeated = Compactor(sim, "a", compaction_ratio=ratio)
+        reference = Compactor(sim, "b", compaction_ratio=ratio)
+        if active:
+            repeated.activate()
+            reference.activate()
+        outgoing = [reference.compact(response_bits) for _ in range(count)]
+        assert repeated.compact(response_bits, count=count) == outgoing[-1]
+        assert ((repeated.response_bits_in, repeated.compacted_bits_out,
+                 repeated.signature)
+                == (reference.response_bits_in,
+                    reference.compacted_bits_out, reference.signature))
+
+
 class TestCompressionRoundTrip:
     @given(expanded_bits=st.integers(1, 10**6),
            ratio=st.floats(1.0, 1000.0, allow_nan=False, allow_infinity=False))
