@@ -63,7 +63,9 @@ identical artifacts.
 from __future__ import annotations
 
 import math
+import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -103,6 +105,12 @@ ADAPTIVE_SCHEMA_VERSION = 2
 
 #: Per-round provenance columns appended to the campaign row schema.
 PROVENANCE_COLUMNS = ("round", "budget", "survivor")
+
+#: Longest budget ladder a search may declare.  Successive halving with
+#: more rounds than this is a typo (or a doctored resume artifact), and the
+#: bound keeps :meth:`AdaptiveSearch.budgets` from looping for ages on an
+#: ``eta`` a hair above 1.
+MAX_ROUNDS = 128
 
 #: Result columns that hold labels, not numbers — unusable as objectives.
 _NON_NUMERIC_COLUMNS = ("scenario", "kind", "schedule", "strategy",
@@ -826,7 +834,7 @@ class AdaptiveSearch:
             raise ValueError("an adaptive search needs at least one scenario")
         if not self.objectives:
             raise ValueError("at least one objective is required")
-        if eta <= 1.0:
+        if not eta > 1.0:
             raise ValueError("eta must be > 1")
         if not 0.0 < min_budget <= 1.0:
             raise ValueError("min_budget must be in (0, 1]")
@@ -845,6 +853,7 @@ class AdaptiveSearch:
         duplicates = sorted({n for n in names if names.count(n) > 1})
         if duplicates:
             raise ValueError(f"duplicate scenario names in search: {duplicates}")
+        self.budgets()  # fail now on a ladder longer than MAX_ROUNDS
 
     # -- schedule of budgets ------------------------------------------------
     def budgets(self) -> List[float]:
@@ -853,6 +862,10 @@ class AdaptiveSearch:
         ladder = []
         budget = self.min_budget
         while budget < 1.0 - 1e-12:
+            if len(ladder) == MAX_ROUNDS:
+                raise ValueError(
+                    f"eta={self.eta} and min_budget={self.min_budget} need "
+                    f"more than {MAX_ROUNDS} rounds")
             ladder.append(budget)
             budget *= self.eta
         ladder.append(1.0)
@@ -958,53 +971,72 @@ class AdaptiveSearch:
 
         v2 artifacts are self-contained: they carry the serialized specs, the
         schedule override and every search parameter.  Older artifacts (and
-        plain campaign artifacts) are rejected with a clear error.
+        plain campaign artifacts) are rejected with a clear error.  Every
+        malformed document raises :class:`ValueError`.
         """
         _validate_resume_versions(document)
-        specs = [spec_from_dict(entry) for entry in document["specs"]]
-        schedules = document.get("schedules_override")
-        surrogate_block = document.get("surrogate")
-        return cls(
-            specs,
-            schedules=tuple(schedules) if schedules is not None else None,
-            objectives=tuple(parse_objective(text)
-                             for text in document["objectives"]),
-            eta=float(document["eta"]),
-            min_budget=float(document["min_budget"]),
-            surrogate=surrogate_block is not None,
-            surrogate_keep=(float(surrogate_block["keep"])
-                            if surrogate_block is not None else 0.25),
-            race="race" in document,
-        )
+        with _malformed_resume_document():
+            specs = document["specs"]
+            schedules = document.get("schedules_override")
+            objectives = document["objectives"]
+            if not _is_list_of(specs, Mapping) \
+                    or not _is_list_of(objectives, str) \
+                    or not (schedules is None or _is_list_of(schedules, str)):
+                raise ValueError("resume artifact search definition is "
+                                 "malformed")
+            surrogate_block = document.get("surrogate")
+            return cls(
+                [spec_from_dict(entry) for entry in specs],
+                schedules=tuple(schedules) if schedules is not None else None,
+                objectives=tuple(parse_objective(text) for text in objectives),
+                eta=_number(document["eta"]),
+                min_budget=_number(document["min_budget"]),
+                surrogate=surrogate_block is not None,
+                surrogate_keep=(_number(surrogate_block["keep"])
+                                if surrogate_block is not None else 0.25),
+                race="race" in document,
+            )
 
     def _replayable_rounds(self, document: Mapping[str, object],
                            budgets: Sequence[float],
                            ) -> Dict[int, Dict[CandidateKey, Mapping]]:
         """Validate a checkpoint document against this search and index its
-        rows as ``round -> (scenario, schedule) -> row`` for replay."""
+        rows as ``round -> (scenario, schedule) -> row`` for replay.  Every
+        malformed document raises :class:`ValueError`."""
         _validate_resume_versions(document)
         if document.get("complete", False):
             raise ValueError(
                 "resume artifact is already complete; nothing to resume "
                 "(re-running the search reproduces it bit for bit)"
             )
-        completed = int(document.get("completed_rounds", 0))
+        completed = document.get("completed_rounds", 0)
+        if type(completed) is not int:
+            raise ValueError(f"resume artifact completed_rounds "
+                             f"{completed!r} is not an integer")
         if completed < 1:
             raise ValueError("resume artifact has no completed rounds")
-        doc_budgets = [float(b) for b in document.get("budgets", [])]
+        doc_budgets = document.get("budgets", [])
+        if not isinstance(doc_budgets, list):
+            raise ValueError("resume artifact budgets are malformed")
+        doc_budgets = [_number(b) for b in doc_budgets]
         if len(doc_budgets) != completed or doc_budgets != budgets[:completed]:
             raise ValueError(
                 f"resume artifact budget ladder {doc_budgets} does not match "
                 f"the search's ladder {budgets} — different eta/min_budget?"
             )
         rows = document.get("rows")
-        if not isinstance(rows, list) or \
-                not all(isinstance(row, Mapping) for row in rows):
+        if not _is_list_of(rows, Mapping) or not all(
+                isinstance(row.get("scenario"), str)
+                and isinstance(row.get("schedule"), str)
+                and type(row.get("round")) is int
+                and isinstance(row.get("survivor"), bool)
+                and isinstance(row.get("race_stopped", False), bool)
+                for row in rows):
             raise ValueError("resume artifact rows are malformed")
         by_round: Dict[int, Dict[CandidateKey, Mapping]] = {}
         for row in rows:
-            key = (str(row["scenario"]), str(row["schedule"]))
-            by_round.setdefault(int(row["round"]), {})[key] = row
+            key = (row["scenario"], row["schedule"])
+            by_round.setdefault(row["round"], {})[key] = row
         if sorted(by_round) != list(range(completed)):
             raise ValueError(
                 f"resume artifact rows cover rounds {sorted(by_round)}, "
@@ -1212,29 +1244,70 @@ class AdaptiveSearch:
                 f"written by another scenario space?"
             )
         stats = document.get("round_stats", [])
-        if index < len(stats):
-            recorded = int(stats[index]["simulated_jobs"])
-            if recorded != len(new_jobs):
-                raise ValueError(
-                    f"resume artifact recorded {recorded} simulated job(s) "
-                    f"in round {index}, replay derives {len(new_jobs)}"
-                )
+        with _malformed_resume_document():
+            recorded = (stats[index]["simulated_jobs"]
+                        if index < len(stats) else None)
+        if recorded is not None and (type(recorded) is not int
+                                     or recorded != len(new_jobs)):
+            raise ValueError(
+                f"resume artifact recorded {recorded} simulated job(s) "
+                f"in round {index}, replay derives {len(new_jobs)}"
+            )
         stopped_keys: List[CandidateKey] = []
         round_outcomes: Dict[CampaignJob, CampaignOutcome] = {}
         for job, key in zip(jobs, job_keys):
             row = rows_by_key[key]
-            if bool(row.get("race_stopped", False)):
+            with _malformed_resume_document():
+                outcome = outcome_from_row(row, job.spec)
+            # The row's spec columns must be this job's (budgeted) spec, and
+            # its derived columns must follow from its own metrics.
+            if any(row.get(column) != value
+                   for column, value in outcome.deterministic_row().items()):
+                raise ValueError(
+                    f"resume artifact row {key} of round {index} does not "
+                    f"match the scenario the artifact declares")
+            if row.get("race_stopped", False):
                 stopped_keys.append(key)
-                round_outcomes[job] = outcome_from_row(row, job.spec)
+                round_outcomes[job] = outcome
                 continue
             if job not in evaluated:
-                evaluated[job] = outcome_from_row(row, job.spec)
+                evaluated[job] = outcome
             round_outcomes[job] = evaluated[job]
         return stopped_keys, round_outcomes
 
 
+@contextmanager
+def _malformed_resume_document() -> Iterator[None]:
+    """Report a resume document of the wrong shape (a missing key, a value
+    of the wrong type or size) as the documented :class:`ValueError`."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, IndexError,
+            OverflowError) as error:
+        raise ValueError(
+            f"resume artifact is malformed: {type(error).__name__}: {error}"
+        ) from error
+
+
+def _is_list_of(value: object, kind) -> bool:
+    return isinstance(value, list) and all(isinstance(item, kind)
+                                           for item in value)
+
+
+def _number(value: object) -> float:
+    """A JSON number as a float; booleans, strings and integers beyond the
+    float range are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or abs(value) > sys.float_info.max:
+        raise ValueError(f"resume artifact holds {value!r} where a number "
+                         f"belongs")
+    return float(value)
+
+
 def _validate_resume_versions(document: Mapping[str, object]) -> None:
     """Reject artifacts this code cannot faithfully resume from."""
+    if not isinstance(document, Mapping):
+        raise ValueError("resume artifact is not a JSON object")
     found = document.get("schema_version")
     if found != SCHEMA_VERSION:
         raise ValueError(

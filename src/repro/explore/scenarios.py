@@ -197,13 +197,40 @@ def _rehydrate_override(value):
     return value
 
 
+#: JSON value types of the scalar spec fields (a float field takes an int).
+_SPEC_FIELD_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
 def spec_from_dict(document: Mapping[str, object]) -> ScenarioSpec:
-    """Reconstruct a :class:`ScenarioSpec` written by :func:`spec_to_dict`."""
+    """Reconstruct a :class:`ScenarioSpec` written by :func:`spec_to_dict`.
+
+    A document whose fields are unknown, missing or of the wrong JSON type
+    (numbers included that do not fit 64 bits) raises :class:`ValueError`.
+    """
     data = dict(document)
     valid = {f.name for f in fields(ScenarioSpec)}
     unknown = sorted(set(data) - valid)
     if unknown:
         raise ValueError(f"unknown scenario spec fields: {unknown}")
+    for spec_field in fields(ScenarioSpec):
+        kinds = _SPEC_FIELD_TYPES.get(spec_field.type)
+        if kinds is None or spec_field.name not in data:
+            continue
+        value = data[spec_field.name]
+        if isinstance(value, bool) or not isinstance(value, kinds) or (
+                isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63):
+            raise ValueError(f"scenario spec field {spec_field.name!r} "
+                             f"holds {value!r}, expected a 64-bit "
+                             f"{spec_field.type}")
+    schedules = data.get("schedules", ())
+    overrides = data.get("config_overrides", ())
+    if not isinstance(schedules, (list, tuple)) \
+            or not all(isinstance(name, str) for name in schedules) \
+            or not isinstance(overrides, (list, tuple)) \
+            or not all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                       and isinstance(pair[0], str) for pair in overrides):
+        raise ValueError("scenario spec schedules/config_overrides are "
+                         "malformed")
     if "schedules" in data:
         data["schedules"] = tuple(data["schedules"])
     if "config_overrides" in data:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import cycle, repeat
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -46,6 +45,10 @@ class MarchOperation:
         return f"{self.kind}{self.value}"
 
 
+_ORDERS = {order.value: order for order in AddressOrder}
+_TOKENS = frozenset({"r0", "r1", "w0", "w1"})
+
+
 @dataclass(frozen=True)
 class MarchElement:
     """One element of a march test: an address order plus operations."""
@@ -55,18 +58,22 @@ class MarchElement:
 
     @classmethod
     def parse(cls, text: str) -> "MarchElement":
-        """Parse e.g. ``"up(r0,w1)"`` or ``"down(r1,w0,r0)"``."""
+        """Parse e.g. ``"up(r0,w1)"`` or ``"down(r1,w0,r0)"``.
+
+        Raises :class:`ValueError` for anything else: an unknown order, a
+        missing parenthesis, or an operation token that is not exactly
+        ``[rw][01]``.
+        """
         text = text.strip()
-        open_paren = text.index("(")
-        order_name = text[:open_paren].strip().lower()
-        order = {"up": AddressOrder.UP, "down": AddressOrder.DOWN,
-                 "any": AddressOrder.ANY}[order_name]
-        body = text[open_paren + 1:text.rindex(")")]
-        operations = []
-        for token in body.split(","):
-            token = token.strip()
-            operations.append(MarchOperation(token[0], int(token[1])))
-        return cls(order=order, operations=tuple(operations))
+        order_name, open_paren, body = text.partition("(")
+        order = _ORDERS.get(order_name.strip().lower())
+        if order is None or not open_paren or not body.endswith(")"):
+            raise ValueError(f"malformed march element {text!r}")
+        tokens = [token.strip() for token in body[:-1].split(",")]
+        if not _TOKENS.issuperset(tokens):
+            raise ValueError(f"malformed march operations in {text!r}")
+        return cls(order=order, operations=tuple(
+            MarchOperation(token[0], int(token[1])) for token in tokens))
 
     @property
     def operation_count(self) -> int:
@@ -162,17 +169,17 @@ def _addresses(words: int, order: AddressOrder, stride: int = 1):
 
 def _apply_fault_free(memory, element: MarchElement, data,
                       addresses: range) -> Optional[Tuple[int, int]]:
-    """Apply *element* op-major when that provably equals the per-address
-    walk, and return the (reads, writes) it issued; return ``None``, having
-    changed nothing, otherwise.
+    """Apply *element* in closed form when that provably equals the
+    per-address walk, and return the (reads, writes) it issued; return
+    ``None``, having changed nothing, otherwise.
 
     On an array without injected faults every cell is independent, so an
     element none of whose reads can mismatch reduces to its operation counts
     plus its last write.  No read can mismatch when every read before the
     first write expects the one value all visited cells hold now, and every
-    later read expects the value written just before it.  ``dict.update``
-    keeps existing keys in place and appends new ones in traversal order, so
-    even the stored key order matches the walk.
+    later read expects the value written just before it.  The check costs
+    O(1 + dict entries) (:meth:`MemoryArray._stride_holds`), and the last
+    write becomes the array's strided layer.
     """
     if memory._faults:
         return None
@@ -192,14 +199,15 @@ def _apply_fault_free(memory, element: MarchElement, data,
                 return None
     if len(pre_write_reads) > 1:
         return None
-    if pre_write_reads and set(map(memory._contents.get, addresses,
-                                   repeat(memory.background))) != pre_write_reads:
+    stride = abs(addresses.step)
+    if pre_write_reads and not memory._stride_holds(stride,
+                                                    *pre_write_reads):
         return None
     count = len(addresses)
     memory.read_count += reads * count
     memory.write_count += writes * count
     if last_write is not None:
-        memory._contents.update(dict.fromkeys(addresses, last_write))
+        memory._set_layer(stride, (last_write,))
     return reads * count, writes * count
 
 
@@ -214,9 +222,9 @@ def run_march_test(memory, march: MarchTest, background: int = 0,
     preserving the operation-per-cell structure (the reported operation count
     is always the full-array count).
 
-    Elements that cannot fail on a fault-free array are applied op-major by
-    :func:`_apply_fault_free`; every other element, and every element on a
-    faulted array, takes the per-address walk below.
+    Elements that cannot fail on a fault-free array are applied in closed
+    form by :func:`_apply_fault_free`; every other element, and every
+    element on a faulted array, takes the per-address walk below.
     """
     if stride <= 0:
         raise ValueError("stride must be positive")
@@ -234,6 +242,7 @@ def run_march_test(memory, march: MarchTest, background: int = 0,
             result.reads += counts[0]
             result.writes += counts[1]
             continue
+        memory._materialise()
         for address in addresses:
             for operation in element.operations:
                 expected = data[operation.value]
@@ -257,8 +266,8 @@ def run_pattern_test(memory, patterns: Sequence[int] = (0x55, 0xAA),
     Each pattern is written to every cell and read back; alternating cells get
     the inverted pattern so that neighbouring cells hold opposite data, the
     classic checkerboard background.  On an array without injected faults
-    no read can mismatch, so each pattern is stored with one ``dict.update``
-    in traversal order and only the operations are counted.
+    no read can mismatch, so each pattern becomes the array's strided layer
+    and only the operations are counted.
     """
     if stride <= 0:
         raise ValueError("stride must be positive")
@@ -273,8 +282,8 @@ def run_pattern_test(memory, patterns: Sequence[int] = (0x55, 0xAA),
         addresses = range(0, memory.words, stride)
         if not memory._faults:
             # An odd stride alternates the parity of the visited addresses.
-            values = (pattern, inverse) if stride % 2 else (pattern,)
-            memory._contents.update(zip(addresses, cycle(values)))
+            memory._set_layer(stride, (pattern, inverse) if stride % 2
+                              else (pattern,))
             count = len(addresses)
             memory.write_count += count
             memory.read_count += count

@@ -241,6 +241,19 @@ class TestExitCodes:
         assert exit_code != 0
         assert "error:" in captured.err
 
+    def test_resume_from_wrong_typed_specs_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "specs5.json"
+        path.write_text(json.dumps({
+            "schema_version": SCHEMA_VERSION, "adaptive_schema_version": 2,
+            "objectives": ["peak_power"], "eta": 2.0, "min_budget": 0.5,
+            "specs": 5,
+        }))
+        exit_code = main(["adaptive", "--resume-from", str(path)])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
     def test_merge_of_mismatched_schema_returns_nonzero(self, capsys,
                                                         tmp_path):
         path = tmp_path / "stale.json"

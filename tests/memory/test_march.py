@@ -1,5 +1,7 @@
 """Unit tests for march tests and pattern tests."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,19 @@ class TestMarchNotation:
     def test_parse_down_and_any(self):
         assert MarchElement.parse("down(r1,w0,r0)").order is AddressOrder.DOWN
         assert MarchElement.parse("any(w0)").order is AddressOrder.ANY
+
+    @pytest.mark.parametrize("text", [
+        "up(r10)", "up()", "up(r0,,w1)", "sideways(r0)", "up(x0)", "up(r0",
+        "up(r0)w1", "(r0)", "up(R0)", "up(r 0)", "up r0",
+    ])
+    def test_malformed_notation_rejected(self, text):
+        with pytest.raises(ValueError, match="malformed march"):
+            MarchElement.parse(text)
+
+    def test_parse_tolerates_spaces_and_order_case(self):
+        element = MarchElement.parse(" Down ( r1 , w0 ) ")
+        assert element.order is AddressOrder.DOWN
+        assert [str(op) for op in element.operations] == ["r1", "w0"]
 
     def test_operation_validation(self):
         with pytest.raises(ValueError):
@@ -168,40 +183,71 @@ _ELEMENTS = st.builds(
 )
 
 
+def _faults(words, word_bits):
+    """A random real fault of the array's geometry."""
+    address = st.integers(0, words - 1)
+    bit = st.integers(0, word_bits - 1)
+    one = st.integers(0, 1)
+    faults = [st.builds(StuckAtCellFault, address, bit, one),
+              st.builds(TransitionFault, address, bit, st.booleans())]
+    if words > 1:
+        faults.append(st.builds(
+            lambda pair, b, trigger, forced: CouplingFault(
+                pair[0], pair[1], b, trigger, forced),
+            st.lists(address, min_size=2, max_size=2, unique=True),
+            bit, one, one))
+    return st.one_of(faults)
+
+
 @st.composite
 def _memories(draw):
     """A data background plus two identical arrays whose prior contents may
     make reads fail (mostly the background or its inverse, so pre-write
     reads match for some elements and not others); the second array
-    carries the transparent fault."""
+    carries the transparent fault.
+
+    The prior contents may include a strided layer (a pattern test run on
+    both arrays first, explicit writes on top of it) and real faults,
+    injected into both arrays alike.
+    """
     words = draw(st.integers(1, 48))
     word_bits = draw(st.integers(1, 8))
     mask = (1 << word_bits) - 1
     background = draw(st.integers(0, 255))
     data = st.sampled_from([background & mask, ~background & mask])
     initial = draw(data | st.integers(0, mask))
+    layer = draw(st.none() | st.tuples(
+        st.lists(data | st.integers(0, mask), min_size=1, max_size=2),
+        st.integers(1, 8) | st.integers(1, 60)))
     prior = draw(st.dictionaries(st.integers(0, words - 1),
                                  data | st.integers(0, mask), max_size=words))
+    faults = draw(st.lists(_faults(words, word_bits), max_size=2)
+                  | st.just([]))
     arrays = []
-    for _ in range(2):
+    for index in range(2):
         memory = MemoryArray(words=words, word_bits=word_bits,
                              background=initial)
+        if index:
+            memory.inject_fault(_TransparentFault())
+        if layer is not None:
+            run_pattern_test(memory, patterns=layer[0], stride=layer[1])
         for address, value in prior.items():
             memory.raw_write(address, value)
+        for fault in faults:
+            # A copy each, so the two arrays never share a fault instance.
+            memory.inject_fault(copy.copy(fault))
         arrays.append(memory)
-    arrays[1].inject_fault(_TransparentFault())
     return background, arrays
 
 
 def _state(memory, result):
     return (result, memory.read_count, memory.write_count,
-            list(memory._contents.items()))
+            memory.dump(0, memory.words))
 
 
 class TestFaultFreeOpMajor:
-    """The op-major fault-free path must match the per-address walk in
-    every observable: result, counters and stored contents (key order
-    included)."""
+    """The closed-form fault-free path must match the per-address walk in
+    every observable: result, counters and the whole array's contents."""
 
     @given(memories=_memories(),
            elements=st.lists(_ELEMENTS, min_size=1, max_size=5),
@@ -253,3 +299,7 @@ class TestFaultFreeOpMajor:
         assert result.passed
         assert result.reads + result.writes == 10 * len(range(0, 1 << 20, 257))
         run_pattern_test(memory, stride=257)
+        # Not one dict entry per visited cell: the last pattern is a layer.
+        assert memory._contents == {}
+        assert memory.dump(0, 3) == [0xAA, 0, 0]
+        assert memory.dump(257, 2) == [0x55, 0]
