@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.kernel.channel import Channel
-from repro.kernel.event import AllOf, AnyOf, Timeout
+from repro.kernel.event import AllOf, Event, Timeout
 from repro.kernel.module import Module
 from repro.kernel.simtime import SimTime
 from repro.kernel.simulator import Simulator
 from repro.schedule.model import TestKind, TestSchedule, TestTask
 from repro.dft.compression import Compactor, Decompressor
 from repro.dft.config_bus import ConfigurationScanBus
-from repro.dft.controller import TestController
+from repro.dft.controller import LogicBistEngine, TestController
 from repro.dft.ebi import ExternalBusInterface, ExternalTestTiming
 from repro.dft.monitor import ActivityLog
 from repro.dft.payload import TamPayload
@@ -314,14 +314,22 @@ class AutomatedTestEquipment(Channel):
         session = f"{task.name}@{task.core}"
         total_cycles = task.pattern_count * wrapper.shift_cycles_per_pattern()
         poll_cycles = max(1, round(total_cycles * self.status_poll_fraction))
+        controller = architecture.controller
         controller_address = architecture.addresses.get(
             "test_controller", architecture.address_of(task.core)
         )
-        leap = self._leap_logic_bist(task, wrapper, session, poll_cycles,
-                                     controller_address)
+        slave, offset = architecture.tam.decode(controller_address)
+        probe = TamPayload.read(controller_address,
+                                response_bits=controller.status_poll_bits,
+                                session=session)
+        leap = None
+        if slave is controller:
+            leap = self._leap_logic_bist(task, wrapper, session, poll_cycles,
+                                         probe)
         if leap is None:
-            polls = yield from self._poll_logic_bist(
-                task, wrapper, session, poll_cycles, controller_address)
+            polls = yield _PolledSession(self, task, wrapper, session,
+                                         poll_cycles, probe, slave,
+                                         offset).done
         else:
             polls, exit_fs, credit, final = leap
             # The entries before the exit are folded with this timestamp,
@@ -344,42 +352,11 @@ class AutomatedTestEquipment(Channel):
             "status_polls": polls,
         }
 
-    def _poll_logic_bist(self, task: TestTask, wrapper: TestWrapper,
-                         session: str, poll_cycles: int,
-                         controller_address: int):
-        """Run the session on a BIST engine process and poll its status
-        over the TAM every *poll_cycles* until it ends (blocking; ``yield
-        from``); returns the number of polls."""
-        architecture = self.architecture
-        clock = architecture.tam.clock
-        bist_process = self.sim.spawn(
-            architecture.controller.run_logic_bist(
-                session, wrapper, task.pattern_count, power=task.power,
-            ),
-            name=f"{self.name}.{task.name}.bist",
-        )
-        polls = 0
-        while bist_process.alive:
-            timer = self.sim.event(f"{self.name}.{task.name}.poll")
-            timer.notify(clock.cycles_fs(poll_cycles))
-            yield AnyOf([timer, bist_process.finished])
-            if not bist_process.alive:
-                break
-            poll_payload = TamPayload.read(
-                controller_address,
-                response_bits=architecture.controller.status_poll_bits,
-                session=session,
-            )
-            poll_payload.initiator = f"{self.name}.{task.name}"
-            yield from architecture.tam.read(poll_payload)
-            polls += 1
-        return polls
-
     def _leap_logic_bist(self, task: TestTask, wrapper: TestWrapper,
                          session: str, poll_cycles: int,
-                         controller_address: int) -> Optional[tuple]:
+                         probe: TamPayload) -> Optional[tuple]:
         """Apply the session and its status polls in closed form, if
-        nothing else can act before :meth:`_poll_logic_bist` would return.
+        nothing else can act before its poll loop would exit.
 
         That loop exits when the engine ends (at ``end_fs``) or, with a poll
         read in flight then, when that read ends.  With the TAM idle and
@@ -390,6 +367,8 @@ class AutomatedTestEquipment(Channel):
         pushed as the real entry it is.  A timer firing or a read ending
         exactly at ``end_fs`` would interleave with the engine's last
         entries, so such a session, like a contended one, is not leapt.
+        *probe* is a status read of the controller, which the caller has
+        decoded at its address.
 
         Returns ``None`` or ``(polls, exit_fs, credit, final)``: the
         entries leapt, ``final`` of them at the exit.
@@ -410,12 +389,8 @@ class AutomatedTestEquipment(Channel):
         end_fs = start_fs + cycles_fs(pattern_count * cycles_per_pattern)
         if end_fs == start_fs or horizon_fs < end_fs:
             return None
-        probe = TamPayload.read(controller_address,
-                                response_bits=controller.status_poll_bits,
-                                session=session)
         read_cycles = tam.transaction_cycles(probe)
-        if (not read_cycles
-                or tam.decode(controller_address)[0] is not controller):
+        if not read_cycles:
             return None
         read_fs = cycles_fs(read_cycles)
         poll_fs = cycles_fs(poll_cycles)
@@ -444,7 +419,7 @@ class AutomatedTestEquipment(Channel):
         kind, bits = probe.command.value, probe.total_bits
         for fire_fs in fires:
             tam._account(fire_fs, fire_fs + read_fs, read_cycles, initiator,
-                         kind, controller_address, bits, probe.attributes)
+                         kind, probe.address, bits, probe.attributes)
         # The engine's spawn, chunks and finished notification; per poll
         # its timer, the wake-up and the read's end.  With no read in
         # flight the loop exits on the wake-up by the engine's end, next to
@@ -602,3 +577,128 @@ class AutomatedTestEquipment(Channel):
             "failures": status["failures"],
             "march_passed": status["failures"] == 0,
         }
+
+
+class _PolledSession(LogicBistEngine):
+    """A logic-BIST session and the ATE task's status polls as scheduled
+    callbacks.
+
+    The session runs on the engine's chunk chain (:class:`LogicBistEngine`)
+    while the task polls its status over the TAM until the engine ends,
+    with no engine process and no event, ``AnyOf``, payload or generator
+    per poll.  It pushes one entry wherever an engine process with a poll
+    loop around it pushes one, in the same order:
+
+    * the engine's spawn, chunks and ``finished`` notification are the
+      engine's start, chunk and :meth:`_ended` entries;
+    * a poll timer is :meth:`_timer`, and the ``AnyOf`` wake-up by the
+      timer or by the engine's end is :meth:`_wake` at delay 0;
+    * the read takes the TAM through :meth:`Mutex.acquire_then`: at once
+      when it is free, after its two hand-off entries when contended;
+    * the read's ``Timeout`` is :meth:`_read_end`, which releases and
+      accounts the TAM with the arguments :meth:`TamChannel.occupy`
+      passes and then delivers the read as :meth:`TamChannel.transport`
+      does.
+
+    A timer outlived by the engine's end stays a real entry that does
+    nothing.  The loop exits in the wake-up or read-end activation, which
+    stands for the task process's resumption: :attr:`done` resumes the
+    process in place, so the exit adds no entry.
+
+    The controller answers every poll with a copy of the status record
+    nobody keeps, and a read of an address no slave decodes has no effect,
+    so neither is delivered.  With the controller as the status slave, a
+    timer that fires while the loop waits, the engine runs, the TAM is
+    idle and :meth:`Simulator.lookahead_fs` reaches the read's end leaps
+    the read: nothing else can act before it ends, so its acquisition,
+    accounting and poll count are applied at once, the wake-up and the
+    read's end are credited as dispatched, and the next timer is pushed
+    ``read + poll`` ahead, as the read's end would push it.  A read that
+    takes no cycles is never leapt.
+    """
+
+    __slots__ = ("tam", "probe", "slave", "offset", "leaps", "poll_fs",
+                 "read_cycles", "read_fs", "record", "polls", "waiting",
+                 "read_start_fs", "done")
+
+    def __init__(self, ate: AutomatedTestEquipment, task: TestTask,
+                 wrapper: TestWrapper, session: str, poll_cycles: int,
+                 probe: TamPayload, slave, offset: Optional[int]):
+        architecture = ate.architecture
+        controller = architecture.controller
+        super().__init__(controller, session, wrapper, task.pattern_count,
+                         task.power)
+        tam = self.tam = architecture.tam
+        self.probe = probe
+        #: The slave each poll is delivered to at *offset*, or ``None``.
+        self.slave = None if slave is controller else slave
+        self.offset = offset
+        self.poll_fs = tam.clock.cycles_fs(poll_cycles)
+        self.read_cycles = tam.transaction_cycles(probe)
+        self.read_fs = tam.clock.cycles_fs(self.read_cycles)
+        self.leaps = slave is controller and self.read_cycles > 0
+        #: The poll reads' ``TamChannel._account`` arguments after the
+        #: start, end and cycles.
+        self.record = (f"{ate.name}.{task.name}", probe.command.value,
+                       probe.address, probe.total_bits, probe.attributes)
+        self.polls = 0
+        self.waiting = True
+        #: Resumes the task process with the poll count at the loop's exit.
+        self.done = Event(self.sim, f"{ate.name}.{task.name}.polled")
+        self.sim._push(self.poll_fs, self._timer)
+
+    def _timer(self) -> None:
+        if not self.waiting:
+            return  # outlived by the engine's end
+        sim = self.sim
+        mutex = self.tam._mutex
+        now_fs = sim.now_fs
+        read_fs = self.read_fs
+        if (self.leaps and self.running and mutex.idle
+                and sim.lookahead_fs() >= now_fs + read_fs):
+            mutex.acquisitions += 1
+            self.tam._account(now_fs, now_fs + read_fs, self.read_cycles,
+                              *self.record)
+            self.polls += 1
+            sim.credit_activations(2)
+            sim._push(read_fs + self.poll_fs, self._timer)
+            return
+        self.waiting = False
+        sim._push(0, self._wake)
+
+    def _ended(self) -> None:
+        if self.waiting:
+            self.waiting = False
+            self.sim._push(0, self._wake)
+
+    def _wake(self) -> None:
+        if self.running:
+            self.tam._mutex.acquire_then(self._read)
+        else:
+            self.done._resume_waiters(self.polls)
+
+    def _read(self) -> None:
+        self.read_start_fs = self.sim.now_fs
+        if self.read_cycles:
+            self.sim._push(self.read_fs, self._read_end)
+        else:
+            self._read_end()
+
+    def _read_end(self) -> None:
+        tam = self.tam
+        tam._mutex.release()
+        tam._account(self.read_start_fs, self.sim.now_fs, self.read_cycles,
+                     *self.record)
+        if self.slave is not None:
+            probe = self.probe
+            payload = TamPayload.read(probe.address, probe.response_bits,
+                                      **probe.attributes)
+            payload.initiator = self.record[0]
+            payload.attributes["offset"] = self.offset
+            self.slave.tam_access(payload)
+        self.polls += 1
+        if self.running:
+            self.waiting = True
+            self.sim._push(self.poll_fs, self._timer)
+        else:
+            self.done._resume_waiters(self.polls)

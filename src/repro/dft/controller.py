@@ -71,35 +71,10 @@ class TestController(Channel):
     #: Chunks a logic BIST session advances in (status and power granularity).
     LOGIC_BIST_CHUNKS = 50
 
-    def run_logic_bist(self, session: str, wrapper: TestWrapper,
-                       pattern_count: int, chunks: int = LOGIC_BIST_CHUNKS,
-                       power: float = 1.0):
-        """Run a logic BIST session on *wrapper* (blocking; ``yield from``).
-
-        The core-internal LFSR applies the patterns; the TAM is not used for
-        pattern data.  The session advances in chunks so that progress is
-        visible to ATE status polls and to the power monitor.
-        """
-        status = self._open_logic_bist(session, wrapper, pattern_count)
-        chunk_size, _, cycles_per_pattern = self.logic_bist_chunks(
-            wrapper, pattern_count, chunks)
-        cycles_fs = self.tam.clock.cycles_fs
-        start_fs = self.sim.now_fs
-        applied = 0
-        while applied < pattern_count:
-            chunk = min(chunk_size, pattern_count - applied)
-            yield Timeout(cycles_fs(chunk * cycles_per_pattern))
-            wrapper.apply_bist_patterns(chunk)
-            applied += chunk
-            status["patterns_done"] = applied
-        self._close_logic_bist(status, wrapper, start_fs, self.sim.now_fs,
-                               power)
-        return status
-
     def leap_logic_bist(self, session: str, wrapper: TestWrapper,
                         pattern_count: int, start_fs: int, end_fs: int,
                         power: float = 1.0) -> None:
-        """Closed form of :meth:`run_logic_bist` over [*start_fs*,
+        """Closed form of a :class:`LogicBistEngine` run over [*start_fs*,
         *end_fs*], for a caller that knows nothing else acts in between.
 
         The patterns are applied at once (the MISR folds the range as it
@@ -119,12 +94,19 @@ class TestController(Channel):
         return (chunk_size, -(-pattern_count // chunk_size),
                 wrapper.shift_cycles_per_pattern(compressed=False))
 
-    def _open_logic_bist(self, session: str, wrapper: TestWrapper,
-                         pattern_count: int) -> Dict[str, object]:
+    def _check_logic_bist(self, wrapper: TestWrapper,
+                          pattern_count: int) -> None:
         if not self.enabled:
             raise RuntimeError(f"test controller {self.name!r} is not enabled")
         if pattern_count <= 0:
             raise ValueError("pattern_count must be positive")
+        if not wrapper.description.has_logic_bist:
+            raise ValueError(f"core {wrapper.description.core_name!r} has "
+                             f"no logic BIST engine")
+
+    def _open_logic_bist(self, session: str, wrapper: TestWrapper,
+                         pattern_count: int) -> Dict[str, object]:
+        self._check_logic_bist(wrapper, pattern_count)
         status = {"kind": "logic_bist", "core": wrapper.description.core_name,
                   "patterns_total": pattern_count, "patterns_done": 0,
                   "done": False}
@@ -211,3 +193,78 @@ class TestController(Channel):
 
     def __repr__(self):
         return f"TestController({self.name!r}, sessions={len(self.sessions)})"
+
+
+class LogicBistEngine:
+    """A logic-BIST session on *wrapper*, run by the controller in
+    chunks as scheduled callbacks.
+
+    The core-internal LFSR applies the patterns; the TAM is not used for
+    pattern data.  The session advances in chunks so that progress is
+    visible to ATE status polls and to the power monitor.
+
+    The engine pushes the entries an engine process running the chunk loop
+    would push: :meth:`_start` at delay 0 where the process was spawned,
+    a :meth:`_chunk_done` after each chunk's cycles where the process
+    yielded a ``Timeout``, and :meth:`_ended` at delay 0 where the
+    process's ``finished`` event was notified.  :attr:`running` is the
+    process's ``alive``: it falls in the last chunk's activation, one delta
+    before :meth:`_ended`, which does nothing here and which a subclass
+    watching the session overrides.  :attr:`status` is the session's
+    record.  A disabled controller, an empty session or a core without
+    logic BIST raises in the constructing activation, so the process
+    starting the engine fails, not the simulator's drain.
+    """
+
+    __slots__ = ("controller", "sim", "session", "wrapper", "pattern_count",
+                 "power", "chunks", "running", "status",
+                 "start_fs", "applied", "chunk", "chunk_size",
+                 "cycles_per_pattern")
+
+    def __init__(self, controller: TestController, session: str,
+                 wrapper: TestWrapper, pattern_count: int, power: float = 1.0,
+                 chunks: int = TestController.LOGIC_BIST_CHUNKS):
+        controller._check_logic_bist(wrapper, pattern_count)
+        self.controller = controller
+        self.sim = controller.sim
+        self.session = session
+        self.wrapper = wrapper
+        self.pattern_count = pattern_count
+        self.power = power
+        self.chunks = chunks
+        self.running = True
+        self.status = None
+        self.sim._push(0, self._start)
+
+    def _start(self) -> None:
+        controller = self.controller
+        self.status = controller._open_logic_bist(
+            self.session, self.wrapper, self.pattern_count)
+        self.chunk_size, _, self.cycles_per_pattern = (
+            controller.logic_bist_chunks(self.wrapper, self.pattern_count,
+                                         self.chunks))
+        self.start_fs = self.sim.now_fs
+        self.applied = 0
+        self._push_chunk()
+
+    def _push_chunk(self) -> None:
+        self.chunk = chunk = min(self.chunk_size,
+                                 self.pattern_count - self.applied)
+        self.sim._push(self.controller.tam.clock.cycles_fs(
+            chunk * self.cycles_per_pattern), self._chunk_done)
+
+    def _chunk_done(self) -> None:
+        self.wrapper.apply_bist_patterns(self.chunk)
+        self.applied += self.chunk
+        self.status["patterns_done"] = self.applied
+        if self.applied < self.pattern_count:
+            self._push_chunk()
+            return
+        self.controller._close_logic_bist(self.status, self.wrapper,
+                                          self.start_fs, self.sim.now_fs,
+                                          self.power)
+        self.running = False
+        self.sim._push(0, self._ended)
+
+    def _ended(self) -> None:
+        pass

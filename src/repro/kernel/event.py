@@ -117,6 +117,21 @@ class Event:
             for callback in list(self._callbacks):
                 callback(value)
 
+    def _resume_waiters(self, value) -> None:
+        """Resume the processes waiting on the event inside the running
+        activation, instead of pushing their resumptions as a notification
+        does (callbacks are not run).
+
+        For a callback-driven model standing in for a process whose
+        resumption would be the running activation: the waiter continues
+        there, as that process would have, and no entry is added.
+        """
+        self.last_value = value
+        waiters, self._waiters = self._waiters, []
+        for process in waiters:
+            process.unsubscribe_all()
+            process.resume(value)
+
     @property
     def waiter_count(self) -> int:
         """Number of processes currently waiting on the event."""

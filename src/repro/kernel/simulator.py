@@ -112,7 +112,12 @@ class Simulator:
         #: :meth:`credit_activations`, so a leap leaves the count as if
         #: every entry had been dispatched.
         self.dispatched_activations = 0
-        #: Credited entries not yet folded into the count (see run()).
+        #: The leapt entries among :attr:`dispatched_activations`, folded
+        #: into both counts at once.  Kept for observability: it tells how
+        #: much of a run the leaps carried (a leap that stops firing only
+        #: shows as lost speed) without wrapping the queue to count pushes.
+        self.credited_activations = 0
+        #: Credited entries not yet folded into the counts (see run()).
         self._credited = 0
 
     # -- time ----------------------------------------------------------------
@@ -287,7 +292,8 @@ class Simulator:
         Called from inside an activation.  The credit is folded into
         :attr:`dispatched_activations` with the timestamp's own dispatches,
         so a reader sees it exactly when it would see the entries had they
-        been dispatched at this timestamp.
+        been dispatched at this timestamp.  :attr:`credited_activations`
+        takes it at the same time.
         """
         self._credited += count
 
@@ -317,6 +323,7 @@ class Simulator:
         self._pending_count = 0
         self._cancelled_count = 0
         self.dispatched_activations = 0
+        self.credited_activations = 0
         self._credited = 0
 
     def request_update(self, primitive) -> None:
@@ -449,8 +456,11 @@ class Simulator:
                 # Fold the slot's dispatch count back per timestamp so that
                 # instrumentation reading the counter mid-run sees progress;
                 # the finally below only covers an exception mid-slot.
-                self.dispatched_activations += dispatched + self._credited
-                self._credited = 0
+                credited = self._credited
+                if credited:
+                    self.credited_activations += credited
+                    self._credited = 0
+                self.dispatched_activations += dispatched + credited
                 dispatched = 0
                 # Update phase (may schedule new delta activations at now).
                 if self._update_requests:
@@ -458,6 +468,7 @@ class Simulator:
                     if failures:
                         self._raise_pending_failure()
         finally:
+            self.credited_activations += self._credited
             self.dispatched_activations += dispatched + self._credited
             self._credited = 0
             self._lane_time = self._lane_time if lane else -1

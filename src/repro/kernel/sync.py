@@ -153,12 +153,16 @@ class Countdown:
         return self._done
 
     def arrive(self) -> None:
-        """Count one arrival; the last one resumes the waiting process."""
+        """Count one arrival; the last one resumes the waiting process.
+
+        An arrival with no wait pending raises ``RuntimeError`` and changes
+        nothing, so the countdown can still be armed afterwards.
+        """
+        if not self._pending:
+            raise RuntimeError("countdown arrival without a pending wait")
         self._pending -= 1
         if not self._pending:
             self._done._fire(None)
-        elif self._pending < 0:
-            raise RuntimeError("countdown arrival without a pending wait")
 
 
 class Semaphore:

@@ -14,6 +14,7 @@ from repro.dft import (
     TamPayload,
     generate_wrapper,
 )
+from repro.dft.controller import LogicBistEngine
 from repro.dft.controller import TestController as OnChipTestController
 from repro.dft.monitor import ActivityLog
 from repro.dft.wrapper import WrapperMode
@@ -153,13 +154,30 @@ class TestTestController:
                                                     scan_cells=64,
                                                     has_logic_bist=True)
         wrapper = generate_wrapper(sim, description)
+        # The engine refuses in the constructing activation and schedules
+        # nothing, so the process starting it fails, not the run.
+        with pytest.raises(RuntimeError, match="'ctrl' is not enabled"):
+            LogicBistEngine(controller, "s", wrapper, 100)
+        assert sim.pending_activations == 0
+        controller.enable()
+        with pytest.raises(ValueError, match="pattern_count must be positive"):
+            LogicBistEngine(controller, "s", wrapper, 0)
+        assert sim.pending_activations == 0
+        assert controller.sessions == {}
 
-        def flow():
-            yield from controller.run_logic_bist("s", wrapper, 100)
-
-        sim.spawn(flow())
-        with pytest.raises(Exception):
-            sim.run()
+    def test_core_without_logic_bist_is_refused(self, sim, clock):
+        tam = TamChannel(sim, "tam", width_bits=32, clock=clock)
+        controller = OnChipTestController(sim, "ctrl", tam=tam)
+        controller.enable()
+        description = CoreTestDescription.describe("core", chain_count=4,
+                                                    scan_cells=64,
+                                                    has_logic_bist=False)
+        wrapper = generate_wrapper(sim, description)
+        with pytest.raises(ValueError,
+                           match="core 'core' has no logic BIST"):
+            LogicBistEngine(controller, "s", wrapper, 100)
+        assert sim.pending_activations == 0
+        assert controller.sessions == {}
 
     def test_logic_bist_duration_and_accounting(self, sim, clock):
         tam = TamChannel(sim, "tam", width_bits=32, clock=clock)
@@ -170,20 +188,18 @@ class TestTestController:
                                                     scan_cells=4 * 50,
                                                     has_logic_bist=True)
         wrapper = generate_wrapper(sim, description)
-        holder = {}
-
-        def flow():
-            status = yield from controller.run_logic_bist("bist", wrapper, 1000,
-                                                          power=2.0)
-            holder["status"] = status
-
-        sim.spawn(flow())
+        engine = LogicBistEngine(controller, "bist", wrapper, 1000, power=2.0)
+        assert engine.running
         sim.run()
-        status = holder["status"]
+        assert not engine.running
+        status = engine.status
+        assert status is controller.sessions["bist"]
         assert status["done"]
+        assert status["patterns_done"] == 1000
         assert wrapper.bist_patterns_applied == 1000
         # 1000 patterns x (50 + 1) cycles.
         assert status["cycles"] == 1000 * 51
+        assert sim.now == clock.cycles(1000 * 51)
         assert len(log.records) == 1
         assert log.records[0].power == 2.0
 
@@ -195,11 +211,7 @@ class TestTestController:
                                                     scan_cells=8,
                                                     has_logic_bist=True)
         wrapper = generate_wrapper(sim, description)
-
-        def flow():
-            yield from controller.run_logic_bist("session_a", wrapper, 10)
-
-        sim.spawn(flow())
+        LogicBistEngine(controller, "session_a", wrapper, 10)
         sim.run()
         payload = TamPayload.read(0, response_bits=32, session="session_a")
         controller.tam_access(payload)

@@ -398,6 +398,28 @@ class TestCountdown:
         with pytest.raises(RuntimeError):
             Countdown(sim).arrive()
 
+    def test_refused_arrival_changes_nothing(self, sim):
+        """A stray arrival, before any wait or after one completed, raises
+        and leaves the countdown armable: the next wait still joins."""
+        countdown = Countdown(sim, "join")
+        resumed = []
+        with pytest.raises(RuntimeError, match="without a pending wait"):
+            countdown.arrive()
+
+        def waiter():
+            for _ in range(2):
+                for delay in (2, 5):
+                    sim.schedule_callback(countdown.arrive, SimTime(delay, NS))
+                yield countdown.wait(2)
+                resumed.append(sim.now_fs // NS)
+                with pytest.raises(RuntimeError,
+                                   match="without a pending wait"):
+                    countdown.arrive()
+
+        sim.spawn(waiter())
+        sim.run()
+        assert resumed == [5, 10]
+
 
 class TestSemaphore:
     def test_counting_behaviour(self, sim):
