@@ -27,7 +27,8 @@ invariants, not 5% jitter.
 Usage (the CI wiring)::
 
     python benchmarks/run_benchmarks.py --quick --label ci --out bench-artifacts
-    python benchmarks/check_regression.py --candidate-dir bench-artifacts
+    python benchmarks/check_regression.py --candidate-dir bench-artifacts \
+        --require-baseline
 
 Exit status is non-zero if any compared metric regresses beyond tolerance,
 or if ``--require-baseline`` is given and a candidate file has no

@@ -128,13 +128,32 @@ def _concatenated_artifact(documents, path) -> bytes:
     return path.read_bytes()
 
 
+def _autorange_interleaved(repeats, runs, floor_seconds) -> list:
+    """Autorange every *run(count)* in *runs* (see :func:`_autorange_count`),
+    then time them in turn, *repeats* rounds, so host drift hits every arm
+    equally.
+
+    *run(count)* returns ``(wall_seconds, result)``; returns one
+    ``(count, best_wall_seconds_per_pass, last_result)`` per run.
+    """
+    counts = [_autorange_count(run, floor_seconds) for run in runs]
+    best = [math.inf] * len(runs)
+    results = [None] * len(runs)
+    for _ in range(repeats):
+        for index, (run, count) in enumerate(zip(runs, counts)):
+            wall, results[index] = run(count)
+            best[index] = min(best[index], wall / count)
+    return list(zip(counts, best, results))
+
+
 def bench_kernel(scale: float) -> dict:
     """Dispatch throughput of the scheduler.
 
-    The *timeout* workload is the paper-shaped hot path: many concurrent
+    The *timeout* workload keeps the pending set large: many concurrent
     processes (cores shifting patterns, clock edges, status polls) each
-    waiting short, clock-period-sized delays, so the pending set stays large
-    and almost every activation is a near-future Timeout.  The *delta*
+    waiting short, clock-period-sized delays, about 160 entries pending
+    where a model row leaves a handful (docs/performance.md §22), and
+    almost every activation is a near-future Timeout.  The *delta*
     workload drains long same-timestamp chains (update-phase style).  The
     *spawn/join* workload measures process fan-out and joins: per step,
     two short child processes plus one delayed event, joined by ``AllOf``,
@@ -144,41 +163,48 @@ def bench_kernel(scale: float) -> dict:
     per delta process, one step per timeout step), so process creation,
     teardown and join cost are tracked next to raw dispatch; the cyclic-GC
     collections it triggers are reported for information.
+
+    Each arm repeats its workload until one timing lasts at least
+    ``min_arm_seconds``, and the three arms are timed in turn, best of
+    ``repeats_best_of`` rounds; walls are per pass of the workload.
     """
     procs = 160
     steps = max(1, int(1200 * scale))
+    delta_steps = max(1, int(40_000 * scale))
+    streams = 8
+    floor_seconds = 0.05 if scale < 1.0 else 0.5
     periods = [SimTime(7, NS), SimTime(10, NS), SimTime(13, NS), SimTime(10, NS)]
 
     def ticker(period, count):
         for _ in range(count):
             yield Timeout(period)
 
-    def run_timeout_workload():
-        sim = Simulator("bench_timeout")
-        for index in range(procs):
-            sim.spawn(ticker(periods[index % len(periods)], steps),
-                      name=f"t{index}")
-        start = time.perf_counter()
-        sim.run()
-        return time.perf_counter() - start, sim.dispatched_activations
-
-    timeout_wall, timeout_dispatched = _best_of(REPEATS, run_timeout_workload)
+    def run_timeout_workload(passes):
+        wall = 0.0
+        for _ in range(passes):
+            sim = Simulator("bench_timeout")
+            for index in range(procs):
+                sim.spawn(ticker(periods[index % len(periods)], steps),
+                          name=f"t{index}")
+            start = time.perf_counter()
+            sim.run()
+            wall += time.perf_counter() - start
+        return wall, sim.dispatched_activations
 
     def delta_chain(count):
         for _ in range(count):
             yield  # bare yield: next delta cycle, zero-delay fast lane
 
-    delta_steps = max(1, int(40_000 * scale))
-
-    def run_delta_workload():
-        sim = Simulator("bench_delta")
-        for index in range(8):
-            sim.spawn(delta_chain(delta_steps), name=f"d{index}")
-        start = time.perf_counter()
-        sim.run(until=SimTime(0))
-        return time.perf_counter() - start, sim.dispatched_activations
-
-    delta_wall, delta_dispatched = _best_of(REPEATS, run_delta_workload)
+    def run_delta_workload(passes):
+        wall = 0.0
+        for _ in range(passes):
+            sim = Simulator("bench_delta")
+            for index in range(streams):
+                sim.spawn(delta_chain(delta_steps), name=f"d{index}")
+            start = time.perf_counter()
+            sim.run(until=SimTime(0))
+            wall += time.perf_counter() - start
+        return wall, sim.dispatched_activations
 
     def stage(period, cycles):
         yield Timeout(period * cycles)
@@ -192,38 +218,51 @@ def bench_kernel(scale: float) -> dict:
             timer.notify(period * 5)
             yield AllOf([first.finished, second.finished, timer])
 
-    def run_spawn_join_workload():
-        sim = Simulator("bench_spawn_join")
-        for index in range(8):
-            sim.spawn(fan_out_stream(sim, steps), name=f"join{index}")
-        collections = sum(stat["collections"] for stat in gc.get_stats())
-        start = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - start
-        collections = sum(stat["collections"]
-                          for stat in gc.get_stats()) - collections
+    def run_spawn_join_workload(passes):
+        wall = 0.0
+        for _ in range(passes):
+            sim = Simulator("bench_spawn_join")
+            for index in range(streams):
+                sim.spawn(fan_out_stream(sim, steps), name=f"join{index}")
+            collections = sum(stat["collections"] for stat in gc.get_stats())
+            start = time.perf_counter()
+            sim.run()
+            wall += time.perf_counter() - start
+            collections = sum(stat["collections"]
+                              for stat in gc.get_stats()) - collections
         return wall, (sim.dispatched_activations, collections)
 
-    spawn_join_wall, (spawn_join_dispatched, spawn_join_collections) = \
-        _best_of(REPEATS, run_spawn_join_workload)
+    (
+        (timeout_passes, timeout_wall, timeout_dispatched),
+        (delta_passes, delta_wall, delta_dispatched),
+        (spawn_join_passes, spawn_join_wall,
+         (spawn_join_dispatched, spawn_join_collections)),
+    ) = _autorange_interleaved(
+        REPEATS, [run_timeout_workload, run_delta_workload,
+                  run_spawn_join_workload], floor_seconds)
 
     return {
         "workload": {
             "timeout_processes": procs,
             "timeout_steps_per_process": steps,
-            "delta_processes": 8,
+            "delta_processes": streams,
             "delta_steps_per_process": delta_steps,
+            "spawn_join_streams": streams,
+            "min_arm_seconds": floor_seconds,
             "repeats_best_of": REPEATS,
         },
+        "timeout_passes": timeout_passes,
         "timeout_dispatched": timeout_dispatched,
         "timeout_wall_seconds": round(timeout_wall, 6),
         "timeout_dispatch_per_second": round(timeout_dispatched / timeout_wall, 1),
+        "delta_passes": delta_passes,
         "delta_dispatched": delta_dispatched,
         "delta_wall_seconds": round(delta_wall, 6),
         "delta_dispatch_per_second": round(delta_dispatched / delta_wall, 1),
         "dispatch_per_second": round(
             (timeout_dispatched + delta_dispatched) / (timeout_wall + delta_wall), 1
         ),
+        "spawn_join_passes": spawn_join_passes,
         "spawn_join_dispatched": spawn_join_dispatched,
         "spawn_join_wall_seconds": round(spawn_join_wall, 6),
         "spawn_join_per_second": round(spawn_join_dispatched / spawn_join_wall, 1),
@@ -982,14 +1021,11 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
             cycles = batch.task_cycles()
         return time.perf_counter() - start, cycles
 
-    scalar_passes = _autorange_count(run_scalar_eval, floor_seconds)
-    batch_passes = _autorange_count(run_batch_eval, floor_seconds)
-    scalar_wall = batch_wall = math.inf
-    for _ in range(REPEATS):
-        wall, scalar_estimates = run_scalar_eval(scalar_passes)
-        scalar_wall = min(scalar_wall, wall / scalar_passes)
-        wall, batch_cycles = run_batch_eval(batch_passes)
-        batch_wall = min(batch_wall, wall / batch_passes)
+    (
+        (_, scalar_wall, scalar_estimates),
+        (_, batch_wall, batch_cycles),
+    ) = _autorange_interleaved(REPEATS, [run_scalar_eval, run_batch_eval],
+                               floor_seconds)
     batch_estimates = {
         (spec_name, task_name): int(batch_cycles[row])
         for spec_name, rows in batch_rows.items()

@@ -1,26 +1,17 @@
 """The discrete-event scheduler.
 
-The kernel uses a hybrid three-tier event store instead of a single binary
-heap:
+The event store has two parts:
 
-* a **deque fast lane** for activations at the current timestamp (delta
-  cycles and zero-delay notifications join the running drain in O(1) with no
-  comparisons at all),
-* a **hashed timing wheel** for near-future activations: one bucket per
-  exact timestamp, rotated by a min-heap of *integer* bucket times.  Pushing
-  into an existing bucket is a dict hit plus a list append; the heap is only
-  touched once per distinct timestamp, so clock-period-sized Timeouts — the
-  dominant event class of the TLM models — cost O(1) amortized instead of
-  O(log n) Python-level entry comparisons,
-* a **far-future overflow heap** for entries beyond the wheel horizon, which
-  keeps the bucket-time heap small when a model schedules sparse long-range
-  events.  The horizon advances (and overflow entries cascade into buckets)
-  only when the near store drains.
+* a **deque fast lane** for activations at the timestamp being drained
+  (delta cycles and zero-delay notifications join the running drain in O(1)
+  with no comparisons at all),
+* one **binary heap** of ``(time_fs, sequence, entry)`` tuples for every
+  later activation.  The sequence number is unique, so tuple comparison
+  never reaches the entry and runs entirely in C.
 
-Determinism is bit-identical to the heap scheduler it replaced: entries carry
-a global sequence number, buckets are appended to in sequence order, and the
-overflow heap orders ties by sequence, so simultaneous activations always run
-in exact FIFO-per-timestamp order.
+The drain pops every tuple at the next timestamp into the fast lane, so
+simultaneous activations always run in exact FIFO-per-timestamp order, the
+order of a plain ``(time, sequence)`` heap scheduler.
 """
 
 from __future__ import annotations
@@ -38,25 +29,17 @@ from repro.kernel.simtime import SimTime
 
 
 class _QueueEntry:
-    """An entry in the event store.
+    """An entry in the event store: the scheduled action and its value.
 
-    Entries are ordered by time first and by insertion order second so that
-    simultaneous activations run in a deterministic (FIFO) order.
+    Its time and FIFO order live in the heap tuple that carries it.
     """
 
-    __slots__ = ("time_fs", "sequence", "action", "value", "cancelled")
+    __slots__ = ("action", "value", "cancelled")
 
-    def __init__(self, time_fs: int, sequence: int, action, value):
-        self.time_fs = time_fs
-        self.sequence = sequence
+    def __init__(self, action, value):
         self.action = action
         self.value = value
         self.cancelled = False
-
-    def __lt__(self, other):
-        if self.time_fs != other.time_fs:
-            return self.time_fs < other.time_fs
-        return self.sequence < other.sequence
 
 
 class Simulator:
@@ -77,25 +60,13 @@ class Simulator:
     #: (the rebuild would cost more than it frees).
     _COMPACT_MIN_QUEUE = 64
 
-    #: Width of the timing wheel's near-future window.  Entries scheduled
-    #: beyond ``now + span`` overflow into the far-future heap and cascade
-    #: into wheel buckets as the horizon advances.  2**44 fs ~ 17.6 ms of
-    #: simulated time — generous for clock-period-sized delays.
-    _WHEEL_SPAN_FS = 1 << 44
-
     def __init__(self, name: str = "sim"):
         self.name = name
         #: Fast lane: activations at the timestamp currently being drained.
         self._lane = deque()
         self._lane_time = -1
-        #: Timing wheel: exact-timestamp buckets plus their rotation heap.
-        self._buckets = {}
-        self._bucket_times: List[int] = []
-        #: Far-future overflow (beyond the wheel horizon).
-        self._far: List[_QueueEntry] = []
-        self._horizon = self._WHEEL_SPAN_FS
-        #: Total entries across all three tiers, including cancelled ones.
-        self._entry_count = 0
+        #: Every later activation, as (time_fs, sequence, entry) tuples.
+        self._heap: List[tuple] = []
         self._sequence = 0
         self._now_fs = 0
         self._running = False
@@ -146,24 +117,15 @@ class Simulator:
         else:
             delay_fs = SimTime.coerce(delay).femtoseconds
         time_fs = self._now_fs + delay_fs
-        entry = _QueueEntry(time_fs, self._sequence, action, value)
-        self._sequence += 1
+        entry = _QueueEntry(action, value)
         self._pending_count += 1
-        self._entry_count += 1
         if time_fs == self._lane_time:
             # Delta activation at the timestamp being drained: join the
             # running drain through the fast lane (no heap, no comparisons).
             self._lane.append(entry)
-        elif time_fs < self._horizon:
-            buckets = self._buckets
-            bucket = buckets.get(time_fs)
-            if bucket is None:
-                buckets[time_fs] = [entry]
-                heapq.heappush(self._bucket_times, time_fs)
-            else:
-                bucket.append(entry)
         else:
-            heapq.heappush(self._far, entry)
+            heapq.heappush(self._heap, (time_fs, self._sequence, entry))
+        self._sequence += 1
         return entry
 
     def schedule_process(self, process: Process, delay=0, value=None) -> _QueueEntry:
@@ -193,70 +155,34 @@ class Simulator:
         entry.value = None
         self._pending_count -= 1
         self._cancelled_count += 1
-        if (self._entry_count >= self._COMPACT_MIN_QUEUE
-                and self._cancelled_count * 2 > self._entry_count):
+        entry_count = len(self._lane) + len(self._heap)
+        if (entry_count >= self._COMPACT_MIN_QUEUE
+                and self._cancelled_count * 2 > entry_count):
             self._compact()
         return True
 
     def _compact(self) -> None:
-        """Drop cancelled entries from all tiers in one pass.
+        """Drop cancelled entries from the lane and the heap in one pass.
 
-        The fast lane is filtered in place: ``run()`` drains it with
-        ``popleft``, so a cancellation from inside a dispatched action must
-        not strand the running drain on a stale deque.
+        Both are mutated in place: the run() drain holds local aliases to
+        them, and a cancellation from inside a dispatched action must not
+        strand the running drain on stale containers.
         """
-        # All three tiers are mutated in place: the run() drain holds local
-        # aliases to them, and a cancellation from inside a dispatched action
-        # must not strand the running drain on stale containers.
         lane = self._lane
         if lane:
             live = [entry for entry in lane if not entry.cancelled]
             lane.clear()
             lane.extend(live)
-        buckets = self._buckets
-        survivors = {}
-        for time_fs, entries in buckets.items():
-            live = [entry for entry in entries if not entry.cancelled]
-            if live:
-                survivors[time_fs] = live
-        buckets.clear()
-        buckets.update(survivors)
-        self._bucket_times[:] = buckets
-        heapq.heapify(self._bucket_times)
-        self._far[:] = [entry for entry in self._far if not entry.cancelled]
-        heapq.heapify(self._far)
-        self._entry_count = (len(lane) + len(self._far)
-                             + sum(len(entries) for entries in buckets.values()))
+        heap = self._heap
+        heap[:] = [item for item in heap if not item[2].cancelled]
+        heapq.heapify(heap)
         self._cancelled_count = 0
-
-    def _cascade_far(self) -> None:
-        """Advance the wheel horizon and move matured overflow entries into
-        buckets.  Called only when the lane and the wheel are empty, so the
-        migrated entries (popped in (time, sequence) order) seed fresh
-        buckets in FIFO order."""
-        far = self._far
-        self._horizon = far[0].time_fs + self._WHEEL_SPAN_FS
-        buckets = self._buckets
-        bucket_times = self._bucket_times
-        horizon = self._horizon
-        while far and far[0].time_fs < horizon:
-            entry = heapq.heappop(far)
-            bucket = buckets.get(entry.time_fs)
-            if bucket is None:
-                buckets[entry.time_fs] = [entry]
-                heapq.heappush(bucket_times, entry.time_fs)
-            else:
-                bucket.append(entry)
 
     @property
     def _queue(self) -> List[_QueueEntry]:
         """Flat view of every entry still in the event store (incl. lazily
         deleted ones), for introspection and the kernel edge-case tests."""
-        entries = list(self._lane)
-        for time_fs in sorted(self._buckets):
-            entries.extend(self._buckets[time_fs])
-        entries.extend(sorted(self._far))
-        return entries
+        return list(self._lane) + [entry for _, _, entry in sorted(self._heap)]
 
     def lookahead_fs(self) -> Union[int, float]:
         """Latest time (fs) up to which nothing but the running activation
@@ -266,20 +192,15 @@ class Simulator:
         entries would all be dispatched no later than this time: no other
         entry can run in between to observe the difference.  It is ``-1``
         when the fast lane holds another entry or an update is requested,
-        otherwise one less than the earliest pending bucket or far-heap
-        time (``inf`` when nothing is pending), capped by the running
-        ``run(until=...)`` bound.  Cancelled entries still count as
-        pending, which only makes the answer more conservative.
+        otherwise one less than the earliest time on the heap (``inf`` when
+        nothing is pending), capped by the running ``run(until=...)``
+        bound.  Cancelled entries still count as pending, which only makes
+        the answer more conservative.
         """
         if self._lane or self._update_requests:
             return -1
-        buckets = self._buckets
-        bucket_times = self._bucket_times
-        while bucket_times and bucket_times[0] not in buckets:
-            heapq.heappop(bucket_times)  # stale: bucket already drained
-        horizon = bucket_times[0] - 1 if bucket_times else math.inf
-        if self._far and self._far[0].time_fs <= horizon:
-            horizon = self._far[0].time_fs - 1
+        heap = self._heap
+        horizon = heap[0][0] - 1 if heap else math.inf
         limit_fs = self._limit_fs
         if limit_fs is not None and limit_fs < horizon:
             return limit_fs
@@ -300,24 +221,21 @@ class Simulator:
     def rewind(self) -> None:
         """Return an idle simulator to the state its constructor left.
 
-        Time goes back to 0, the sequence and dispatch counters restart,
-        and the event store is emptied of the stale bucket times a drain
-        leaves behind, so the next run dispatches exactly what it would
-        on a new simulator.  Raises :class:`SchedulingError` unless the
-        simulator is idle: not running, with no entry (cancelled ones
-        included), update request or unreported process failure left.
+        Time goes back to 0 and the sequence and dispatch counters
+        restart, so the next run dispatches exactly what it would on a new
+        simulator.  Raises :class:`SchedulingError` unless the simulator is
+        idle: not running, with no entry (cancelled ones included), update
+        request or unreported process failure left.
         """
-        if (self._running or self._entry_count or self._update_requests
+        entry_count = len(self._lane) + len(self._heap)
+        if (self._running or entry_count or self._update_requests
                 or self._failures):
             raise SchedulingError(
                 f"cannot rewind simulator {self.name!r}: it is not idle "
-                f"({self._entry_count} entries in the event store)")
+                f"({entry_count} entries in the event store)")
         self._lane.clear()
         self._lane_time = -1
-        self._buckets.clear()
-        self._bucket_times.clear()
-        self._far.clear()
-        self._horizon = self._WHEEL_SPAN_FS
+        self._heap.clear()
         self._sequence = 0
         self._now_fs = 0
         self._pending_count = 0
@@ -366,19 +284,19 @@ class Simulator:
                 f"cannot run until {SimTime(limit_fs)}: simulated time is "
                 f"already {self.now}"
             )
-        if (limit_fs is not None and not self._entry_count
+        lane = self._lane
+        heap = self._heap
+        if (limit_fs is not None and not lane and not heap
                 and not self._update_requests):
             raise DeadlockError("nothing is scheduled; simulation cannot advance")
         self._running = True
         self._limit_fs = limit_fs
         # The drain below is the hottest loop of the whole stack, so the
-        # three tiers (and a few bound methods) are aliased into locals.
-        # _compact() and _cascade_far() mutate the containers in place, which
-        # keeps these aliases valid across compactions mid-drain.
-        lane = self._lane
+        # store (and a few bound methods) are aliased into locals.
+        # _compact() mutates the containers in place, which keeps these
+        # aliases valid across compactions mid-drain.
         lane_popleft = lane.popleft
-        buckets = self._buckets
-        bucket_times = self._bucket_times
+        lane_append = lane.append
         failures = self._failures
         process_class = Process
         event_class = Event
@@ -386,35 +304,30 @@ class Simulator:
         heappop = heapq.heappop
         dispatched = 0
         try:
-            while self._entry_count or self._update_requests:
-                # Earliest pending timestamp across the three tiers (the fast
-                # lane is only non-empty here when a previous run() aborted
-                # mid-drain with an exception).
+            while lane or heap or self._update_requests:
+                # Earliest pending timestamp (the fast lane is only
+                # non-empty here when a previous run() aborted mid-drain
+                # with an exception).
                 if lane:
                     next_time = self._lane_time
+                elif heap:
+                    next_time, _, entry = heap[0]
+                    if entry.cancelled and (limit_fs is None
+                                            or next_time <= limit_fs):
+                        # A cancelled entry must not move simulated time.
+                        heappop(heap)
+                        self._cancelled_count -= 1
+                        continue
                 else:
-                    next_time = None
-                    while bucket_times:
-                        time_fs = bucket_times[0]
-                        if time_fs in buckets:
-                            next_time = time_fs
-                            break
-                        heappop(bucket_times)  # stale: bucket already drained
-                    if next_time is None:
-                        if self._far:
-                            self._cascade_far()
-                            next_time = bucket_times[0]
-                        else:
-                            next_time = self._now_fs  # update requests only
+                    next_time = self._now_fs  # update requests only
                 if limit_fs is not None and next_time > limit_fs:
                     self._now_fs = limit_fs
                     break
                 self._now_fs = next_time
-                # Pull the wheel bucket for this timestamp into the fast
-                # lane; delta entries pushed during the drain join it there.
-                bucket = buckets.pop(next_time, None)
-                if bucket is not None:
-                    lane.extend(bucket)
+                # Pull every entry at this timestamp into the fast lane;
+                # delta entries pushed during the drain join it there.
+                while heap and heap[0][0] == next_time:
+                    lane_append(heappop(heap)[2])
                 self._lane_time = next_time
                 # Evaluate phase: drain the slot of activations at the current
                 # timestamp in FIFO order.  The dispatch counter accumulates
@@ -422,7 +335,6 @@ class Simulator:
                 # an exception escaping an action does not lose the batch.
                 while lane:
                     entry = lane_popleft()
-                    self._entry_count -= 1
                     if entry.cancelled:
                         self._cancelled_count -= 1
                         continue

@@ -8,8 +8,6 @@ pending work and reads the answer from inside an activation.
 
 import math
 
-from repro.kernel import Simulator
-
 
 def lookahead_at(sim, time_fs):
     """Schedule a callback at *time_fs* that records the lookahead it sees."""
@@ -66,35 +64,31 @@ def test_a_pending_update_leaves_no_room(sim):
     assert seen == [-1]
 
 
-def test_stale_bucket_times_are_skipped(sim):
-    # The bucket of the running timestamp (and of an earlier one) has been
-    # drained, but its time can still sit on the rotation heap.
+def test_a_drained_timestamp_does_not_bound_the_answer(sim):
+    # Earlier timestamps, the running one included, have been drained:
+    # only the next pending entry bounds the answer.
     seen = []
     sim.schedule_callback(lambda: None, 5)
-
-    def action():
-        assert sim._bucket_times[0] == 10  # stale: drained into the lane
-        seen.append(sim.lookahead_fs())
-
-    sim.schedule_callback(action, 10)
+    sim.schedule_callback(lambda: seen.append(sim.lookahead_fs()), 10)
     sim.schedule_callback(lambda: None, 40)
     sim.run()
     assert seen == [39]
 
 
-def test_a_far_heap_entry_bounds_the_answer(sim):
-    far_fs = Simulator._WHEEL_SPAN_FS + 1000
+#: A distance far beyond any clock period (2**44 fs, about 17.6 ms).
+FAR_FS = (1 << 44) + 1000
+
+
+def test_a_very_distant_entry_bounds_the_answer(sim):
     seen = lookahead_at(sim, 10)
-    sim.schedule_callback(lambda: None, far_fs)
-    assert sim._far  # beyond the wheel horizon
+    sim.schedule_callback(lambda: None, FAR_FS)
     sim.run()
-    assert seen == [far_fs - 1]
+    assert seen == [FAR_FS - 1]
 
 
-def test_the_earlier_of_bucket_and_far_heap_wins(sim):
-    far_fs = Simulator._WHEEL_SPAN_FS + 1000
+def test_the_earliest_pending_entry_wins(sim):
     seen = lookahead_at(sim, 10)
-    sim.schedule_callback(lambda: None, far_fs)
+    sim.schedule_callback(lambda: None, FAR_FS)
     sim.schedule_callback(lambda: None, 30)
     sim.run()
     assert seen == [29]

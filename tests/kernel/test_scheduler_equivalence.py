@@ -1,12 +1,12 @@
-"""Differential tests: the hybrid timing-wheel scheduler against a model.
+"""Differential tests: the kernel's scheduler against a model.
 
-The kernel's three-tier event store (deque fast lane + hashed timing wheel +
-far-future overflow heap) must dispatch the exact same (time, FIFO-order)
-sequence as the plain binary-heap scheduler it replaced.  These tests drive
-both the kernel and a minimal reference heap with hypothesis-generated
-scripts of schedules and cancellations — including ``until`` boundaries and
-entries far enough out to cross the wheel horizon — and require identical
-dispatch logs.
+The kernel's event store (a deque fast lane for the running timestamp plus
+one heap for later ones) must dispatch the exact same (time, FIFO-order)
+sequence as a plain binary-heap scheduler and end at the same simulated
+time.  These tests drive both the kernel and a minimal reference heap with
+hypothesis-generated scripts of schedules and cancellations — including
+``until`` boundaries and entries at very distant times — and require
+identical dispatch logs.
 """
 
 import heapq
@@ -14,7 +14,6 @@ import heapq
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel import NS, SimTime, Simulator, Timeout
-from repro.kernel.simulator import Simulator as KernelSimulator
 
 
 class ReferenceScheduler:
@@ -53,8 +52,8 @@ class ReferenceScheduler:
 
 
 #: One scripted operation: (delay_fs, cancel_index_or_None).
-#: Delays span the delta fast lane (0), wheel buckets (small) and the
-#: far-future overflow (beyond Simulator._WHEEL_SPAN_FS).
+#: Delays span the delta fast lane (0), near clock-period-sized times and
+#: very distant ones (2**44 to 2**45 fs, about 17.6 to 35.2 ms).
 _DELAYS = st.one_of(
     st.just(0),
     st.integers(min_value=1, max_value=50),
@@ -97,6 +96,8 @@ def test_dispatch_sequence_matches_reference_heap(operations):
     sim.run()
     reference.run()
     assert kernel_log == reference.log
+    # A cancelled entry never moves simulated time.
+    assert sim.now_fs == reference.now_fs
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,6 +129,7 @@ def test_until_boundary_matches_reference_heap(operations, until_fs):
         sim.run()
         reference.run()
         assert kernel_log == reference.log
+        assert sim.now_fs == reference.now_fs
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,13 +156,14 @@ def test_timeout_processes_match_reference_order(delays):
     assert kernel_log == reference.log
 
 
-def test_far_future_overflow_cascades_in_order():
-    """Entries beyond the wheel horizon dispatch in exact (time, seq) order."""
-    sim = KernelSimulator("cascade")
-    span = KernelSimulator._WHEEL_SPAN_FS
+def test_same_time_collisions_at_large_times_dispatch_in_order():
+    """Entries at very distant, colliding times dispatch in exact (time,
+    seq) order."""
+    sim = Simulator("collisions")
+    span = 1 << 44
     log = []
     # Interleave near, far and very-far entries, with same-time collisions
-    # across the horizon boundary.
+    # at large times.
     times = [span + 5, 10, span + 5, 3 * span, 10, span + 5, 2 * span + 7]
     for index, time_fs in enumerate(times):
         sim.schedule_callback(lambda t=time_fs, i=index: log.append((t, i)),

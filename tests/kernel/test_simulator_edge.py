@@ -110,6 +110,17 @@ class TestCancellation:
         assert sim.cancel(entry) is False
         assert sim.pending_activations == 0
 
+    def test_a_cancelled_entry_past_until_still_stops_at_the_bound(self, sim):
+        sim.schedule_callback(lambda: None, 5)
+        entry = sim.schedule_callback(lambda: None, 100)
+        sim.cancel(entry)
+        sim.run(until=50)
+        assert sim.now_fs == 50
+        # Unbounded, the cancelled entry is dropped without moving time.
+        sim.run()
+        assert sim.now_fs == 50
+        assert not sim._queue
+
     def test_cancel_releases_action_and_value(self, sim):
         marker = object()
         entry = sim.schedule_callback(lambda m=marker: m, SimTime(1, NS))
