@@ -36,7 +36,8 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.explore.artifact import write_csv, write_json
 from repro.explore.scenarios import Scenario, ScenarioGrid, ScenarioSpec, build_scenario
@@ -117,8 +118,10 @@ class CampaignOutcome:
     #: CPU time of the schedule simulation (``time.process_time()`` around
     #: the run, i.e. user+system time of this process), matching the paper's
     #: "CPU [s]" column.  Not wall-clock: on a loaded host the two diverge,
-    #: and the paper reports compute cost, not queueing.  Nondeterministic
-    #: (dropped from deterministic artifacts).
+    #: and the paper reports compute cost, not queueing.  A row whose plan
+    #: an earlier row of its scenario already simulated reuses that
+    #: simulation, and its CPU time with it.  Nondeterministic (dropped
+    #: from deterministic artifacts).
     cpu_seconds: float = 0.0
     worker: int = 0
 
@@ -211,6 +214,9 @@ _SCENARIO_CACHE: Dict[ScenarioSpec, Scenario] = {}
 _SCENARIO_CACHE_MAX = 256
 _SCENARIO_CACHE_HITS = 0
 _SCENARIO_CACHE_MISSES = 0
+#: Rows served from a scenario's simulation memo, and rows simulated.
+_SIMULATION_HITS = 0
+_SIMULATION_MISSES = 0
 
 
 def cached_scenario(spec: ScenarioSpec) -> Scenario:
@@ -229,9 +235,13 @@ def cached_scenario(spec: ScenarioSpec) -> Scenario:
 
 
 def scenario_cache_stats() -> Dict[str, int]:
-    """Hit/miss counts since process start (scraped by the metrics plane)."""
+    """Scenario-memo and simulation-memo hit/miss counts since process
+    start or the last :func:`clear_scenario_cache` (scraped by the metrics
+    plane)."""
     return {"hits": _SCENARIO_CACHE_HITS, "misses": _SCENARIO_CACHE_MISSES,
-            "size": len(_SCENARIO_CACHE)}
+            "size": len(_SCENARIO_CACHE),
+            "simulation_hits": _SIMULATION_HITS,
+            "simulation_misses": _SIMULATION_MISSES}
 
 
 #: The SoC of the most recent row's scenario, as a one-entry list holding
@@ -245,13 +255,16 @@ _SOC_SLOT: List[Tuple[Scenario, SocTlmBase]] = []
 
 
 def clear_scenario_cache() -> None:
-    """Drop the per-process scenario memo and the SoC slot (test isolation
-    hook)."""
+    """Drop the per-process scenario memo, with the simulation memos its
+    scenarios hold, and the SoC slot (test isolation hook)."""
     global _SCENARIO_CACHE_HITS, _SCENARIO_CACHE_MISSES
+    global _SIMULATION_HITS, _SIMULATION_MISSES
     _SCENARIO_CACHE.clear()
     _SOC_SLOT.clear()
     _SCENARIO_CACHE_HITS = 0
     _SCENARIO_CACHE_MISSES = 0
+    _SIMULATION_HITS = 0
+    _SIMULATION_MISSES = 0
 
 
 def _scenario_soc(scenario: Scenario) -> SocTlmBase:
@@ -266,44 +279,77 @@ def _scenario_soc(scenario: Scenario) -> SocTlmBase:
     return soc
 
 
+class _Simulated(NamedTuple):
+    """What a row reads off the simulation of its plan."""
+
+    test_length_cycles: int
+    peak_tam_utilization: float
+    avg_tam_utilization: float
+    peak_power: float
+    avg_power: float
+    simulated_activations: int
+    completed: bool
+    cpu_seconds: float
+
+
 def _run_job(job: CampaignJob, horizon_cycles: Optional[int]
              ) -> Tuple[CampaignOutcome, bool]:
     """The body of :func:`execute_job` and :func:`execute_job_raced`.
 
     Neither public function calls the other, so a wrapper installed on
     either name (a profiler marking row starts, say) sees each row once.
+
+    A scenario simulates each distinct plan once per horizon: a row whose
+    schedule has the phases of one an earlier row simulated, in the same
+    in-phase order (spawn order sets FIFO arbitration), reuses that row's
+    scalars from :attr:`Scenario.simulations`.  The schedule's name only
+    labels processes and programs, so it stays out of the key; the
+    horizon stays in, because a race-stopped row holds partial metrics.
     """
+    global _SIMULATION_HITS, _SIMULATION_MISSES
     scenario = cached_scenario(job.spec)
     # Resolves pre-built schedules and materializes registered strategy
     # specs on demand (deterministically, so memoized builds equal cold
     # ones); unknown names raise KeyError.
     schedule = scenario.schedule_for(job.schedule)
-    soc = _scenario_soc(scenario)
-    # CPU time, not wall clock: the cpu_seconds column reproduces the
-    # paper's "CPU [s]" numbers, which measure compute cost.  perf_counter
-    # here would fold in scheduler queueing on loaded hosts.
-    cpu_start = time.process_time()
-    metrics = soc.run_test_schedule(schedule, scenario.tasks,
-                                    horizon_cycles=horizon_cycles)
-    cpu_seconds = time.process_time() - cpu_start
+    key = (tuple(map(tuple, schedule.phases)), horizon_cycles)
+    simulated = scenario.simulations.get(key)
+    if simulated is None:
+        _SIMULATION_MISSES += 1
+        soc = _scenario_soc(scenario)
+        # CPU time, not wall clock: the cpu_seconds column reproduces the
+        # paper's "CPU [s]" numbers, which measure compute cost.
+        # perf_counter here would fold in scheduler queueing on loaded
+        # hosts.
+        cpu_start = time.process_time()
+        metrics = soc.run_test_schedule(schedule, scenario.tasks,
+                                        horizon_cycles=horizon_cycles)
+        cpu_seconds = time.process_time() - cpu_start
+        simulated = scenario.simulations[key] = _Simulated(
+            metrics.test_length_cycles, metrics.peak_tam_utilization,
+            metrics.avg_tam_utilization, metrics.peak_power,
+            metrics.avg_power, metrics.simulated_activations,
+            metrics.completed, cpu_seconds)
+        if metrics.completed:
+            _SOC_SLOT[:] = [(scenario, soc)]
+    else:
+        _SIMULATION_HITS += 1
     outcome = CampaignOutcome(
         spec=job.spec,
         schedule=job.schedule,
         phase_count=schedule.phase_count,
         task_count=len(schedule.task_names),
         estimated_cycles=scenario.estimated_cycles(job.schedule),
-        test_length_cycles=metrics.test_length_cycles,
-        peak_tam_utilization=metrics.peak_tam_utilization,
-        avg_tam_utilization=metrics.avg_tam_utilization,
-        peak_power=metrics.peak_power,
-        avg_power=metrics.avg_power,
-        simulated_activations=metrics.simulated_activations,
-        cpu_seconds=cpu_seconds,
+        test_length_cycles=simulated.test_length_cycles,
+        peak_tam_utilization=simulated.peak_tam_utilization,
+        avg_tam_utilization=simulated.avg_tam_utilization,
+        peak_power=simulated.peak_power,
+        avg_power=simulated.avg_power,
+        simulated_activations=simulated.simulated_activations,
+        cpu_seconds=simulated.cpu_seconds,
         worker=os.getpid(),
     )
-    if metrics.completed:
-        _SOC_SLOT[:] = [(scenario, soc)]
-    return outcome, not metrics.completed
+    return outcome, not simulated.completed
 
 
 def execute_job(job: CampaignJob) -> CampaignOutcome:
@@ -312,7 +358,9 @@ def execute_job(job: CampaignJob) -> CampaignOutcome:
     Builds the scenario from its spec (through the per-process memo),
     takes its SoC TLM (built once per scenario and rewound between the
     scenario's rows), runs the schedule and reduces the metrics to plain
-    scalars so the outcome travels cheaply across process boundaries.
+    scalars so the outcome travels cheaply across process boundaries.  A
+    plan the scenario already simulated is not simulated again (see
+    :func:`_run_job`).
     """
     return _run_job(job, None)[0]
 

@@ -429,6 +429,14 @@ class Coordinator:
                            outcome="miss")
         cache.set_function(lambda: scenario_cache_stats()["size"],
                            outcome="size")
+        memo = metrics.gauge(
+            "simulation_memo_rows",
+            "Rows served from a scenario's simulation memo (hit) or "
+            "simulated (miss) in this process.")
+        memo.set_function(lambda: scenario_cache_stats()["simulation_hits"],
+                          outcome="hit")
+        memo.set_function(lambda: scenario_cache_stats()["simulation_misses"],
+                          outcome="miss")
         self._m_draining.set(0)
         self._m_active.set(0)
 

@@ -257,6 +257,12 @@ class Scenario:
     estimator: Optional[TestTimeEstimator] = None
     #: The power model scheduler strategies build against (the spec's budget).
     power_model: Optional[PowerModel] = None
+    #: The campaign layer's memo of simulated plans: ``(phases as tuples,
+    #: horizon_cycles)`` -> the scalars a row reads off that simulation
+    #: (see :func:`repro.explore.campaign._run_job`).  Not part of the
+    #: scenario's value; it lives and dies with the memoized scenario.
+    simulations: Dict[tuple, tuple] = field(default_factory=dict,
+                                            compare=False, repr=False)
 
     def schedule_for(self, name: str) -> TestSchedule:
         """Resolve a schedule by name, materializing strategies on demand.

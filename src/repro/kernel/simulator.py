@@ -275,8 +275,10 @@ class Simulator:
         Without *until* the simulation runs until the event queue drains.
         With *until* it runs up to and including that absolute time and raises
         :class:`DeadlockError` if asked to reach a time for which no activity
-        is pending at all, or :class:`SchedulingError` (leaving :attr:`now`
-        unchanged) if that time is already in the past.
+        is pending at all (cancelled entries are no activity), or
+        :class:`SchedulingError` (leaving :attr:`now` unchanged) if that time
+        is already in the past.  Updates requested before the call are
+        applied at the current time, before time advances.
         """
         limit_fs = None if until is None else SimTime.coerce(until).femtoseconds
         if limit_fs is not None and limit_fs < self._now_fs:
@@ -286,7 +288,7 @@ class Simulator:
             )
         lane = self._lane
         heap = self._heap
-        if (limit_fs is not None and not lane and not heap
+        if (limit_fs is not None and not self._pending_count
                 and not self._update_requests):
             raise DeadlockError("nothing is scheduled; simulation cannot advance")
         self._running = True
@@ -304,6 +306,12 @@ class Simulator:
         heappop = heapq.heappop
         dispatched = 0
         try:
+            if self._update_requests and not lane:
+                # Requested outside a drain: the update phase of the
+                # current time is still due.
+                self._run_update_phase()
+                if failures:
+                    self._raise_pending_failure()
             while lane or heap or self._update_requests:
                 # Earliest pending timestamp (the fast lane is only
                 # non-empty here when a previous run() aborted mid-drain

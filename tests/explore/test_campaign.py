@@ -37,6 +37,7 @@ from repro.explore.scenarios import (
     derive_seed,
     generate_core_descriptions,
 )
+from repro.schedule.model import TestSchedule
 
 
 def small_spec(name="spec", **overrides) -> ScenarioSpec:
@@ -523,6 +524,13 @@ REUSE_SPECS = (
 )
 
 
+class ForgetfulDict(dict):
+    """A simulation memo that stores nothing, so every row simulates."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class TestSocReuse:
     """A scenario's rows share one rewound SoC; every row must be the row a
     freshly built SoC gives."""
@@ -600,7 +608,9 @@ class TestSocReuse:
         cold = {job: self.cold_row(job)[0] for job in jobs}
         clear_scenario_cache()
         for spec in REUSE_SPECS[:2]:
-            cached_scenario(spec)  # one memoized scenario per spec
+            # One memoized scenario per spec, whose simulation memo keeps
+            # nothing: every row simulates on the shared SoC slot.
+            cached_scenario(spec).simulations = ForgetfulDict()
         mismatches, errors = [], []
 
         def run(offset):
@@ -621,11 +631,13 @@ class TestSocReuse:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
+            stats = campaign_module.scenario_cache_stats()
         finally:
             sys.setswitchinterval(interval)
             clear_scenario_cache()
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and mismatches == []
+        assert stats["simulation_hits"] == 0  # every row simulated
 
     def test_simulator_rewind_refuses_pending_entries(self):
         from repro.kernel import SimTime
@@ -694,3 +706,181 @@ class TestSocReuse:
         assert not campaign_module._SOC_SLOT
         execute_job(job)
         assert counted["builds"] == 2 and not counted["rewound"]
+
+
+class TestSimulationMemo:
+    """A scenario simulates each distinct plan once per horizon; a later
+    row of the same plan must be the row its own simulation gives."""
+
+    #: Three cores, 8-bit TAM: greedy and binpack build the same plan, a
+    #: first phase of three tasks; sequential and anneal build others.
+    SPEC = REUSE_SPECS[2]
+
+    @pytest.fixture(autouse=True)
+    def isolated(self):
+        clear_scenario_cache()
+        yield
+        clear_scenario_cache()
+
+    @staticmethod
+    def stats():
+        stats = campaign_module.scenario_cache_stats()
+        return stats["simulation_hits"], stats["simulation_misses"]
+
+    @staticmethod
+    def add_schedule(spec, name, phases):
+        """Give the memoized scenario of *spec* a hand-written schedule."""
+        cached_scenario(spec).schedules[name] = TestSchedule(
+            name=name, phases=[list(phase) for phase in phases])
+        return CampaignJob(spec=spec, schedule=name)
+
+    def cold_row(self, job, horizon_cycles=None, phases=None):
+        """The row of *job* on a fresh scenario, with nothing memoized."""
+        clear_scenario_cache()
+        if phases is not None:
+            self.add_schedule(job.spec, job.schedule, phases)
+        outcome, stopped = execute_job_raced(job, horizon_cycles)
+        clear_scenario_cache()
+        return outcome.deterministic_row(), stopped
+
+    def phases(self, name):
+        return [list(phase) for phase in
+                build_scenario(self.SPEC).schedule_for(name).phases]
+
+    def test_the_spec_repeats_a_plan(self):
+        assert self.phases("greedy") == self.phases("binpack")
+        assert self.phases("greedy") != self.phases("sequential")
+        assert len(self.phases("greedy")[0]) == 3
+
+    def test_a_repeated_plan_row_equals_its_cold_row(self):
+        jobs = [CampaignJob(spec=self.SPEC, schedule=name)
+                for name in self.SPEC.schedules]
+        cold = [self.cold_row(job)[0] for job in jobs]
+        outcomes = {job.schedule: execute_job(job) for job in jobs}
+        assert [outcome.deterministic_row()
+                for outcome in outcomes.values()] == cold
+        # greedy simulated, binpack reused it, with its CPU time; the
+        # others simulated.
+        assert self.stats() == (1, 3)
+        assert (outcomes["binpack"].cpu_seconds
+                == outcomes["greedy"].cpu_seconds > 0)
+        scenario = cached_scenario(self.SPEC)
+        assert len(scenario.simulations) == 3
+
+    def test_raced_and_unraced_rows_of_one_plan_each_equal_their_cold_rows(
+            self):
+        greedy = CampaignJob(spec=self.SPEC, schedule="greedy")
+        binpack = CampaignJob(spec=self.SPEC, schedule="binpack")
+        full, _ = self.cold_row(greedy)
+        horizon = full["test_length_cycles"] // 2
+        plan = [(greedy, horizon), (binpack, None), (binpack, horizon),
+                (greedy, None)]
+        cold = [self.cold_row(job, cycles) for job, cycles in plan]
+        assert [stopped for _, stopped in cold] == [True, False, True, False]
+        warm = []
+        for job, cycles in plan:
+            outcome, stopped = execute_job_raced(job, cycles)
+            warm.append((outcome.deterministic_row(), stopped))
+        assert warm == cold
+        assert self.stats() == (2, 2)  # one simulation per horizon
+
+    def test_another_in_phase_order_is_another_plan(self):
+        greedy = CampaignJob(spec=self.SPEC, schedule="greedy")
+        swapped_phases = [phase[::-1] for phase in self.phases("greedy")]
+        swapped = CampaignJob(spec=self.SPEC, schedule="swapped")
+        cold = self.cold_row(swapped, phases=swapped_phases)[0]
+        execute_job(greedy)
+        self.add_schedule(self.SPEC, "swapped", swapped_phases)
+        assert execute_job(swapped).deterministic_row() == cold
+        assert self.stats() == (0, 2)
+
+    def test_a_renamed_schedule_gives_the_row_of_its_plan(self):
+        renamed = CampaignJob(spec=self.SPEC, schedule="renamed")
+        cold = self.cold_row(renamed, phases=self.phases("greedy"))[0]
+        greedy_row = execute_job(
+            CampaignJob(spec=self.SPEC, schedule="greedy")).deterministic_row()
+        self.add_schedule(self.SPEC, "renamed", self.phases("greedy"))
+        row = execute_job(renamed).deterministic_row()
+        assert self.stats() == (1, 1)
+        assert row == cold
+        different = {column for column in row if row[column] != greedy_row[column]}
+        assert different <= {"schedule", "strategy", "strategy_params"}
+
+    def test_a_raising_row_stores_nothing(self, monkeypatch):
+        from repro.soc.system import SocTlmBase
+
+        job = CampaignJob(spec=self.SPEC, schedule="greedy")
+        cold = self.cold_row(job)[0]
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("simulation failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SocTlmBase, "run_test_schedule", failing)
+            with pytest.raises(RuntimeError, match="simulation failed"):
+                execute_job(job)
+        assert cached_scenario(self.SPEC).simulations == {}
+        assert execute_job(job).deterministic_row() == cold
+        assert self.stats() == (0, 2)
+
+    def test_clearing_the_cache_drops_the_memo(self):
+        job = CampaignJob(spec=self.SPEC, schedule="greedy")
+        execute_job(job)
+        execute_job(job)
+        assert self.stats() == (1, 1)
+        clear_scenario_cache()
+        assert self.stats() == (0, 0)
+        assert cached_scenario(self.SPEC).simulations == {}
+        execute_job(job)
+        assert self.stats() == (0, 1)
+
+    def test_serial_pool_and_shard_artifacts_are_identical(self, tmp_path):
+        from repro.explore.artifact import write_csv, write_json
+        from repro.explore.distrib import (load_artifact,
+                                           merge_shard_documents, plan_shards,
+                                           run_shard)
+
+        # 12 rows that repeat plans.  Pool batches of 5 rows put the third
+        # scenario's greedy and binpack rows (one plan) in two processes,
+        # and 5 shards split the first scenario's repeated plans.
+        campaign = Campaign(REUSE_SPECS[:3])
+        jobs = campaign.jobs()
+        serial = campaign.run(workers=1)
+        assert self.stats() == (5, 7)
+        clear_scenario_cache()  # the pool's processes start cold
+        pool = campaign.run(workers=2, batch_size=5)
+        artifacts = {}
+        for label, run in (("serial", serial), ("pool", pool)):
+            run.write_json(tmp_path / f"{label}.json", deterministic=True)
+            run.write_csv(tmp_path / f"{label}.csv", deterministic=True)
+            artifacts[label] = (tmp_path / f"{label}.json",
+                                tmp_path / f"{label}.csv")
+        documents = []
+        for shard in plan_shards(campaign, 5):
+            clear_scenario_cache()  # every shard runs in its own process
+            path = tmp_path / f"shard{shard.index}.json"
+            run_shard(shard).write_json(path)
+            documents.append(load_artifact(path))
+        merged = merge_shard_documents(documents)
+        write_json(tmp_path / "merged.json", merged)
+        write_csv(tmp_path / "merged.csv", merged["columns"], merged["rows"])
+        artifacts["merged"] = (tmp_path / "merged.json",
+                               tmp_path / "merged.csv")
+        assert len(jobs) == merged["row_count"]
+        expected = [path.read_bytes() for path in artifacts["serial"]]
+        for label in ("pool", "merged"):
+            assert [path.read_bytes() for path in artifacts[label]] == expected
+
+    def test_the_coordinator_exports_the_memo_counts(self):
+        from repro.explore.coordinator import Coordinator
+
+        coordinator = Coordinator()
+        job = CampaignJob(spec=self.SPEC, schedule="greedy")
+        execute_job(job)
+        execute_job(replace(job, schedule="binpack"))
+        execute_job(job)
+        read = coordinator.metrics.value
+        assert read("simulation_memo_rows", outcome="hit") == 2
+        assert read("simulation_memo_rows", outcome="miss") == 1
+        assert 'simulation_memo_rows{outcome="hit"} 2' in \
+            coordinator.metrics.render()

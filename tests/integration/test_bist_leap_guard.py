@@ -10,13 +10,15 @@ small sweep grid, how many sessions run polled (counted by wrapping
 wrapping :meth:`Simulator._push`) and how many entries they credit as leapt
 (:attr:`Simulator.credited_activations`).  It also checks that the rows are
 those of the same grid with the session leap switched off, and with every
-leap switched off.
+leap switched off.  Every row runs on a fresh scenario, so no row reuses
+another row's simulation of the same plan and every count is per
+simulated row.
 """
 
 from unittest import mock
 
 from repro.dft.ate import AutomatedTestEquipment, _PolledSession
-from repro.explore.campaign import Campaign, clear_scenario_cache
+from repro.explore.campaign import Campaign, clear_scenario_cache, execute_job
 from repro.explore.scenarios import ScenarioGrid, ScenarioSpec
 from repro.kernel.simulator import Simulator
 from repro.soc.system import SocTlmBase
@@ -63,7 +65,7 @@ def run_grid():
         credited.append(self.sim.credited_activations - before)
         return metrics
 
-    clear_scenario_cache()
+    rows = []
     with mock.patch.object(Simulator, "_push", counting_push), \
             mock.patch.object(AutomatedTestEquipment, "_run_logic_bist",
                               counting_run_logic_bist), \
@@ -71,7 +73,9 @@ def run_grid():
                               counting_polled_init), \
             mock.patch.object(SocTlmBase, "run_test_schedule",
                               counting_run_test_schedule):
-        rows = Campaign(specs).run(workers=1).rows(deterministic=True)
+        for job in Campaign(specs).jobs():
+            clear_scenario_cache()  # a fresh scenario: the row simulates
+            rows.append(execute_job(job).deterministic_row())
     clear_scenario_cache()
     return rows, len(sessions), len(polled), pushes, sum(credited)
 

@@ -92,6 +92,13 @@ class TestDeadlock:
     def test_run_without_until_on_empty_queue_is_a_no_op(self, sim):
         assert sim.run() == SimTime(0)
 
+    def test_only_cancelled_entries_with_until_raises(self, sim):
+        entry = sim.schedule_callback(lambda: None, 10)
+        sim.cancel(entry)
+        with pytest.raises(DeadlockError):
+            sim.run(until=50)
+        assert sim.now_fs == 0
+
 
 class TestCancellation:
     def test_cancelled_callback_is_not_dispatched(self, sim):
@@ -120,6 +127,14 @@ class TestCancellation:
         sim.run()
         assert sim.now_fs == 50
         assert not sim._queue
+
+    def test_only_cancelled_entries_past_until_raise_too(self, sim):
+        entry = sim.schedule_callback(lambda: None, 100)
+        sim.cancel(entry)
+        with pytest.raises(DeadlockError):
+            sim.run(until=50)
+        sim.run()  # unbounded, the cancelled entry is dropped
+        assert sim.now_fs == 0 and not sim._queue
 
     def test_cancel_releases_action_and_value(self, sim):
         marker = object()
@@ -280,3 +295,34 @@ class TestPendingCounter:
 
         sim.spawn(proc())
         assert sim.pending_activations == 1
+
+
+class TestUpdatesRequestedBeforeRun:
+    def test_a_write_before_run_is_applied_before_time_advances(self, sim):
+        from repro.kernel.signal import Signal
+
+        signal = Signal(sim, "x", 0)
+        signal.write(1)
+        seen = []
+        sim.schedule_callback(lambda: seen.append((sim.now_fs, signal.read())),
+                              10)
+        sim.run()
+        assert seen == [(10, 1)]
+
+    def test_the_update_runs_before_activations_at_the_current_time(self, sim):
+        from repro.kernel.signal import Signal
+
+        signal = Signal(sim, "x", 0)
+        seen = []
+        sim.schedule_callback(lambda: seen.append(signal.read()), 0)
+        signal.write(1)
+        sim.run(until=5)
+        assert seen == [1]
+
+    def test_a_write_before_run_alone_is_activity(self, sim):
+        from repro.kernel.signal import Signal
+
+        signal = Signal(sim, "x", 0)
+        signal.write(7)
+        sim.run(until=5)
+        assert signal.read() == 7 and sim.now_fs == 0
