@@ -17,6 +17,9 @@ to compare:
   ``bitwise_identical``, ...) get zero tolerance: once true in the baseline
   they must stay true.  These are the scale- and host-independent teeth of
   the check; the throughput tolerance mostly absorbs runner noise.
+* A directional metric or a true invariant of the baseline run that the
+  candidate run lacks fails the check, so deleting a benchmark arm cannot
+  quietly take it out of the gate: the baseline is re-recorded with it.
 
 The tolerance is multiplicative: with ``--tolerance 0.6`` a throughput may
 drop to 40% of baseline (and a wall time grow to 1/0.4 = 2.5x) before the
@@ -91,7 +94,21 @@ def compare_run(name: str, baseline: dict, candidate: dict,
     """Regression messages for one benchmark (empty list: no regression)."""
     failures = []
     baseline_metrics = dict(walk_metrics(baseline))
-    for path, new_value in walk_metrics(candidate):
+    candidate_metrics = dict(walk_metrics(candidate))
+    for path, old_value in baseline_metrics.items():
+        if path in candidate_metrics:
+            continue
+        if isinstance(old_value, bool):
+            if old_value:
+                failures.append(
+                    f"{name}: invariant {path} is true in the baseline and "
+                    f"missing from the candidate")
+        elif isinstance(old_value, (int, float)) \
+                and metric_direction(path) is not None:
+            failures.append(
+                f"{name}: metric {path} is in the baseline and missing "
+                f"from the candidate")
+    for path, new_value in candidate_metrics.items():
         old_value = baseline_metrics.get(path)
         if old_value is None:
             continue

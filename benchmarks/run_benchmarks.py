@@ -951,17 +951,17 @@ def _surrogate_space(quick: bool):
 
 
 def bench_surrogate(scale: float, quick: bool = False) -> dict:
-    """The surrogate-tier win: batch estimator throughput and the
+    """The surrogate-tier win: estimation and screening throughput and the
     full-fidelity jobs avoided by ``--surrogate --race``.
 
     Four measurements on the 64-scenario acceptance space:
 
-    * *estimation* — task cycles/second under N scalar
-      ``estimate_task_cycles`` calls vs one vectorized
-      :class:`BatchEstimator` pass over the same rows (bit-exactness
-      asserted),
+    * *estimation* — task cycles/second of one scalar ``estimate_all``
+      pass over every scenario's tasks (the map each scenario computes
+      once when it is built),
     * *screen* — candidates/second through the end-to-end surrogate
-      screen (batch build + scoring + Pareto ranking),
+      screen (phase-max scoring over each scenario's estimate map + Pareto
+      ranking),
     * *search* — one full-simulation adaptive run vs the identical search
       with ``surrogate=True, race=True``: wall-clock speedup and the
       full-fidelity job reduction (the headline),
@@ -974,8 +974,7 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
     from repro.explore.adaptive import (
         DEFAULT_OBJECTIVES, AdaptiveSearch, surrogate_screen_candidates,
     )
-    from repro.explore.campaign import cached_scenario
-    from repro.schedule.estimator import BatchEstimator
+    from repro.explore.campaign import cached_scenario, clear_scenario_cache
 
     quick = quick or scale < 1.0
     specs = _surrogate_space(quick)
@@ -983,58 +982,31 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
     candidates = search.candidates()
 
     # Warm the scenario/schedule caches so the timed regions measure
-    # estimation and screening, not task generation or strategy builds.
-    for spec, schedule_name in candidates:
-        cached_scenario(spec).schedule_for(schedule_name)
+    # estimation, screening and searching, not task generation or strategy
+    # builds.
+    def warm():
+        for spec, schedule_name in candidates:
+            cached_scenario(spec).schedule_for(schedule_name)
 
-    # Task-cycle estimation throughput: N python estimate_task_cycles calls
-    # vs one vectorized pass over the same N task rows.  The batch is built
-    # outside the timed region on both sides — the comparison isolates the
-    # arithmetic, which is what repeated scoring (budget ladders, sweeps)
-    # actually re-runs.  One pass of either arm takes ~100 us, so each is
-    # repeated to at least floor_seconds, and the two arms alternate in one
-    # loop so both see the same host state.
+    warm()
+
+    # Task-cycle estimation throughput over every scenario's tasks.  One
+    # pass takes ~100 us, so it is repeated to at least floor_seconds.
     floor_seconds = 0.05 if quick else 0.5
 
     def run_scalar_eval(passes):
         start = time.perf_counter()
         for _ in range(passes):
-            estimates = {}
+            task_count = 0
             for spec in specs:
                 scenario = cached_scenario(spec)
-                per_task = scenario.estimator.estimate_all(scenario.tasks)
-                for name, cycles in per_task.items():
-                    estimates[(spec.name, name)] = cycles
-        return time.perf_counter() - start, estimates
+                task_count += len(
+                    scenario.estimator.estimate_all(scenario.tasks))
+        return time.perf_counter() - start, task_count
 
-    batch = BatchEstimator()
-    batch_rows = {}
-    for spec in specs:
-        scenario = cached_scenario(spec)
-        batch_rows[spec.name] = batch.add_estimator_tasks(scenario.estimator,
-                                                          scenario.tasks)
-
-    def run_batch_eval(passes):
-        start = time.perf_counter()
-        for _ in range(passes):
-            batch._cycles = None  # force a fresh vectorized pass
-            cycles = batch.task_cycles()
-        return time.perf_counter() - start, cycles
-
-    (
-        (_, scalar_wall, scalar_estimates),
-        (_, batch_wall, batch_cycles),
-    ) = _autorange_interleaved(REPEATS, [run_scalar_eval, run_batch_eval],
-                               floor_seconds)
-    batch_estimates = {
-        (spec_name, task_name): int(batch_cycles[row])
-        for spec_name, rows in batch_rows.items()
-        for task_name, row in rows.items()
-    }
-    if batch_estimates != scalar_estimates:
-        raise AssertionError("batch estimator task cycles diverged from the "
-                             "scalar estimator")
-    task_count = len(scalar_estimates)
+    passes, scalar_total, task_count = _autorange_best_of(
+        REPEATS, run_scalar_eval, floor_seconds)
+    scalar_wall = scalar_total / passes
 
     def run_screen():
         start = time.perf_counter()
@@ -1044,15 +1016,24 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
 
     screen_wall, screen = _best_of(REPEATS, run_screen)
 
-    # End-to-end searches are the expensive part: one timed pass each
-    # (the searches are deterministic, so repetition buys nothing but heat).
-    start = time.perf_counter()
-    full = AdaptiveSearch(specs).run()
-    full_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    raced = AdaptiveSearch(specs, surrogate=True, surrogate_keep=0.25,
-                           race=True).run()
-    raced_wall = time.perf_counter() - start
+    # The raced search of the quick space lasts a few milliseconds, too
+    # short to time once on a shared host, so both searches are timed best
+    # of REPEATS.  Each search starts from warm scenarios and schedules with
+    # no simulation memoized: the raced search would otherwise reuse what
+    # the full search before it simulated.
+    full_wall = raced_wall = math.inf
+    for _ in range(REPEATS):
+        clear_scenario_cache()
+        warm()
+        start = time.perf_counter()
+        full = AdaptiveSearch(specs).run()
+        full_wall = min(full_wall, time.perf_counter() - start)
+        clear_scenario_cache()
+        warm()
+        start = time.perf_counter()
+        raced = AdaptiveSearch(specs, surrogate=True, surrogate_keep=0.25,
+                               race=True).run()
+        raced_wall = min(raced_wall, time.perf_counter() - start)
 
     if quick:
         # The tiny smoke space makes every strategy tie on the same
@@ -1082,10 +1063,6 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
             "tasks": task_count,
             "scalar_wall_seconds": round(scalar_wall, 6),
             "scalar_tasks_per_second": round(task_count / scalar_wall, 1),
-            "batch_wall_seconds": round(batch_wall, 6),
-            "batch_tasks_per_second": round(task_count / batch_wall, 1),
-            "speedup": round(scalar_wall / batch_wall, 2),
-            "bit_exact": True,
         },
         "screen": {
             "wall_seconds": round(screen_wall, 6),
@@ -1105,9 +1082,8 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
             "front_size": len(full.front),
             "same_front": True,
         },
-        "batch_candidates_per_second": round(
+        "screen_candidates_per_second": round(
             len(candidates) / screen_wall, 1),
-        "batch_tasks_per_second": round(task_count / batch_wall, 1),
         "full_fidelity_reduction": round(reduction, 2),
     }
 
@@ -1675,7 +1651,7 @@ HEADLINE = {
     "campaign": "pool_rows_per_second",
     "distrib": "merge_rows_per_second",
     "store": "store_merge_rows_per_second",
-    "surrogate": "batch_candidates_per_second",
+    "surrogate": "screen_candidates_per_second",
     "coordinator": "lease_ops_per_second",
     "metrics": "instrumented_ops_per_second",
 }

@@ -97,7 +97,7 @@ from repro.explore.scenarios import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.schedule.estimator import BatchEstimator
+from repro.schedule.scheduler import schedule_makespan_estimate
 from repro.schedule.strategies import canonical_schedule_names
 
 #: Version of the adaptive provenance schema (see the module docstring).
@@ -380,7 +380,7 @@ def _normalized_scores(vectors: Sequence[Tuple[float, ...]]) -> List[float]:
 #: One search candidate: (scenario name, schedule name).
 CandidateKey = Tuple[str, str]
 
-#: Objective columns the surrogate tier can score under the batch estimator.
+#: Objective columns the surrogate tier can score from the coarse estimates.
 SURROGATE_OBJECTIVE_COLUMNS = ("test_length_cycles", "test_length_mcycles",
                                "peak_power")
 
@@ -392,7 +392,7 @@ RACE_OBJECTIVE_COLUMNS = ("test_length_cycles", "peak_power")
 
 
 def validate_surrogate_objectives(objectives: Sequence[Objective]) -> None:
-    """Reject objective sets the batch estimator cannot score."""
+    """Reject objective sets the coarse estimator cannot score."""
     unsupported = [str(o) for o in objectives
                    if o.maximize or o.column not in SURROGATE_OBJECTIVE_COLUMNS]
     if unsupported:
@@ -423,7 +423,7 @@ class SurrogateEntry:
 
     scenario: str
     schedule: str
-    #: Estimated schedule makespan under the vectorized batch estimator.
+    #: Estimated schedule makespan under the scenario's coarse estimates.
     cycles: int
     #: Power-model peak over the schedule's phases.
     peak_power: float
@@ -474,36 +474,28 @@ def surrogate_screen_candidates(
     objectives: Sequence[Objective],
     keep: float,
 ) -> Tuple[SurrogateScreen, List[Tuple[ScenarioSpec, str]]]:
-    """Score candidate pairs under the batch estimator and keep the
+    """Score candidate pairs under the coarse estimator and keep the
     estimator Pareto front plus the exploration margin.
 
-    Every scenario's task set is appended into one
-    :class:`~repro.schedule.estimator.BatchEstimator` (per-row platform
-    parameters, so mixed platforms vectorize together); each candidate's
-    score is then a phase-max sum over the shared cycles array plus the
-    power model's peak.  ``keep`` is the fraction of the estimator-dominated
-    candidates forwarded into simulation anyway — 0 trusts the estimator
-    front alone, 1 disables pruning.  Selection order (Pareto rank,
-    normalized score, names) matches the simulated rounds' selection, so
-    screening is fully deterministic.
+    Each candidate's score is the phase-max sum of its schedule over the
+    scenario's estimate map (:attr:`~repro.explore.scenarios.Scenario.estimates`,
+    computed once when the scenario is built) plus the power model's peak.
+    ``keep`` is the fraction of the estimator-dominated candidates forwarded
+    into simulation anyway — 0 trusts the estimator front alone, 1 disables
+    pruning.  Selection order (Pareto rank, normalized score, names)
+    matches the simulated rounds' selection, so screening is fully
+    deterministic.
     """
     validate_surrogate_objectives(objectives)
     if not 0.0 <= keep <= 1.0:
         raise ValueError("surrogate_keep must be in [0, 1]")
-    batch = BatchEstimator()
-    scenarios = {}
-    task_rows = {}
-    for spec in specs:
-        scenario = cached_scenario(spec)
-        scenarios[spec.name] = scenario
-        task_rows[spec.name] = batch.add_estimator_tasks(
-            scenario.estimator, scenario.tasks)
+    scenarios = {spec.name: cached_scenario(spec) for spec in specs}
     entries: List[SurrogateEntry] = []
     vectors: List[Tuple[float, ...]] = []
     for spec, schedule_name in candidates:
         scenario = scenarios[spec.name]
         schedule = scenario.schedule_for(schedule_name)
-        cycles = batch.schedule_cycles(schedule, task_rows[spec.name])
+        cycles = schedule_makespan_estimate(schedule, scenario.estimates)
         peak = scenario.power_model.schedule_peak_power(
             schedule, scenario.tasks)
         entries.append(SurrogateEntry(scenario=spec.name,
@@ -1042,6 +1034,25 @@ class AdaptiveSearch:
                 f"resume artifact rows cover rounds {sorted(by_round)}, "
                 f"expected 0..{completed - 1}"
             )
+        # Every row must name a declared scenario at its round's budget.
+        # Spec columns are a pure function of the spec, so this needs no
+        # scenario built (a doctored spec could be too large to build).
+        declared = {spec.name: spec for spec in self.specs}
+        for index, rows_by_key in by_round.items():
+            for key, row in rows_by_key.items():
+                spec = declared.get(key[0])
+                if spec is None:
+                    raise ValueError(
+                        f"resume artifact round {index} evaluated different "
+                        f"candidates than this search would: scenario "
+                        f"{key[0]!r} is not declared")
+                columns = self.budgeted_spec(spec, budgets[index]).as_dict()
+                columns["scenario"] = columns.pop("name")
+                if any(row.get(column) != value
+                       for column, value in columns.items()):
+                    raise ValueError(
+                        f"resume artifact row {key} of round {index} does "
+                        f"not match the scenario the artifact declares")
         return by_round
 
     # -- per-round execution ------------------------------------------------
@@ -1137,15 +1148,16 @@ class AdaptiveSearch:
                 "incumbent front; it cannot be combined with workers > 1")
         candidates = self.candidates()
         exhaustive_jobs = len(candidates)
+        budgets = self.budgets()
+        # A checkpoint is validated before the screen builds any scenario.
+        replayable = (self._replayable_rounds(resume_from, budgets)
+                      if resume_from is not None else {})
         surrogate_screen: Optional[SurrogateScreen] = None
         if self.surrogate:
             # The estimator pre-screen is deterministic and cheap, so a
             # resumed run simply recomputes it; the replay validation below
             # would catch any divergence in the surviving candidate set.
             surrogate_screen, candidates = self._surrogate_screen(candidates)
-        budgets = self.budgets()
-        replayable = (self._replayable_rounds(resume_from, budgets)
-                      if resume_from is not None else {})
         limit = (len(budgets) if max_rounds is None
                  else min(max_rounds, len(budgets)))
         rounds: List[AdaptiveRound] = []

@@ -666,9 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
         surrogate.add_argument("--surrogate", dest="surrogate",
                                action="store_true", default=False,
                                help="pre-screen the candidate grid under the "
-                                    "vectorized batch estimator and simulate "
-                                    "only the estimator Pareto front plus the "
-                                    "--surrogate-keep margin")
+                                    "coarse estimator (the scalar estimator, "
+                                    "one estimate map per scenario) and "
+                                    "simulate only the estimator Pareto front "
+                                    "plus the --surrogate-keep margin")
         surrogate.add_argument("--no-surrogate", dest="surrogate",
                                action="store_false",
                                help="simulate the full candidate grid "

@@ -51,6 +51,7 @@ from repro.rtl.generate import SyntheticCoreSpec
 from repro.schedule.estimator import PlatformParameters, TestTimeEstimator
 from repro.schedule.model import TestKind, TestSchedule, TestTask
 from repro.schedule.power import PowerModel
+from repro.schedule.scheduler import schedule_makespan_estimate
 from repro.schedule.strategies import (
     ScheduleStrategySpec,
     build_strategy_schedule,
@@ -253,10 +254,13 @@ class Scenario:
     descriptions: Dict[str, CoreTestDescription]
     tasks: Dict[str, TestTask]
     schedules: Dict[str, TestSchedule]
-    memory_words: Dict[str, int] = field(default_factory=dict)
-    estimator: Optional[TestTimeEstimator] = None
+    estimator: TestTimeEstimator
+    #: Task name -> estimated cycles, computed once at expansion: strategy
+    #: builds, row estimates and the surrogate screen all read this map.
+    estimates: Dict[str, int]
     #: The power model scheduler strategies build against (the spec's budget).
-    power_model: Optional[PowerModel] = None
+    power_model: PowerModel
+    memory_words: Dict[str, int] = field(default_factory=dict)
     #: The campaign layer's memo of simulated plans: ``(phases as tuples,
     #: horizon_cycles)`` -> the scalars a row reads off that simulation
     #: (see :func:`repro.explore.campaign._run_job`).  Not part of the
@@ -278,10 +282,9 @@ class Scenario:
         schedule = self.schedules.get(canonical)
         if schedule is not None:
             return schedule
-        if (ScheduleStrategySpec.parse(canonical) is not None
-                and self.estimator is not None):
+        if ScheduleStrategySpec.parse(canonical) is not None:
             schedule = build_strategy_schedule(
-                canonical, self.tasks, self.estimator.estimate_all(self.tasks),
+                canonical, self.tasks, self.estimates,
                 power_model=self.power_model)
             self.schedules[canonical] = schedule
             return schedule
@@ -307,11 +310,9 @@ class Scenario:
 
     def estimated_cycles(self, schedule_name: str) -> int:
         """Coarse (estimator) makespan of one of the scenario's schedules."""
-        if self.estimator is None:
-            return 0
-        return self.estimator.estimate_schedule_cycles(
-            self.schedule_for(schedule_name), self.tasks
-        )
+        schedule = self.schedule_for(schedule_name)
+        schedule.validate(self.tasks)
+        return schedule_makespan_estimate(schedule, self.estimates)
 
     def build_soc(self):
         """Instantiate the TLM for this scenario (fresh simulator each call).
@@ -445,18 +446,17 @@ def generate_tasks(spec: ScenarioSpec,
 
 
 def generate_schedules(spec: ScenarioSpec, tasks: Mapping[str, TestTask],
-                       estimator: TestTimeEstimator) -> Dict[str, TestSchedule]:
+                       estimates: Mapping[str, int],
+                       power_model: PowerModel) -> Dict[str, TestSchedule]:
     """Build the spec's strategy schedules through the strategy registry.
 
     Every ``spec.schedules`` entry that parses as a registered scheduler
     strategy is materialized against the scenario's tasks, coarse estimates
-    and power budget, keyed by its canonical spec string.  Entries that are
+    and power model, keyed by its canonical spec string.  Entries that are
     not strategy specs are left to the scenario's pre-built registry (and
     surface as :class:`KeyError` from :meth:`Scenario.schedule_for` when
     nothing provides them).
     """
-    estimates = estimator.estimate_all(tasks)
-    power_model = PowerModel(budget=spec.power_budget)
     schedules: Dict[str, TestSchedule] = {}
     for entry in spec.schedules:
         if entry in schedules or ScheduleStrategySpec.parse(entry) is None:
@@ -473,11 +473,13 @@ def _build_generated_scenario(spec: ScenarioSpec) -> Scenario:
                     if spec.memory_words else {})
     estimator = TestTimeEstimator(descriptions, scenario_platform(spec),
                                   memory_words=memory_words)
-    schedules = generate_schedules(spec, tasks, estimator)
+    estimates = estimator.estimate_all(tasks)
+    power_model = PowerModel(budget=spec.power_budget)
     return Scenario(spec=spec, descriptions=descriptions, tasks=tasks,
-                    schedules=schedules, memory_words=memory_words,
-                    estimator=estimator,
-                    power_model=PowerModel(budget=spec.power_budget))
+                    schedules=generate_schedules(spec, tasks, estimates,
+                                                 power_model),
+                    estimator=estimator, estimates=estimates,
+                    power_model=power_model, memory_words=memory_words)
 
 
 def _build_jpeg_scenario(spec: ScenarioSpec) -> Scenario:
@@ -513,14 +515,11 @@ def _build_jpeg_scenario(spec: ScenarioSpec) -> Scenario:
         tasks, estimates, power_model=power_model, name="generated_greedy")
     # Strategy entries of the spec (e.g. "binpack:fit=worst") are built
     # eagerly like generated scenarios do; hand-written names are already in.
-    for entry in spec.schedules:
-        if entry in schedules or ScheduleStrategySpec.parse(entry) is None:
-            continue
-        schedules[entry] = build_strategy_schedule(
-            entry, tasks, estimates, power_model=power_model)
+    schedules.update(generate_schedules(spec, tasks, estimates, power_model))
     return Scenario(spec=spec, descriptions=descriptions, tasks=tasks,
-                    schedules=schedules, memory_words=memory_words,
-                    estimator=estimator, power_model=power_model)
+                    schedules=schedules, estimator=estimator,
+                    estimates=estimates, power_model=power_model,
+                    memory_words=memory_words)
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:

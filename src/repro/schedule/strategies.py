@@ -55,6 +55,7 @@ from repro.schedule.scheduler import (
     binpack_power_schedule,
     greedy_concurrent_schedule,
     local_search_schedule,
+    schedule_makespan_estimate,
     sequential_schedule,
 )
 
@@ -476,21 +477,12 @@ def _build_anneal(name, tasks, estimates, power_model, params):
                     f"({params.steps} steps, cost {params.cost})")
 
 
-def estimated_makespan(schedule: TestSchedule,
-                       estimates: Mapping[str, int]) -> int:
-    """Estimator makespan of *schedule*: phases back to back, tasks in a
-    phase fully concurrent (the coarse scheduler assumption, shared with
-    :meth:`repro.schedule.estimator.TestTimeEstimator.estimate_schedule_cycles`)."""
-    return sum(max(estimates[name] for name in phase)
-               for phase in schedule.phases)
-
-
 def _build_portfolio(name, tasks, estimates, power_model, params):
     best = None
     for member in params.member_names:
         candidate = _REGISTRY[member].build(
             tasks, estimates, power_model=power_model, name=name)
-        key = (estimated_makespan(candidate, estimates),
+        key = (schedule_makespan_estimate(candidate, estimates),
                power_model.schedule_peak_power(candidate, tasks),
                member)
         if best is None or key < best[0]:

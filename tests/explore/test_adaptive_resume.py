@@ -15,6 +15,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import repro.explore.adaptive as adaptive_module
+import repro.explore.campaign as campaign_module
 from repro.explore.adaptive import (
     ADAPTIVE_SCHEMA_VERSION,
     AdaptiveSearch,
@@ -215,6 +217,24 @@ class TestResumeValidation:
         document = self.checkpoint(tmp_path)
         document["round_stats"][0]["simulated_jobs"] += 1
         with pytest.raises(ValueError, match="simulated job"):
+            resume_search(document)
+
+    def test_doctored_spec_refused_before_any_scenario_is_built(
+            self, tmp_path, monkeypatch):
+        """A surrogate search screens every declared scenario, so the
+        checkpoint must be refused before the screen builds the doctored
+        (here: 20 000-core) spec."""
+        document, _ = round_trip(
+            small_search(surrogate=True).run(max_rounds=1), tmp_path)
+        document["specs"][1]["core_count"] = 20000
+
+        def refuse(spec):
+            raise AssertionError(f"scenario {spec.name!r} was built")
+
+        monkeypatch.setattr(adaptive_module, "cached_scenario", refuse)
+        monkeypatch.setattr(campaign_module, "cached_scenario", refuse)
+        monkeypatch.setattr(campaign_module, "build_scenario", refuse)
+        with pytest.raises(ValueError, match="does not match the scenario"):
             resume_search(document)
 
     def test_empty_checkpoint_rejected(self, tmp_path):

@@ -1,13 +1,10 @@
-"""Differential tests of the vectorized batch estimator.
+"""Independent checks of the scalar test-time estimator.
 
-The batch estimator advertises bit-exactness with
-``TestTimeEstimator.estimate_task_cycles``; these tests hold it to that
-over hypothesis-generated platforms and task sets covering every test
-kind, every bandwidth-limited regime (ATE-, TAM- and shift-limited) and
-the ATE vector-memory reload branch.
+The reload branches are pinned to cycle counts worked out by hand, and
+hypothesis-generated platforms and task sets (every test kind, every
+bandwidth-limited regime and the ATE vector-memory reload branch) check
+that the schedule makespan is the phase-max sum over ``estimate_all``.
 """
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +18,8 @@ from repro.schedule import (
     TestSchedule,
     TestTask,
     TestTimeEstimator,
+    schedule_makespan_estimate,
 )
-from repro.schedule.estimator import BatchEstimator, estimate_batch
 
 _MARCHES = (MATS_PLUS, MARCH_C_MINUS)
 
@@ -90,43 +87,50 @@ def scenario_tasks(draw):
     return descriptions, memory_words, tasks
 
 
+def _first_fit_phases(tasks):
+    """The drawn tasks as concurrent as their resource conflicts allow:
+    each joins the first phase it conflicts with nothing in."""
+    phases = []
+    for name, task in tasks.items():
+        for phase in phases:
+            if not any(task.conflicts_with(tasks[other]) for other in phase):
+                phase.append(name)
+                break
+        else:
+            phases.append([name])
+    return phases
+
+
 @settings(max_examples=60, deadline=None)
 @given(platforms(), scenario_tasks())
-def test_batch_matches_scalar_estimator(platform, scenario):
+def test_schedule_cycles_are_the_phase_max_sum_of_estimate_all(platform,
+                                                               scenario):
     descriptions, memory_words, tasks = scenario
     estimator = TestTimeEstimator(descriptions, platform,
                                   memory_words=memory_words)
-    scalar = estimator.estimate_all(tasks)
-    assert estimate_batch(estimator, tasks) == scalar
+    estimates = estimator.estimate_all(tasks)
+    for schedule in (TestSchedule.sequential("seq", list(tasks)),
+                     TestSchedule(name="conc",
+                                  phases=_first_fit_phases(tasks))):
+        assert (estimator.estimate_schedule_cycles(schedule, tasks)
+                == schedule_makespan_estimate(schedule, estimates))
 
 
-@settings(max_examples=25, deadline=None)
-@given(platforms(), st.lists(scenario_tasks(), min_size=2, max_size=4))
-def test_batch_mixes_platforms_across_scenarios(platform, scenarios):
-    """Rows from different estimators (different platforms per scenario)
-    evaluate independently inside one batch."""
-    batch = BatchEstimator()
-    rows = []
-    expected = []
-    for index, (descriptions, memory_words, tasks) in enumerate(scenarios):
-        # Vary the platform per scenario so cross-row mixups would show.
-        scenario_platform = PlatformParameters(
-            tam_width_bits=platform.tam_width_bits,
-            ate_width_bits=platform.ate_width_bits,
-            tam_overhead_cycles=platform.tam_overhead_cycles + index,
-            configuration_cycles=platform.configuration_cycles,
-            setup_transactions=platform.setup_transactions,
-            wrapper_parallel_width_bits=platform.wrapper_parallel_width_bits,
-            ate_vector_memory_words=platform.ate_vector_memory_words,
-            ate_reload_cycles=platform.ate_reload_cycles)
-        estimator = TestTimeEstimator(descriptions, scenario_platform,
-                                      memory_words=memory_words)
-        rows.append(batch.add_estimator_tasks(estimator, tasks))
-        expected.append(estimator.estimate_all(tasks))
-    cycles = batch.task_cycles()
-    for scenario_rows, scenario_expected in zip(rows, expected):
-        for name, row in scenario_rows.items():
-            assert int(cycles[row]) == scenario_expected[name]
+@settings(max_examples=30, deadline=None)
+@given(platforms(), scenario_tasks())
+def test_schedule_cycles_validate_the_schedule(platform, scenario):
+    """A one-phase schedule is accepted exactly when no two of its tasks
+    share a resource; otherwise the estimate refuses it."""
+    descriptions, memory_words, tasks = scenario
+    estimator = TestTimeEstimator(descriptions, platform,
+                                  memory_words=memory_words)
+    schedule = TestSchedule(name="all", phases=[list(tasks)])
+    if len(_first_fit_phases(tasks)) == 1:
+        assert estimator.estimate_schedule_cycles(schedule, tasks) == max(
+            estimator.estimate_all(tasks).values())
+    else:
+        with pytest.raises(ValueError, match="conflicting tasks"):
+            estimator.estimate_schedule_cycles(schedule, tasks)
 
 
 def _reload_platform():
@@ -157,54 +161,25 @@ class TestReloadBranch:
                  - without.estimate_task_cycles(self.task))
         assert delta == 2 * 7_000
 
-    def test_batch_matches_scalar_with_reloads(self):
-        assert (estimate_batch(self.estimator, {"x": self.task})
-                == self.estimator.estimate_all({"x": self.task}))
+    def test_external_scan_reload_cycles(self):
+        # 400 cells in 4 chains of 100: 101 shift cycles per pattern beat
+        # ceil(400/16) = 25 ATE words and ceil(400/32) + 1 = 14 TAM cycles.
+        # 100 // 25 = 4 patterns per vector-memory load, so 10 patterns
+        # need ceil(10/4) - 1 = 2 reloads of 7 000 stall cycles.  Overhead
+        # is 64 configuration cycles + 4 setup transactions x 1 = 68:
+        # 10 * 101 + 2 * 7 000 + 68 = 15 078.
+        assert self.estimator.estimate_task_cycles(self.task) == 15_078
 
     def test_compressed_reload_uses_compressed_ate_words(self):
+        # 400 bits at ratio 50 compress to 8: ceil(8/16) = 1 ATE word and
+        # ceil((400 + 8)/32) + 2 = 15 TAM cycles per pattern, beaten by
+        # the 16 internal chains' ceil(400/16) + 1 = 26 shift cycles.  One
+        # ATE word per pattern fits 100 patterns per load, so 500 patterns
+        # need ceil(500/100) - 1 = 4 reloads of 7 000 stall cycles:
+        # 500 * 26 + 4 * 7 000 + 68 = 41 068.
         task = TestTask(name="x", kind=TestKind.EXTERNAL_SCAN_COMPRESSED,
                         core="c", pattern_count=500, compression_ratio=50.0)
-        assert (estimate_batch(self.estimator, {"x": task})
-                == self.estimator.estimate_all({"x": task}))
-
-
-class TestBatchScheduleCycles:
-    def test_matches_estimate_schedule_cycles(self):
-        descriptions = {
-            "a": CoreTestDescription.describe("a", 8, 4_000),
-            "b": CoreTestDescription.describe("b", 4, 1_000),
-        }
-        estimator = TestTimeEstimator(descriptions, PlatformParameters())
-        tasks = {
-            "ta": TestTask(name="ta", kind=TestKind.EXTERNAL_SCAN, core="a",
-                           pattern_count=100),
-            "tb": TestTask(name="tb", kind=TestKind.LOGIC_BIST, core="b",
-                           pattern_count=300),
-        }
-        schedule = TestSchedule(name="s", phases=[["ta", "tb"]])
-        batch = BatchEstimator()
-        rows = batch.add_estimator_tasks(estimator, tasks)
-        assert (batch.schedule_cycles(schedule, rows)
-                == estimator.estimate_schedule_cycles(schedule, tasks))
-
-
-class TestBatchErrors:
-    def test_scan_task_requires_description(self):
-        batch = BatchEstimator()
-        task = TestTask(name="x", kind=TestKind.EXTERNAL_SCAN, core="c",
-                        pattern_count=1)
-        with pytest.raises(KeyError):
-            batch.add_task(task, PlatformParameters())
-
-    def test_memory_task_requires_words(self):
-        batch = BatchEstimator()
-        task = TestTask(name="m", kind=TestKind.MEMORY_BIST_CONTROLLER,
-                        core="c", march=MATS_PLUS)
-        with pytest.raises(KeyError):
-            batch.add_task(task, PlatformParameters())
-
-    def test_empty_batch_evaluates_to_nothing(self):
-        assert len(BatchEstimator().task_cycles()) == 0
+        assert self.estimator.estimate_task_cycles(task) == 41_068
 
 
 class TestPlatformValidation:

@@ -23,7 +23,6 @@ from repro.schedule.strategies import (
     StrategyParams,
     build_strategy_schedule,
     canonical_schedule_name,
-    estimated_makespan,
     get_strategy,
     is_strategy,
     register_strategy,
@@ -339,9 +338,9 @@ class TestPortfolio:
                                            power_model=model)
                    for member in ("greedy", "binpack")]
         best = min(
-            (estimated_makespan(m, estimates),
+            (schedule_makespan_estimate(m, estimates),
              model.schedule_peak_power(m, tasks)) for m in members)
-        assert (estimated_makespan(portfolio, estimates),
+        assert (schedule_makespan_estimate(portfolio, estimates),
                 model.schedule_peak_power(portfolio, tasks)) == best
 
     def test_never_worse_than_any_member(self, tasks, estimates):
@@ -352,8 +351,8 @@ class TestPortfolio:
         for member in PortfolioParams().member_names:
             schedule = build_strategy_schedule(member, tasks, estimates,
                                                power_model=model)
-            assert estimated_makespan(portfolio, estimates) <= \
-                estimated_makespan(schedule, estimates)
+            assert schedule_makespan_estimate(portfolio, estimates) <= \
+                schedule_makespan_estimate(schedule, estimates)
 
     def test_description_names_the_winner(self, tasks, estimates):
         model = PowerModel(budget=3.0)
