@@ -15,7 +15,7 @@ Measures the performance-critical layers of the stack:
                   generated task set, plus schedule-quality deltas
                   (estimated makespan / peak power) vs the greedy baseline,
 * ``campaign`` -- rows/second of the 50-scenario pool run (serial and
-                  worker pool),
+                  worker pool), each timed run from an empty scenario memo,
 * ``distrib``  -- shard planning/merge throughput of the distribution layer,
 * ``store``    -- columnar store vs dict-of-lists: streaming shard merge,
                   vectorized Pareto ranking/pruning and store aggregation
@@ -547,14 +547,21 @@ def _pool_campaign(quick: bool):
 
 
 def bench_campaign(scale: float, quick: bool = False) -> dict:
+    from repro.explore.campaign import clear_scenario_cache
+
     campaign = _pool_campaign(quick=quick or scale < 1.0)
     workers = max(2, min(4, os.cpu_count() or 1))
 
+    # Every timed run starts from an empty scenario memo, so each one
+    # simulates its rows instead of replaying the previous run's memo hits
+    # (forked pool workers inherit the parent's memo too).
     def run_serial():
+        clear_scenario_cache()
         run = campaign.run(workers=1)
         return run.wall_seconds, run
 
     def run_pool():
+        clear_scenario_cache()
         run = campaign.run(workers=workers)
         return run.wall_seconds, run
 
@@ -569,6 +576,7 @@ def bench_campaign(scale: float, quick: bool = False) -> dict:
             "scenarios": len({spec.name for spec in campaign.specs}),
             "jobs": len(campaign),
             "pool_workers": workers,
+            "cpus": os.cpu_count(),
         },
         "serial_wall_seconds": round(serial.wall_seconds, 6),
         "serial_rows_per_second": round(serial.rows_per_second, 3),
@@ -1008,13 +1016,18 @@ def bench_surrogate(scale: float, quick: bool = False) -> dict:
         REPEATS, run_scalar_eval, floor_seconds)
     scalar_wall = scalar_total / passes
 
-    def run_screen():
+    # One screen takes under a millisecond, so it is repeated to at least
+    # floor_seconds as well.
+    def run_screen(passes):
         start = time.perf_counter()
-        screen, kept = surrogate_screen_candidates(
-            specs, candidates, DEFAULT_OBJECTIVES, 0.25)
+        for _ in range(passes):
+            screen, kept = surrogate_screen_candidates(
+                specs, candidates, DEFAULT_OBJECTIVES, 0.25)
         return time.perf_counter() - start, screen
 
-    screen_wall, screen = _best_of(REPEATS, run_screen)
+    screens, screen_total, screen = _autorange_best_of(
+        REPEATS, run_screen, floor_seconds)
+    screen_wall = screen_total / screens
 
     # The raced search of the quick space lasts a few milliseconds, too
     # short to time once on a shared host, so both searches are timed best

@@ -6,22 +6,18 @@ provides the small set of primitives the paper relies on:
 * simulated time (:mod:`repro.kernel.simtime`),
 * events and processes (:mod:`repro.kernel.event`, :mod:`repro.kernel.process`),
 * the scheduler itself (:mod:`repro.kernel.simulator`),
-* modules, ports, interfaces and channels with an explicit ``bind`` step
-  (:mod:`repro.kernel.module`, :mod:`repro.kernel.port`,
-  :mod:`repro.kernel.interface`, :mod:`repro.kernel.channel`),
-* ready-made channels: FIFOs, signals and clocks,
+* named hierarchical modules, channels and the interfaces they implement
+  (:mod:`repro.kernel.module`, :mod:`repro.kernel.channel`,
+  :mod:`repro.kernel.interface`),
+* clocks for cycle-cost arithmetic and a FIFO-fair mutex
+  (:mod:`repro.kernel.clock`, :mod:`repro.kernel.sync`),
 * transaction tracing used by the monitors in :mod:`repro.dft`.
 
 Blocking behaviour is expressed with generator coroutines: any method that can
 consume simulated time is a generator and must be invoked with ``yield from``.
 """
 
-from repro.kernel.exceptions import (
-    BindingError,
-    KernelError,
-    ProcessKilled,
-    SimulationFinished,
-)
+from repro.kernel.exceptions import KernelError, ProcessKilled
 from repro.kernel.simtime import (
     FS,
     MS,
@@ -37,40 +33,30 @@ from repro.kernel.event import Event, Timeout, AnyOf, AllOf
 from repro.kernel.process import Process
 from repro.kernel.simulator import Simulator
 from repro.kernel.interface import Interface
-from repro.kernel.port import Port, ExportPort
 from repro.kernel.module import Module
 from repro.kernel.channel import Channel
-from repro.kernel.fifo import Fifo
-from repro.kernel.signal import Signal
 from repro.kernel.clock import Clock
-from repro.kernel.sync import Mutex, Semaphore
+from repro.kernel.sync import Mutex
 from repro.kernel.tracing import TransactionRecord, TransactionTracer
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BindingError",
     "Channel",
     "Clock",
     "Event",
-    "ExportPort",
     "FS",
-    "Fifo",
     "Interface",
     "KernelError",
     "MS",
     "Module",
     "Mutex",
-    "Semaphore",
     "NS",
     "PS",
-    "Port",
     "Process",
     "ProcessKilled",
     "SEC",
     "SimTime",
-    "Signal",
-    "SimulationFinished",
     "Simulator",
     "Timeout",
     "TransactionRecord",

@@ -1,38 +1,11 @@
-"""Channel base classes.
+"""Channel base class.
 
-A channel implements one or more interfaces and is the object ports bind to.
-Channels that need the evaluate/update delta-cycle mechanism derive from
-:class:`PrimitiveChannel` and call :meth:`PrimitiveChannel.request_update`.
+A channel is a module that implements one or more :class:`Interface`
+classes; models hold a reference to it and call its interface methods.
 """
 
-from __future__ import annotations
-
-from typing import Union
-
 from repro.kernel.module import Module
-from repro.kernel.simulator import Simulator
 
 
 class Channel(Module):
     """A hierarchical channel: a module that also implements interfaces."""
-
-    def __init__(self, parent: Union[Simulator, Module], name: str):
-        super().__init__(parent, name)
-
-
-class PrimitiveChannel(Channel):
-    """A channel taking part in the update phase of the delta cycle."""
-
-    def __init__(self, parent: Union[Simulator, Module], name: str):
-        super().__init__(parent, name)
-        self._update_requested = False
-
-    def request_update(self) -> None:
-        """Ask the kernel to call :meth:`update` in the next update phase."""
-        if not self._update_requested:
-            self._update_requested = True
-            self.sim.request_update(self)
-
-    def update(self) -> None:  # pragma: no cover - overridden by subclasses
-        """Apply the pending state change (called by the kernel)."""
-        self._update_requested = False

@@ -64,8 +64,6 @@ class Event:
         self.name = name or f"event_{id(self):x}"
         self._waiters: List["Process"] = []
         self._callbacks = []
-        #: Value passed to waiters by the most recent notification.
-        self.last_value = None
 
     # -- registration ------------------------------------------------------
     def add_waiter(self, process: "Process") -> None:
@@ -106,7 +104,6 @@ class Event:
         self.sim._push(delay, self, value)
 
     def _fire(self, value) -> None:
-        self.last_value = value
         waiters, self._waiters = self._waiters, []
         push = self.sim._push
         for process in waiters:
@@ -126,7 +123,6 @@ class Event:
         resumption would be the running activation: the waiter continues
         there, as that process would have, and no entry is added.
         """
-        self.last_value = value
         waiters, self._waiters = self._waiters, []
         for process in waiters:
             process.unsubscribe_all()

@@ -5,23 +5,9 @@ class KernelError(Exception):
     """Base class for all kernel-level errors."""
 
 
-class BindingError(KernelError):
-    """Raised when a port is used before it has been bound, is bound twice,
-    or is bound to a channel that does not implement its interface."""
-
-
-class ElaborationError(KernelError):
-    """Raised when the module hierarchy cannot be elaborated."""
-
-
 class SchedulingError(KernelError):
     """Raised when an event or process is scheduled inconsistently
     (for example a negative delay)."""
-
-
-class SimulationFinished(KernelError):
-    """Raised inside a process when the simulation is stopped while the
-    process is still waiting."""
 
 
 class ProcessKilled(KernelError):

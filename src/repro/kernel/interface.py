@@ -3,8 +3,8 @@
 The paper's Figure 2 derives the TAM interface from the generic SystemC
 interface; this module provides that generic base.  An interface is a plain
 Python class whose abstract methods describe the services a channel offers;
-ports are parameterised with an interface class and refuse to bind to
-channels that do not implement it.
+:meth:`Interface.is_implemented_by` checks a channel against it, as
+``TamChannel.bind_slave`` does for every slave it maps.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Tuple
 class Interface:
     """Base class for all channel interfaces."""
 
-    #: :meth:`required_methods`, computed once per class (ports bind often).
+    #: :meth:`required_methods`, computed once per class (checks run often).
     _required: Tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):

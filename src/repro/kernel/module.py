@@ -2,29 +2,23 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
-from repro.kernel.exceptions import BindingError
-from repro.kernel.port import Port
-from repro.kernel.process import Process
 from repro.kernel.simulator import Simulator
 
 
 class Module:
-    """A named, hierarchical building block owning processes and ports.
+    """A named, hierarchical building block.
 
     A module is created either directly under a :class:`Simulator` or under a
-    parent module, from which it inherits the simulator.  Generator functions
-    registered with :meth:`add_thread` become simulation processes scheduled
-    for time zero, which matches SystemC's behaviour of starting threads when
-    the simulation starts.
+    parent module, from which it inherits the simulator and the prefix of its
+    dotted :attr:`name`.
     """
 
     def __init__(self, parent: Union[Simulator, "Module"], name: str):
         if isinstance(parent, Module):
             self.parent: Optional[Module] = parent
             self.sim: Simulator = parent.sim
-            parent._children.append(self)
         elif isinstance(parent, Simulator):
             self.parent = None
             self.sim = parent
@@ -34,63 +28,13 @@ class Module:
                 f"{type(parent).__name__}"
             )
         self.basename = name
-        self._children: List[Module] = []
-        self._ports: List[Port] = []
-        self._threads: List[Process] = []
 
-    # -- naming ---------------------------------------------------------------
     @property
     def name(self) -> str:
         """Fully qualified, dot-separated hierarchical name."""
         if self.parent is None:
             return self.basename
         return f"{self.parent.name}.{self.basename}"
-
-    @property
-    def children(self) -> List["Module"]:
-        return list(self._children)
-
-    # -- ports ------------------------------------------------------------------
-    def add_port(self, interface, name: str) -> Port:
-        """Create a port owned by this module."""
-        port = Port(interface, name=name, owner=self)
-        self._ports.append(port)
-        return port
-
-    @property
-    def ports(self) -> List[Port]:
-        return list(self._ports)
-
-    def check_bindings(self) -> None:
-        """Verify that every port of this module and its children is bound."""
-        unbound = [p.qualified_name for p in self._ports if not p.is_bound]
-        if unbound:
-            raise BindingError(
-                f"module {self.name!r} has unbound ports: {', '.join(unbound)}"
-            )
-        for child in self._children:
-            child.check_bindings()
-
-    # -- processes ------------------------------------------------------------
-    def add_thread(self, generator_function, *args, name: str = "", **kwargs) -> Process:
-        """Register a generator function as a simulation thread of the module."""
-        label = name or getattr(generator_function, "__name__", "thread")
-        process = self.sim.spawn(
-            generator_function(*args, **kwargs), name=f"{self.name}.{label}"
-        )
-        self._threads.append(process)
-        return process
-
-    @property
-    def threads(self) -> List[Process]:
-        return list(self._threads)
-
-    # -- utility -----------------------------------------------------------------
-    def wait(self, duration):
-        """Return a :class:`Timeout` for ``yield self.wait(...)`` in threads."""
-        from repro.kernel.event import Timeout
-
-        return Timeout(duration)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"

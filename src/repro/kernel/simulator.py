@@ -48,8 +48,6 @@ class Simulator:
     Three kinds of actions are scheduled: process resumptions, event
     notifications (the event fires with the entry's value) and plain
     callbacks.
-    An *update phase* modelled after SystemC's evaluate/update delta cycle is
-    run whenever all activations at the current timestamp have been processed.
 
     Cancelled entries are deleted lazily: :meth:`cancel` only marks the entry
     and the event store is compacted once cancelled entries outnumber live
@@ -70,11 +68,9 @@ class Simulator:
         self._sequence = 0
         self._now_fs = 0
         self._running = False
-        self._update_requests = []
         self._failures = []
         self._pending_count = 0
         self._cancelled_count = 0
-        self.trace_hooks: List[Callable] = []
         #: Absolute ``until`` bound of the running :meth:`run` call, if any.
         self._limit_fs: Optional[int] = None
         #: Number of queue entries dispatched or leapt so far (for
@@ -191,13 +187,12 @@ class Simulator:
         A model may use it to apply, in closed form, work whose queue
         entries would all be dispatched no later than this time: no other
         entry can run in between to observe the difference.  It is ``-1``
-        when the fast lane holds another entry or an update is requested,
-        otherwise one less than the earliest time on the heap (``inf`` when
-        nothing is pending), capped by the running ``run(until=...)``
-        bound.  Cancelled entries still count as pending, which only makes
-        the answer more conservative.
+        when the fast lane holds another entry, otherwise one less than the
+        earliest time on the heap (``inf`` when nothing is pending), capped
+        by the running ``run(until=...)`` bound.  Cancelled entries still
+        count as pending, which only makes the answer more conservative.
         """
-        if self._lane or self._update_requests:
+        if self._lane:
             return -1
         heap = self._heap
         horizon = heap[0][0] - 1 if heap else math.inf
@@ -224,12 +219,11 @@ class Simulator:
         Time goes back to 0 and the sequence and dispatch counters
         restart, so the next run dispatches exactly what it would on a new
         simulator.  Raises :class:`SchedulingError` unless the simulator is
-        idle: not running, with no entry (cancelled ones included), update
-        request or unreported process failure left.
+        idle: not running, with no entry (cancelled ones included) or
+        unreported process failure left.
         """
         entry_count = len(self._lane) + len(self._heap)
-        if (self._running or entry_count or self._update_requests
-                or self._failures):
+        if self._running or entry_count or self._failures:
             raise SchedulingError(
                 f"cannot rewind simulator {self.name!r}: it is not idle "
                 f"({entry_count} entries in the event store)")
@@ -243,10 +237,6 @@ class Simulator:
         self.dispatched_activations = 0
         self.credited_activations = 0
         self._credited = 0
-
-    def request_update(self, primitive) -> None:
-        """Request that ``primitive.update()`` runs in the next update phase."""
-        self._update_requests.append(primitive)
 
     # -- processes -------------------------------------------------------------
     def spawn(self, generator, name: str = "") -> Process:
@@ -264,11 +254,6 @@ class Simulator:
         self._failures.append((process, exc))
 
     # -- execution ---------------------------------------------------------------
-    def _run_update_phase(self) -> None:
-        requests, self._update_requests = self._update_requests, []
-        for primitive in requests:
-            primitive.update()
-
     def run(self, until: Optional[Union[SimTime, int]] = None) -> SimTime:
         """Run the simulation.
 
@@ -277,8 +262,7 @@ class Simulator:
         :class:`DeadlockError` if asked to reach a time for which no activity
         is pending at all (cancelled entries are no activity), or
         :class:`SchedulingError` (leaving :attr:`now` unchanged) if that time
-        is already in the past.  Updates requested before the call are
-        applied at the current time, before time advances.
+        is already in the past.
         """
         limit_fs = None if until is None else SimTime.coerce(until).femtoseconds
         if limit_fs is not None and limit_fs < self._now_fs:
@@ -288,8 +272,7 @@ class Simulator:
             )
         lane = self._lane
         heap = self._heap
-        if (limit_fs is not None and not self._pending_count
-                and not self._update_requests):
+        if limit_fs is not None and not self._pending_count:
             raise DeadlockError("nothing is scheduled; simulation cannot advance")
         self._running = True
         self._limit_fs = limit_fs
@@ -306,19 +289,13 @@ class Simulator:
         heappop = heapq.heappop
         dispatched = 0
         try:
-            if self._update_requests and not lane:
-                # Requested outside a drain: the update phase of the
-                # current time is still due.
-                self._run_update_phase()
-                if failures:
-                    self._raise_pending_failure()
-            while lane or heap or self._update_requests:
+            while lane or heap:
                 # Earliest pending timestamp (the fast lane is only
                 # non-empty here when a previous run() aborted mid-drain
                 # with an exception).
                 if lane:
                     next_time = self._lane_time
-                elif heap:
+                else:
                     next_time, _, entry = heap[0]
                     if entry.cancelled and (limit_fs is None
                                             or next_time <= limit_fs):
@@ -326,8 +303,6 @@ class Simulator:
                         heappop(heap)
                         self._cancelled_count -= 1
                         continue
-                else:
-                    next_time = self._now_fs  # update requests only
                 if limit_fs is not None and next_time > limit_fs:
                     self._now_fs = limit_fs
                     break
@@ -337,10 +312,10 @@ class Simulator:
                 while heap and heap[0][0] == next_time:
                     lane_append(heappop(heap)[2])
                 self._lane_time = next_time
-                # Evaluate phase: drain the slot of activations at the current
-                # timestamp in FIFO order.  The dispatch counter accumulates
-                # in a local and is folded back in the finally block so that
-                # an exception escaping an action does not lose the batch.
+                # Drain the slot of activations at the current timestamp in
+                # FIFO order.  The dispatch counter accumulates in a local
+                # and is folded back in the finally block so that an
+                # exception escaping an action does not lose the batch.
                 while lane:
                     entry = lane_popleft()
                     if entry.cancelled:
@@ -360,9 +335,8 @@ class Simulator:
                     elif action_class is event_class:
                         action._fire(value)
                     elif action_class is method_class:
-                        # Bound-method callbacks (channel holds, clock
-                        # edges, countdown arrivals) skip the isinstance
-                        # fallbacks below.
+                        # Bound-method callbacks (channel holds, countdown
+                        # arrivals) skip the isinstance fallbacks below.
                         action()
                     elif isinstance(action, process_class):
                         action.resume(value)
@@ -382,11 +356,6 @@ class Simulator:
                     self._credited = 0
                 self.dispatched_activations += dispatched + credited
                 dispatched = 0
-                # Update phase (may schedule new delta activations at now).
-                if self._update_requests:
-                    self._run_update_phase()
-                    if failures:
-                        self._raise_pending_failure()
         finally:
             self.credited_activations += self._credited
             self.dispatched_activations += dispatched + self._credited

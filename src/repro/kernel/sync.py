@@ -164,28 +164,3 @@ class Countdown:
         if not self._pending:
             self._done._fire(None)
 
-
-class Semaphore:
-    """A counting semaphore with blocking ``acquire``."""
-
-    def __init__(self, sim: "Simulator", initial: int, name: str = "semaphore"):
-        if initial < 0:
-            raise ValueError("initial semaphore count cannot be negative")
-        self.sim = sim
-        self.name = name
-        self._count = initial
-        self._released = Event(sim, name=f"{name}.released")
-
-    def acquire(self):
-        """Blocking acquire of one unit."""
-        while self._count == 0:
-            yield self._released
-        self._count -= 1
-
-    def release(self) -> None:
-        self._count += 1
-        self._released.notify(0)
-
-    @property
-    def available(self) -> int:
-        return self._count

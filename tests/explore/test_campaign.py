@@ -639,24 +639,6 @@ class TestSocReuse:
         assert errors == [] and mismatches == []
         assert stats["simulation_hits"] == 0  # every row simulated
 
-    def test_simulator_rewind_refuses_pending_entries(self):
-        from repro.kernel import SimTime
-        from repro.kernel.exceptions import SchedulingError
-        from repro.kernel.simulator import Simulator
-
-        sim = Simulator()
-        sim.schedule_callback(lambda: None, SimTime(10))
-        sim.schedule_callback(lambda: None, SimTime(30))
-        with pytest.raises(SchedulingError, match="not idle"):
-            sim.rewind()
-        sim.run(until=SimTime(20))  # stopped with one entry left
-        with pytest.raises(SchedulingError, match="not idle"):
-            sim.rewind()
-        assert sim.now == SimTime(20) and sim.pending_activations == 1
-        sim.run()
-        sim.rewind()
-        assert sim.now == SimTime(0) and sim.dispatched_activations == 0
-
     def test_soc_stopped_at_a_horizon_cannot_be_rewound(self):
         from repro.kernel.exceptions import SchedulingError
 

@@ -1,144 +1,9 @@
-"""Unit tests for FIFOs, signals, clocks and synchronisation primitives."""
+"""Unit tests for clocks and synchronisation primitives."""
 
 import pytest
 
-from repro.kernel import (
-    Clock,
-    Fifo,
-    Mutex,
-    NS,
-    Semaphore,
-    Signal,
-    SimTime,
-    Simulator,
-    Timeout,
-)
+from repro.kernel import Clock, Mutex, NS, SimTime, Simulator, Timeout
 from repro.kernel.sync import Countdown
-
-
-class TestFifo:
-    def test_put_get_order(self, sim):
-        fifo = Fifo(sim, "f", capacity=4)
-        received = []
-
-        def producer():
-            for value in range(6):
-                yield from fifo.put(value)
-
-        def consumer():
-            for _ in range(6):
-                value = yield from fifo.get()
-                received.append(value)
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert received == list(range(6))
-
-    def test_blocking_put_when_full(self, sim):
-        fifo = Fifo(sim, "f", capacity=1)
-        times = []
-
-        def producer():
-            yield from fifo.put("a")
-            yield from fifo.put("b")
-            times.append(sim.now)
-
-        def consumer():
-            yield Timeout(SimTime(100, NS))
-            yield from fifo.get()
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert times[0] >= SimTime(100, NS)
-
-    def test_blocking_get_when_empty(self, sim):
-        fifo = Fifo(sim, "f")
-        times = []
-
-        def consumer():
-            value = yield from fifo.get()
-            times.append((sim.now, value))
-
-        def producer():
-            yield Timeout(SimTime(42, NS))
-            yield from fifo.put("late")
-
-        sim.spawn(consumer())
-        sim.spawn(producer())
-        sim.run()
-        assert times == [(SimTime(42, NS), "late")]
-
-    def test_try_put_try_get(self, sim):
-        fifo = Fifo(sim, "f", capacity=1)
-        assert fifo.try_put(1)
-        assert not fifo.try_put(2)
-        ok, value = fifo.try_get()
-        assert ok and value == 1
-        ok, value = fifo.try_get()
-        assert not ok and value is None
-
-    def test_len_and_free(self, sim):
-        fifo = Fifo(sim, "f", capacity=3)
-        fifo.try_put("x")
-        assert len(fifo) == 1
-        assert fifo.free == 2
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Fifo(sim, "f", capacity=0)
-
-
-class TestSignal:
-    def test_write_visible_after_delta(self, sim):
-        signal = Signal(sim, "s", initial=0)
-        observed = []
-
-        def writer():
-            signal.write(5)
-            observed.append(("same_delta", signal.read()))
-            yield Timeout(1)
-            observed.append(("after", signal.read()))
-
-        sim.spawn(writer())
-        sim.run()
-        assert observed == [("same_delta", 0), ("after", 5)]
-
-    def test_value_changed_event(self, sim):
-        signal = Signal(sim, "s", initial=0)
-        changes = []
-
-        def watcher():
-            while True:
-                value = yield signal.value_changed
-                changes.append(value)
-                if value == 2:
-                    break
-
-        def driver():
-            yield Timeout(SimTime(10, NS))
-            signal.write(1)
-            yield Timeout(SimTime(10, NS))
-            signal.write(2)
-
-        sim.spawn(watcher())
-        sim.spawn(driver())
-        sim.run()
-        assert changes == [1, 2]
-
-    def test_writing_same_value_does_not_notify(self, sim):
-        signal = Signal(sim, "s", initial=7)
-        notified = []
-        signal.value_changed.add_callback(notified.append)
-
-        def driver():
-            signal.write(7)
-            yield Timeout(1)
-
-        sim.spawn(driver())
-        sim.run()
-        assert notified == []
 
 
 class TestClock:
@@ -158,33 +23,12 @@ class TestClock:
         with pytest.raises(ValueError):
             Timeout(-1)
 
-    def test_frequency(self, clock):
-        assert clock.frequency_hz == pytest.approx(100e6)
-
-    def test_from_frequency(self, sim):
-        clock = Clock.from_frequency(sim, "clk200", 200e6)
-        assert clock.period == SimTime(5, NS)
-
     def test_cycles_between(self, clock):
         assert clock.cycles_between(SimTime(100, NS), SimTime(1100, NS)) == 100
-
-    def test_posedge_wakes_processes(self, sim, clock):
-        times = []
-
-        def waiter():
-            for _ in range(3):
-                yield clock.posedge()
-                times.append(sim.now)
-
-        sim.spawn(waiter())
-        sim.run(until=SimTime(100, NS))
-        assert times == [SimTime(10, NS), SimTime(20, NS), SimTime(30, NS)]
 
     def test_invalid_period_rejected(self, sim):
         with pytest.raises(ValueError):
             Clock(sim, "bad", SimTime(0))
-        with pytest.raises(ValueError):
-            Clock.from_frequency(sim, "bad", 0.0)
 
 
 class TestMutex:
@@ -419,28 +263,3 @@ class TestCountdown:
         sim.spawn(waiter())
         sim.run()
         assert resumed == [5, 10]
-
-
-class TestSemaphore:
-    def test_counting_behaviour(self, sim):
-        semaphore = Semaphore(sim, initial=2)
-        active = []
-        peak = []
-
-        def worker(tag):
-            yield from semaphore.acquire()
-            active.append(tag)
-            peak.append(len(active))
-            yield Timeout(SimTime(10, NS))
-            active.remove(tag)
-            semaphore.release()
-
-        for tag in range(5):
-            sim.spawn(worker(tag))
-        sim.run()
-        assert max(peak) <= 2
-        assert semaphore.available == 2
-
-    def test_negative_initial_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Semaphore(sim, initial=-1)

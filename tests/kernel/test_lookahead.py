@@ -48,22 +48,6 @@ def test_a_delta_entry_pushed_by_the_activation_itself_counts(sim):
     assert seen == [-1]
 
 
-def test_a_pending_update_leaves_no_room(sim):
-    seen = []
-
-    class Primitive:
-        def update(self):
-            pass
-
-    def action():
-        sim.request_update(Primitive())
-        seen.append(sim.lookahead_fs())
-
-    sim.schedule_callback(action, 10)
-    sim.run()
-    assert seen == [-1]
-
-
 def test_a_drained_timestamp_does_not_bound_the_answer(sim):
     # Earlier timestamps, the running one included, have been drained:
     # only the next pending entry bounds the answer.

@@ -3,7 +3,8 @@
 Pins down the behaviours long campaigns rely on: exact ``run(until=...)``
 boundary handling, cancelled-entry skipping and lazy-deletion compaction,
 deadlock detection on an empty queue, deterministic FIFO dispatch of
-simultaneous activations and the O(1) pending-activation counter.
+simultaneous activations, the O(1) pending-activation counter and the
+idle check of ``rewind()``.
 """
 
 import pytest
@@ -297,32 +298,34 @@ class TestPendingCounter:
         assert sim.pending_activations == 1
 
 
-class TestUpdatesRequestedBeforeRun:
-    def test_a_write_before_run_is_applied_before_time_advances(self, sim):
-        from repro.kernel.signal import Signal
-
-        signal = Signal(sim, "x", 0)
-        signal.write(1)
-        seen = []
-        sim.schedule_callback(lambda: seen.append((sim.now_fs, signal.read())),
-                              10)
+class TestRewind:
+    def test_rewind_refuses_pending_entries(self):
+        sim = Simulator()
+        sim.schedule_callback(lambda: None, SimTime(10))
+        sim.schedule_callback(lambda: None, SimTime(30))
+        with pytest.raises(SchedulingError, match="not idle"):
+            sim.rewind()
+        sim.run(until=SimTime(20))  # stopped with one entry left
+        with pytest.raises(SchedulingError, match="not idle"):
+            sim.rewind()
+        assert sim.now == SimTime(20) and sim.pending_activations == 1
         sim.run()
-        assert seen == [(10, 1)]
+        sim.rewind()
+        assert sim.now == SimTime(0) and sim.dispatched_activations == 0
 
-    def test_the_update_runs_before_activations_at_the_current_time(self, sim):
-        from repro.kernel.signal import Signal
-
-        signal = Signal(sim, "x", 0)
-        seen = []
-        sim.schedule_callback(lambda: seen.append(signal.read()), 0)
-        signal.write(1)
-        sim.run(until=5)
-        assert seen == [1]
-
-    def test_a_write_before_run_alone_is_activity(self, sim):
-        from repro.kernel.signal import Signal
-
-        signal = Signal(sim, "x", 0)
-        signal.write(7)
-        sim.run(until=5)
-        assert signal.read() == 7 and sim.now_fs == 0
+    def test_rewind_refuses_a_store_of_cancelled_entries(self, sim):
+        """Cancelled entries still sit in the store until a drain drops
+        them, so a store holding only those is not idle either."""
+        sim.schedule_callback(lambda: None, SimTime(5))
+        entries = [sim.schedule_callback(lambda: None, SimTime(10 + i))
+                   for i in range(3)]
+        sim.run(until=SimTime(5))
+        for entry in entries:
+            sim.cancel(entry)
+        assert sim.pending_activations == 0 and len(sim._queue) == 3
+        with pytest.raises(SchedulingError, match="not idle"):
+            sim.rewind()
+        sim.run()
+        assert sim._queue == [] and sim.now == SimTime(5)
+        sim.rewind()
+        assert sim.now == SimTime(0) and sim.dispatched_activations == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Fifo, NS, SimTime, Simulator, TransactionRecord, TransactionTracer
+from repro.kernel import NS, SimTime, TransactionRecord, TransactionTracer
 from repro.memory import MATS, MATS_PLUS, MARCH_C_MINUS, MemoryArray, run_march_test
 from repro.rtl import LFSR, MISR, ScanConfiguration
 from repro.soc.jpeg import (
@@ -153,28 +153,6 @@ class TestJpegProperties:
 
 
 class TestKernelProperties:
-    @given(items=st.lists(st.integers(), min_size=1, max_size=50),
-           capacity=st.integers(1, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_fifo_preserves_order(self, items, capacity):
-        sim = Simulator()
-        fifo = Fifo(sim, "f", capacity=capacity)
-        received = []
-
-        def producer():
-            for item in items:
-                yield from fifo.put(item)
-
-        def consumer():
-            for _ in items:
-                value = yield from fifo.get()
-                received.append(value)
-
-        sim.spawn(producer())
-        sim.spawn(consumer())
-        sim.run()
-        assert received == items
-
     @given(intervals=st.lists(
         st.tuples(st.integers(0, 1000), st.integers(1, 100)),
         min_size=1, max_size=40))
