@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.kernel import Clock, Mutex, NS, SimTime, Simulator, Timeout
+from repro.kernel import (
+    Channel, Clock, Module, Mutex, NS, SimTime, Simulator, Timeout)
 from repro.kernel.sync import Countdown
 
 
@@ -29,6 +30,40 @@ class TestClock:
     def test_invalid_period_rejected(self, sim):
         with pytest.raises(ValueError):
             Clock(sim, "bad", SimTime(0))
+
+    def test_negative_period_rejected(self, sim):
+        with pytest.raises(ValueError):
+            Clock(sim, "bad", -5)
+
+    def test_integer_period_is_femtoseconds(self, sim):
+        clock = Clock(sim, "clk", 10 * NS)
+        assert clock.period == SimTime(10, NS)
+        assert clock.cycles_fs(3) == 30 * NS
+
+    def test_zero_cycles_take_no_time(self, clock):
+        assert clock.cycles_fs(0) == 0
+        assert clock.cycles(0) == SimTime(0)
+
+    def test_cycles_between_counts_only_full_cycles(self, clock):
+        start = SimTime(100, NS)
+        assert clock.cycles_between(start, SimTime(109, NS)) == 0
+        assert clock.cycles_between(start, SimTime(110, NS)) == 1
+        assert clock.cycles_between(start, SimTime(125, NS)) == 2
+
+    def test_clock_under_a_module_is_a_named_channel(self, sim):
+        soc = Module(sim, "soc")
+        clock = Clock(soc, "clk", SimTime(5, NS))
+        assert isinstance(clock, Channel)
+        assert clock.name == "soc.clk" and clock.sim is sim
+        assert repr(clock) == "Clock('soc.clk', period=5 ns)"
+
+    def test_clocked_wait_advances_by_whole_periods(self, sim, clock):
+        def proc():
+            yield Timeout(clock.cycles_fs(7))
+
+        sim.spawn(proc())
+        assert sim.run() == clock.cycles(7)
+        assert clock.cycles_between(SimTime(0), sim.now) == 7
 
 
 class TestMutex:
@@ -63,6 +98,53 @@ class TestMutex:
         mutex = Mutex(sim, "m")
         with pytest.raises(RuntimeError):
             mutex.release()
+
+    def test_failed_try_acquire_is_not_a_contention(self, sim):
+        mutex = Mutex(sim, "m")
+        assert mutex.try_acquire()
+        assert not mutex.try_acquire()
+        assert mutex.acquisitions == 1
+        assert mutex.contentions == 0
+
+    def test_acquire_returns_the_mutex(self, sim):
+        mutex = Mutex(sim, "m")
+        held = []
+
+        def proc():
+            held.append((yield from mutex.acquire()))
+            mutex.release()
+
+        sim.spawn(proc())
+        sim.run()
+        assert held == [mutex]
+
+    def test_release_to_a_queued_callback_keeps_the_lock_held(self, sim):
+        """Between a release and the queued callback's take-over the lock
+        stays held, so neither ``try_acquire`` nor ``idle`` sees it free."""
+        mutex = Mutex(sim, "m")
+        assert mutex.idle
+        assert mutex.try_acquire()
+        granted = []
+        mutex.acquire_then(lambda: granted.append(sim.now_fs))
+        assert not mutex.idle and mutex.contentions == 1
+        mutex.release()
+        assert mutex.locked and not mutex.idle
+        assert not mutex.try_acquire()
+        sim.run()
+        assert granted == [0] and mutex.locked
+        mutex.release()
+        assert mutex.idle and mutex.acquisitions == 2
+
+    def test_rewind_frees_the_lock_and_zeroes_the_statistics(self, sim):
+        mutex = Mutex(sim, "m")
+        assert mutex.try_acquire()
+        mutex.acquire_then(lambda: None)
+        mutex.rewind()
+        assert mutex.idle and not mutex.locked
+        assert mutex.acquisitions == 0 and mutex.contentions == 0
+        # The dropped waiter never runs; the lock is free for the next one.
+        sim.run()
+        assert mutex.try_acquire() and mutex.acquisitions == 1
 
     def test_no_sneak_in_between_release_and_handover(self, sim):
         """A late acquirer must not overtake an already queued waiter."""
@@ -231,6 +313,37 @@ class TestCountdown:
         sim.spawn(waiter())
         sim.run()
         assert resumed == [3, 6]
+
+    def test_single_arrival_resumes_at_its_time(self, sim):
+        countdown = Countdown(sim, "join")
+        resumed = []
+
+        def waiter():
+            sim.schedule_callback(countdown.arrive, SimTime(4, NS))
+            yield countdown.wait(1)
+            resumed.append(sim.now_fs // NS)
+
+        sim.spawn(waiter())
+        sim.run()
+        assert resumed == [4]
+
+    def test_simultaneous_arrivals_resume_the_waiter_once(self, sim):
+        countdown = Countdown(sim, "join")
+        resumed = []
+
+        def waiter():
+            for _ in range(3):
+                sim.schedule_callback(countdown.arrive, SimTime(2, NS))
+            yield countdown.wait(3)
+            resumed.append(sim.now_fs // NS)
+
+        sim.spawn(waiter())
+        sim.run()
+        assert resumed == [2]
+
+    def test_negative_count_rejected(self, sim):
+        with pytest.raises(ValueError, match="at least one arrival"):
+            Countdown(sim).wait(-1)
 
     def test_misuse_raises(self, sim):
         countdown = Countdown(sim)

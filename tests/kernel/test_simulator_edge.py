@@ -4,13 +4,14 @@ Pins down the behaviours long campaigns rely on: exact ``run(until=...)``
 boundary handling, cancelled-entry skipping and lazy-deletion compaction,
 deadlock detection on an empty queue, deterministic FIFO dispatch of
 simultaneous activations, the O(1) pending-activation counter and the
-idle check of ``rewind()``.
+idle check of ``rewind()`` and the fresh-run replay after it.
 """
 
 import pytest
 
 from repro.kernel import NS, SimTime, Simulator, Timeout
-from repro.kernel.exceptions import DeadlockError, SchedulingError
+from repro.kernel.exceptions import (
+    DeadlockError, KernelError, ProcessKilled, SchedulingError)
 
 
 class TestRunUntilBoundary:
@@ -92,6 +93,12 @@ class TestDeadlock:
 
     def test_run_without_until_on_empty_queue_is_a_no_op(self, sim):
         assert sim.run() == SimTime(0)
+
+    def test_kernel_errors_share_one_base(self, sim):
+        for error in (SchedulingError, ProcessKilled, DeadlockError):
+            assert issubclass(error, KernelError)
+        with pytest.raises(KernelError):
+            sim.run(until=SimTime(1, NS))
 
     def test_only_cancelled_entries_with_until_raises(self, sim):
         entry = sim.schedule_callback(lambda: None, 10)
@@ -329,3 +336,65 @@ class TestRewind:
         assert sim._queue == [] and sim.now == SimTime(5)
         sim.rewind()
         assert sim.now == SimTime(0) and sim.dispatched_activations == 0
+
+    def test_rewind_of_a_fresh_simulator_changes_nothing(self, sim):
+        sim.rewind()
+        assert sim.now == SimTime(0) and sim.pending_activations == 0
+        assert sim.dispatched_activations == 0
+
+    def test_rewind_refuses_while_running(self, sim):
+        refusals = []
+
+        def try_rewind():
+            try:
+                sim.rewind()
+            except SchedulingError as exc:
+                refusals.append(str(exc))
+
+        sim.schedule_callback(try_rewind, SimTime(3, NS))
+        sim.run()
+        assert len(refusals) == 1 and "not idle" in refusals[0]
+        assert sim.now == SimTime(3, NS)
+        sim.rewind()
+        assert sim.now == SimTime(0)
+
+    def test_rewind_zeroes_the_credited_activations(self, sim):
+        sim.schedule_callback(lambda: sim.credit_activations(3), SimTime(2))
+        sim.run()
+        assert sim.credited_activations == 3
+        assert sim.dispatched_activations == 4
+        sim.rewind()
+        assert sim.credited_activations == 0
+        assert sim.dispatched_activations == 0
+
+    def test_a_rewound_simulator_replays_a_fresh_run(self):
+        """After a rewind the same model dispatches what it would on a new
+        simulator: the same order, the same times, the same counts."""
+
+        def play(sim):
+            log = []
+            done = sim.event("done")
+
+            def worker(tag, delay_ns):
+                yield Timeout(SimTime(delay_ns, NS))
+                log.append((sim.now_fs, tag))
+                if tag == "b":
+                    done.notify(SimTime(1, NS))
+
+            def joiner():
+                yield done
+                log.append((sim.now_fs, "joined"))
+
+            sim.spawn(worker("a", 5))
+            sim.spawn(worker("b", 3))
+            sim.spawn(joiner())
+            sim.schedule_callback(lambda: log.append((sim.now_fs, "cb")),
+                                  SimTime(3, NS))
+            end = sim.run()
+            return log, end, sim.dispatched_activations
+
+        fresh = play(Simulator("fresh"))
+        reused = Simulator("reused")
+        play(reused)
+        reused.rewind()
+        assert play(reused) == fresh
