@@ -550,7 +550,10 @@ def bench_campaign(scale: float, quick: bool = False) -> dict:
     from repro.explore.campaign import clear_scenario_cache
 
     campaign = _pool_campaign(quick=quick or scale < 1.0)
-    workers = max(2, min(4, os.cpu_count() or 1))
+    # Fixed, not sized to the host: the ``workload`` block is what
+    # ``check_regression.py`` matches a run to its baseline by, so it must
+    # read the same on every host (the host's CPUs are in ``host``).
+    workers = 2
 
     # Every timed run starts from an empty scenario memo, so each one
     # simulates its rows instead of replaying the previous run's memo hits
@@ -576,7 +579,6 @@ def bench_campaign(scale: float, quick: bool = False) -> dict:
             "scenarios": len({spec.name for spec in campaign.specs}),
             "jobs": len(campaign),
             "pool_workers": workers,
-            "cpus": os.cpu_count(),
         },
         "serial_wall_seconds": round(serial.wall_seconds, 6),
         "serial_rows_per_second": round(serial.rows_per_second, 3),

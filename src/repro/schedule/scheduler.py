@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
+from itertools import permutations
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.schedule.model import TestSchedule, TestTask
@@ -226,7 +227,9 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
     phases a move or swap touches, and phase power is memoized per call by
     the phase's ordered task tuple.  Every cost is still reduced over all
     phases in phase order, so the walk, and the schedule it returns, are
-    bitwise those of re-measuring every phase on every step.
+    bitwise those of re-measuring every phase on every step.  A start the
+    walk cannot leave (singleton phases, no task feasible beside another)
+    is returned without walking.
     """
     if cost not in ("makespan", "peak_power", "combined"):
         raise ValueError(
@@ -266,6 +269,17 @@ def local_search_schedule(name: str, tasks: Mapping[str, TestTask],
     phases = [tuple(phase) for phase in initial.phases]
     lengths = [max(map(length_of, phase)) for phase in phases]
     powers = [phase_power(phase) for phase in phases]
+
+    # A start of singleton phases none of which can take another task is a
+    # fixed point of the walk: every step is rejected, swaps two singletons
+    # or moves one to a new last phase, so every state it reaches reorders
+    # the same phases.  Each has the same int makespan and, as its peak,
+    # the max of the same powers (equal up to the sign of a zero, or NaN),
+    # so no cost is lower than the start's and the walk returns the start.
+    if all(len(phase) == 1 for phase in phases) and not any(
+            feasible(task_name, phase)
+            for phase, (task_name,) in permutations(phases, 2)):
+        steps = 0
 
     makespan_scale = float(sum(lengths)) or 1.0
     peak_scale = max(powers) or 1.0

@@ -1,6 +1,8 @@
 """Unit tests of ``benchmarks/check_regression.py``'s run comparison."""
 
 import copy
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-from check_regression import compare_run  # noqa: E402
+from check_regression import compare_run, pick_baseline_run  # noqa: E402
 
 BASELINE = {
     "workload": {"scenarios": 8},
@@ -59,3 +61,17 @@ def test_missing_informational_values_are_not_gated():
     assert compare_run("surrogate", BASELINE,
                        without("estimation.tasks", "search.front_size",
                                "search.flaky"), 0.6) == []
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_quick_campaign_run_on_any_host_matches_the_ci_baseline(
+        monkeypatch, cpus):
+    # The workload block is what a run is matched to its baseline by, so
+    # it must not depend on the host the candidate ran on.
+    import run_benchmarks
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    candidate = run_benchmarks.bench_campaign(0.08, quick=True)
+    baseline = json.loads((REPO_ROOT / "BENCH_campaign.json").read_text())
+    match = pick_baseline_run(baseline, candidate["workload"], ("ci", "after"))
+    assert match is not None and match[0] == "ci"

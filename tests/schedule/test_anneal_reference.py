@@ -18,7 +18,11 @@ The draws aim at the places where an incremental evaluator can drift:
 * shared cores, the ATE channel and ``processor_core`` attributes, so tasks
   conflict in every way the resource model allows;
 * ``max_concurrency`` None, 1, 2 and 3, every cost, ``peak_weight`` 0,
-  0.25 and 1, steps 0, 1 and 256, and both initial schedules.
+  0.25 and 1, steps 0, 1 and 256, and both initial schedules;
+* starts the walk cannot leave (singleton phases, no two tasks allowed to
+  share one), which it returns without walking, with powers of NaN,
+  ``-0.0``, ``0.0`` and ``inf``, and starts one feasible pair away from
+  them.
 
 The test is part of the fast suite so that CI runs it on every Python in the
 matrix, and so under both summation semantics.
@@ -26,8 +30,10 @@ matrix, and so under both summation semantics.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from dataclasses import replace
 from typing import List, Mapping, Optional, Sequence
 
 import pytest
@@ -361,16 +367,28 @@ SETTINGS = dict(deadline=None, derandomize=True)
 def test_anneal_matches_reference(problem, max_concurrency, cost,
                                   peak_weight, steps, seed, init):
     tasks, estimates, power_model = problem
+    anneal_both(tasks, estimates, power_model, max_concurrency,
+                start(init, tasks, estimates, power_model, max_concurrency),
+                cost=cost, peak_weight=peak_weight, steps=steps, seed=seed)
+
+
+def start(init, tasks, estimates, power_model, max_concurrency, order=()):
+    """The initial schedule: a builder's, or *order* as singleton phases."""
+    if init == "explicit":
+        return TestSchedule.sequential("s", order)
     if init == "greedy":
-        initial = greedy_concurrent_schedule(
+        return greedy_concurrent_schedule(
             "s", tasks, estimates, power_model=power_model,
             max_concurrency=max_concurrency)
-    else:
-        initial = binpack_power_schedule(
-            "s", tasks, estimates, power_model=power_model,
-            max_concurrency=max_concurrency, fit=init.partition(":")[2] or "best")
-    kwargs = dict(power_model=power_model, seed=seed, steps=steps, cost=cost,
-                  peak_weight=peak_weight, initial=initial,
+    return binpack_power_schedule(
+        "s", tasks, estimates, power_model=power_model,
+        max_concurrency=max_concurrency, fit=init.partition(":")[2] or "best")
+
+
+def anneal_both(tasks, estimates, power_model, max_concurrency, initial,
+                **kwargs):
+    """Anneal from *initial* with both implementations; they must agree."""
+    kwargs.update(power_model=power_model, initial=initial,
                   max_concurrency=max_concurrency, description="annealed")
     expected = local_search_schedule("s", tasks, estimates, **kwargs)
     actual = incremental.local_search_schedule("s", tasks, estimates, **kwargs)
@@ -450,3 +468,130 @@ def test_greedy_and_binpack_match_reference(problem, max_concurrency, fit):
             == binpack_power_schedule(
                 "b", tasks, estimates, power_model=power_model,
                 max_concurrency=max_concurrency, fit=fit).phases)
+
+
+#: Powers at the edges of float arithmetic: a NaN phase fits no budget and
+#: is the max of any list it leads, ``-0.0`` and ``0.0`` are equal but
+#: different maxima, and ``inf`` fits no finite budget.
+EDGE_POWERS = (math.nan, -0.0, 0.0, math.inf)
+
+_SCAN_KINDS = (TestKind.EXTERNAL_SCAN, TestKind.EXTERNAL_SCAN_COMPRESSED)
+
+
+def _ordered_pairs_feasible(tasks, power_model, max_concurrency):
+    """The ordered pairs ``(x, t)`` the reference lets ``t`` join ``[x]``."""
+    return [(x, t) for x, t in itertools.permutations(tasks, 2)
+            if _phase_feasible(t, [x], tasks, power_model, max_concurrency)]
+
+
+@st.composite
+def trivial_problems(draw):
+    """Tasks no two of which may share a phase, so that every start is
+    singleton phases the annealer cannot leave.
+
+    Each draw keeps the pairs apart one way: one shared core, the shared
+    ATE channel, ``max_concurrency=1``, or a budget just below every pair's
+    power.  Returns the problem and a task order for an explicit start.
+    """
+    count = draw(st.integers(min_value=1, max_value=8))
+    names = [f"t{index}" for index in range(count)]
+    apart = draw(st.sampled_from(("core", "ate", "concurrency", "budget")))
+    power = st.sampled_from(POWERS + EDGE_POWERS)
+    if apart == "ate":
+        tasks = {}
+        for name in names:
+            kind = draw(st.sampled_from(_SCAN_KINDS))
+            tasks[name] = TestTask(
+                name=name, kind=kind, core=draw(st.sampled_from(CORES)),
+                pattern_count=8, power=draw(power),
+                compression_ratio=2.0 if kind is TestKind.EXTERNAL_SCAN_COMPRESSED
+                else 1.0)
+    elif apart == "budget":
+        tasks = {name: TestTask(name=name, kind=TestKind.LOGIC_BIST,
+                                core=f"c{index}", pattern_count=8,
+                                power=draw(power))
+                 for index, name in enumerate(names)}
+    else:
+        tasks = {name: replace(draw(task(name)), power=draw(power),
+                               **({"core": "c0"} if apart == "core" else {}))
+                 for name in names}
+    zero = draw(st.booleans())
+    estimates = {name: 0 if zero else draw(st.integers(min_value=0,
+                                                        max_value=12))
+                 for name in names}
+    static = draw(st.sampled_from((0.0, -0.0, 0.1)))
+    idle = draw(st.dictionaries(st.sampled_from(CORES),
+                                st.sampled_from(POWERS), max_size=3))
+    power_model = PowerModel(budget=draw(st.sampled_from((0.6, math.inf,
+                                                           math.nan))),
+                             static_power=static, idle_power=idle)
+    if apart == "budget":
+        finite = [pair for pair in (power_model.phase_power(ordered, tasks)
+                                    for ordered in itertools.permutations(names, 2))
+                  if math.isfinite(pair)]
+        # Just below the lowest finite pair; NaN and inf pairs fit no
+        # finite budget.
+        power_model.budget = (math.nextafter(min(finite), -math.inf)
+                              if finite else 0.6)
+    max_concurrency = (1 if apart == "concurrency"
+                       else draw(st.sampled_from((None, 2, 3))))
+    order = draw(st.permutations(names))
+    return tasks, estimates, power_model, max_concurrency, order
+
+
+@st.composite
+def near_trivial_problems(draw):
+    """Conflict-free tasks of which exactly one pair fits the budget: an
+    explicit singleton start is one feasible pair away from a start the
+    annealer cannot leave, and the builders' starts pair the two up."""
+    count = draw(st.integers(min_value=2, max_value=8))
+    names = [f"t{index}" for index in range(count)]
+    pair = draw(st.permutations(names))[:2]
+    low = st.sampled_from((-0.0, 0.0, 0.1, 0.2))
+    high = st.sampled_from((0.7, 1.0, math.nan, math.inf))
+    tasks = {name: TestTask(name=name, kind=TestKind.LOGIC_BIST,
+                            core=f"c{index}", pattern_count=8,
+                            power=draw(low if name in pair else high))
+             for index, name in enumerate(names)}
+    estimates = {name: draw(st.integers(min_value=0, max_value=12))
+                 for name in names}
+    power_model = PowerModel(static_power=draw(st.sampled_from((0.0, -0.0, 0.1))))
+    # The pair's power in its larger order: both orders fit, nothing else.
+    power_model.budget = max(power_model.phase_power(pair, tasks),
+                             power_model.phase_power(pair[::-1], tasks))
+    max_concurrency = draw(st.sampled_from((None, 2)))
+    order = draw(st.permutations(names))
+    return tasks, estimates, power_model, max_concurrency, order
+
+
+_START_ARGS = dict(
+    cost=st.sampled_from(("makespan", "peak_power", "combined")),
+    peak_weight=st.sampled_from((0.0, 0.25, 1.0)),
+    steps=st.sampled_from((0, 1, 256)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    init=st.sampled_from(("greedy", "binpack", "binpack:worst", "explicit")))
+
+
+@settings(max_examples=200, **SETTINGS)
+@given(problem=trivial_problems(), **_START_ARGS)
+def test_anneal_from_a_start_it_cannot_leave_matches_reference(
+        problem, init, **kwargs):
+    tasks, estimates, power_model, max_concurrency, order = problem
+    assert _ordered_pairs_feasible(tasks, power_model, max_concurrency) == []
+    initial = start(init, tasks, estimates, power_model, max_concurrency,
+                    order)
+    assert all(len(phase) == 1 for phase in initial.phases)
+    anneal_both(tasks, estimates, power_model, max_concurrency, initial,
+                **kwargs)
+
+
+@settings(max_examples=100, **SETTINGS)
+@given(problem=near_trivial_problems(), **_START_ARGS)
+def test_anneal_one_feasible_pair_from_a_fixed_start_matches_reference(
+        problem, init, **kwargs):
+    tasks, estimates, power_model, max_concurrency, order = problem
+    assert len(_ordered_pairs_feasible(tasks, power_model,
+                                       max_concurrency)) == 2
+    anneal_both(tasks, estimates, power_model, max_concurrency,
+                start(init, tasks, estimates, power_model, max_concurrency,
+                      order), **kwargs)
